@@ -12,7 +12,8 @@ from .exec_harness import (
     evaluate_functionality,
     mock_evaluate,
 )
-from .gateway import ChatMessage, GatewayError, ModelHandle, ScriptedModel, complete
+from .config import ModelSpec
+from .gateway import ChatMessage, GatewayError, ScriptedModel, complete
 from .guidance import (
     IterationRecord,
     RunRecord,
@@ -58,7 +59,7 @@ __all__ = [
     "IterationRecord",
     "McNemarResult",
     "MemberModel",
-    "ModelHandle",
+    "ModelSpec",
     "OutcomeLabel",
     "PairedOutcomes",
     "PredicateCounts",

@@ -63,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a configured experiment")
     p_run.add_argument("--config", required=True, help="JSON run configuration")
-    p_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="explicitly allowed; runs always skip tasks that already have records",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_report = sub.add_parser("report", help="render reports from a run store")

@@ -7,8 +7,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urlparse
 
-from .gateway import ModelHandle, ScriptedModel
+from .gateway import ScriptedModel
 from .guidance import STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
 
 EXEC_MODES = ("jdk", "mock")
@@ -22,9 +23,10 @@ class ConfigError(Exception):
 class ModelSpec:
     """One model entry: either an HTTP endpoint or a canned script.
 
-    Scripted entries get a fresh ScriptedModel per (strategy, task), so each
-    run replays the task's response list from the start; that keeps mock runs
-    resumable and hand-computable.
+    An endpoint entry is itself the gateway backend. A scripted entry hands
+    out a fresh ScriptedModel per (strategy, task), so each run replays the
+    task's response list from the start; that keeps mock runs resumable and
+    hand-computable.
     """
 
     model_id: str
@@ -36,24 +38,19 @@ class ModelSpec:
     seed: int | None = None
     script: object | None = None  # list[str] or {task_id: list[str]} (+ "default")
 
-    @property
-    def scripted(self) -> bool:
-        return self.script is not None
+    def __post_init__(self) -> None:
+        if self.script is not None:
+            return
+        parsed = urlparse(self.endpoint or "")
+        if not parsed.scheme or not parsed.netloc:
+            raise ValueError(f"model {self.model_id!r}: invalid endpoint URL {self.endpoint!r}")
+        if self.timeout_s <= 0:
+            raise ValueError(f"model {self.model_id!r}: timeout_s must be positive")
 
-    def handle(self) -> ModelHandle:
-        if self.endpoint is None:
-            raise ConfigError(f"model {self.model_id!r} has no endpoint")
-        return ModelHandle(
-            self.model_id,
-            self.endpoint,
-            auth_ref=self.auth_ref,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            timeout_s=self.timeout_s,
-            seed=self.seed,
-        )
-
-    def scripted_model(self, task_id: str) -> ScriptedModel:
+    def backend(self, task_id: str) -> ModelSpec | ScriptedModel:
+        """What answers `task_id`: this endpoint, or a fresh replay of its script."""
+        if self.script is None:
+            return self
         return ScriptedModel(script_responses(self.script, task_id), self.model_id)
 
 
@@ -222,11 +219,14 @@ def _parse_model(raw: object, default_seed: object) -> ModelSpec:
 
 def load_script_file(path: str) -> object:
     try:
-        return json.loads(Path(path).read_text("utf-8"))
+        script = json.loads(Path(path).read_text("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read script {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
+    if not isinstance(script, (list, dict)):
+        raise ConfigError(f"script {path} must be a list or an object")
+    return script
 
 
 def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:

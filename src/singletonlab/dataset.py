@@ -14,7 +14,6 @@ DEFAULT_FIELD_MAP = {
     "description": "prompt",
     "declaration": "declaration",
     "test_code": "test",
-    "example_test": "example_test",
 }
 
 _MANDATORY = ("task_id", "description", "declaration", "test_code")
@@ -31,7 +30,6 @@ class Task:
     declaration: str
     expected_class_name: str
     test_code: str
-    example_test: str | None = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ def load_tasks(
         if task_id in seen_ids:
             raise DatasetError(f"{path}: line {lineno}: duplicate task_id {task_id!r}")
         seen_ids.add(task_id)
-        example = obj.get(mapping["example_test"])
         classes = parse_compilation_unit(values["declaration"])
         expected = classes[0].class_name if classes else ""
         if not expected:
@@ -102,7 +99,6 @@ def load_tasks(
                 declaration=values["declaration"],
                 expected_class_name=expected,
                 test_code=values["test_code"],
-                example_test=example if isinstance(example, str) else None,
             )
         )
     if not tasks:

@@ -1,8 +1,9 @@
 """Uniform chat interface: an HTTP chat-completion client plus a scripted mock.
 
-Both backends take a full message history and return one assistant message.
-Contents pass through byte-exactly in both directions; the transcript a
-caller records is exactly what went over the wire.
+The HTTP backend is a `config.ModelSpec` with an endpoint; the scripted one
+is a `ScriptedModel`. Both take a full message history and return one
+assistant message. Contents pass through byte-exactly in both directions;
+the transcript a caller records is exactly what went over the wire.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from urllib.parse import urlparse
+from typing import TYPE_CHECKING
 
 import requests
+
+if TYPE_CHECKING:
+    from .config import ModelSpec
 
 VALID_ROLES = ("system", "user", "assistant")
 
@@ -30,24 +34,6 @@ class ChatMessage:
     def __post_init__(self) -> None:
         if self.role not in VALID_ROLES:
             raise ValueError(f"invalid role {self.role!r}")
-
-
-@dataclass(frozen=True)
-class ModelHandle:
-    model_id: str
-    endpoint: str
-    auth_ref: str | None = None
-    temperature: float = 0.2
-    max_tokens: int = 4096
-    timeout_s: int = 60
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        parsed = urlparse(self.endpoint)
-        if not parsed.scheme or not parsed.netloc:
-            raise ValueError(f"invalid endpoint URL {self.endpoint!r}")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
 
 
 class ScriptedModel:
@@ -67,7 +53,7 @@ class ScriptedModel:
 
 
 def complete(
-    model: ModelHandle | ScriptedModel,
+    model: ModelSpec | ScriptedModel,
     history: list[ChatMessage],
     retries: int = 3,
     backoff_s: float = 1.0,
@@ -87,22 +73,22 @@ def complete(
 
 
 def _http_complete(
-    handle: ModelHandle, history: list[ChatMessage], retries: int, backoff_s: float
+    spec: ModelSpec, history: list[ChatMessage], retries: int, backoff_s: float
 ) -> ChatMessage:
     payload: dict = {
-        "model": handle.model_id,
+        "model": spec.model_id,
         "messages": [{"role": m.role, "content": m.content} for m in history],
-        "temperature": handle.temperature,
-        "max_tokens": handle.max_tokens,
+        "temperature": spec.temperature,
+        "max_tokens": spec.max_tokens,
     }
-    if handle.seed is not None:
-        payload["seed"] = handle.seed
+    if spec.seed is not None:
+        payload["seed"] = spec.seed
     headers = {"Content-Type": "application/json"}
-    if handle.auth_ref:
-        credential = os.environ.get(handle.auth_ref)
+    if spec.auth_ref:
+        credential = os.environ.get(spec.auth_ref)
         if credential is None:
             raise GatewayError(
-                f"{handle.model_id}: credential env var {handle.auth_ref!r} is not set"
+                f"{spec.model_id}: credential env var {spec.auth_ref!r} is not set"
             )
         headers["Authorization"] = f"Bearer {credential}"
 
@@ -111,7 +97,7 @@ def _http_complete(
     for attempt in range(1, attempts + 1):
         try:
             response = requests.post(
-                handle.endpoint, json=payload, headers=headers, timeout=handle.timeout_s
+                spec.endpoint, json=payload, headers=headers, timeout=spec.timeout_s
             )
             if response.status_code // 100 != 2:
                 raise GatewayError(
@@ -127,19 +113,16 @@ def _http_complete(
             if attempt < attempts:
                 time.sleep(backoff_s * 2 ** (attempt - 1))
     raise GatewayError(
-        f"{handle.model_id}: request failed after {attempts} attempts: {last_error}"
+        f"{spec.model_id}: request failed after {attempts} attempts: {last_error}"
     )
 
 
-_limiters: dict[str, threading.BoundedSemaphore] = {}
+_limiters: dict[tuple[str | None, int], threading.BoundedSemaphore] = {}
 _limiters_lock = threading.Lock()
 
 
-def endpoint_limiter(endpoint: str, cap: int = 4) -> threading.BoundedSemaphore:
-    """Shared per-endpoint semaphore; callers hold it around complete()."""
+def endpoint_limiter(endpoint: str | None, cap: int = 4) -> threading.BoundedSemaphore:
+    """Semaphore shared by every caller with this endpoint and cap; callers
+    hold it around complete()."""
     with _limiters_lock:
-        limiter = _limiters.get(endpoint)
-        if limiter is None:
-            limiter = threading.BoundedSemaphore(cap)
-            _limiters[endpoint] = limiter
-        return limiter
+        return _limiters.setdefault((endpoint, cap), threading.BoundedSemaphore(cap))

@@ -12,10 +12,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .dataset import Task
 from .exec_harness import OutcomeLabel, ABORTED
-from .gateway import ChatMessage, GatewayError, ModelHandle, ScriptedModel, complete
+from .gateway import ChatMessage, GatewayError, ScriptedModel, complete
 from .pattern_checker import (
     PredicateReport,
     evaluate_predicates,
@@ -23,6 +24,9 @@ from .pattern_checker import (
     singleton_score,
 )
 from .source_model import parse_compilation_unit, select_primary_class
+
+if TYPE_CHECKING:
+    from .config import ModelSpec
 
 ROLE_PROMPT = (
     "You are a Java programmer. You respond with the code in Java to solve "
@@ -187,7 +191,7 @@ def feedback_prompt(
 
 
 def run_task(
-    model: ModelHandle | ScriptedModel,
+    model: ModelSpec | ScriptedModel,
     strategy: Strategy,
     task: Task,
     *,

@@ -44,7 +44,7 @@ def run_experiment(
     exec_pool = threading.Semaphore(max(1, config.exec_settings.workers))
 
     for spec in config.models:
-        if not spec.scripted and spec.auth_ref and spec.auth_ref not in os.environ:
+        if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
             log(
                 f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
                 "is not set; skipped"
@@ -77,19 +77,11 @@ def _run_arm(
         return
 
     def process(task: Task) -> RunRecord:
-        record = _run_one(config, spec, strategy, task, digest, exec_pool)
-        return record
+        return _run_one(config, spec, strategy, task, digest, exec_pool)
 
-    if config.task_parallelism > 1 and not spec.scripted:
-        with ThreadPoolExecutor(max_workers=config.task_parallelism) as pool:
-            for record in pool.map(process, pending):
-                store.append(record)
-                if on_record:
-                    on_record(record)
-    else:
-        # sequential keeps record order equal to dataset order
-        for task in pending:
-            record = process(task)
+    # map yields in input order, so record order stays dataset order
+    with ThreadPoolExecutor(max_workers=max(1, config.task_parallelism)) as pool:
+        for record in pool.map(process, pending):
             store.append(record)
             if on_record:
                 on_record(record)
@@ -104,28 +96,16 @@ def _run_one(
     digest: str,
     exec_pool: threading.Semaphore,
 ) -> RunRecord:
-    if spec.scripted:
-        model = spec.scripted_model(task.task_id)
+    backend = spec.backend(task.task_id)
+    with endpoint_limiter(spec.endpoint, config.per_endpoint_cap):
         record = run_task(
-            model,
+            backend,
             strategy,
             task,
             retries=config.retries,
             backoff_s=config.backoff_s,
             config_digest=digest,
         )
-    else:
-        handle = spec.handle()
-        limiter = endpoint_limiter(handle.endpoint, config.per_endpoint_cap)
-        with limiter:
-            record = run_task(
-                handle,
-                strategy,
-                task,
-                retries=config.retries,
-                backoff_s=config.backoff_s,
-                config_digest=digest,
-            )
     if record.functional_outcome is None:
         with exec_pool:  # bounded toolchain workers across the whole run
             record.functional_outcome = _evaluate(config, spec, strategy, task, record)

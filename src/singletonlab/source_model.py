@@ -47,15 +47,12 @@ class MemberModel:
     name: str
     declared_type: str  # "" for constructors; field type / method return type otherwise
     modifiers: frozenset[str]
-    nesting_depth: int = 1
 
 
 @dataclass(frozen=True)
 class ClassModel:
     class_name: str
     members: tuple[MemberModel, ...]
-    is_top_level: bool
-    source_span: tuple[int, int]
 
     def constructors(self) -> tuple[MemberModel, ...]:
         return tuple(m for m in self.members if m.member_kind == CONSTRUCTOR)
@@ -154,7 +151,7 @@ def parse_compilation_unit(
             and tok.text == "class"
             and not _is_class_literal(tokens, i)
         ):
-            model, i = _parse_class(tokens, i, len(source_text), warnings)
+            model, i = _parse_class(tokens, i, warnings)
             if model is not None:
                 classes.append(model)
             continue
@@ -186,7 +183,6 @@ def _warn(warnings: list[str] | None, message: str) -> None:
 def _parse_class(
     tokens: list[Token],
     class_kw_idx: int,
-    source_len: int,
     warnings: list[str] | None,
 ) -> tuple[ClassModel | None, int]:
     """Parse one `class` declaration starting at its keyword token.
@@ -194,10 +190,10 @@ def _parse_class(
     Returns (model-or-None, index-of-next-unconsumed-token).
     """
     n = len(tokens)
-    span_start = tokens[class_kw_idx].offset
     i = class_kw_idx + 1
     if i >= n or tokens[i].kind != "identifier":
-        _warn(warnings, f"'class' at offset {span_start} is not followed by a name; skipped")
+        offset = tokens[class_kw_idx].offset
+        _warn(warnings, f"'class' at offset {offset} is not followed by a name; skipped")
         return None, i
     class_name = tokens[i].text
     i += 1
@@ -224,7 +220,6 @@ def _parse_class(
     members: list[MemberModel] = []
     buffer: list[Token] = []
     i += 1  # past the opening brace
-    span_end = source_len
     closed = False
     while i < n:
         tok = tokens[i]
@@ -234,7 +229,6 @@ def _parse_class(
             continue
         text = tok.text
         if text == "}":
-            span_end = tok.offset + 1
             closed = True
             i += 1
             break
@@ -276,7 +270,7 @@ def _parse_class(
         i += 1
     if not closed:
         _warn(warnings, f"class {class_name} body is unterminated; kept best-effort members")
-    return ClassModel(class_name, tuple(members), True, (span_start, span_end)), i
+    return ClassModel(class_name, tuple(members)), i
 
 
 def _declares_nested_type(buffer: list[Token]) -> bool:

@@ -13,6 +13,7 @@ CORPUS_DIR = FIXTURES / "corpus"
 MOCK_TASKS = FIXTURES / "tasks_mock.jsonl"
 JDK_TASKS = FIXTURES / "tasks_jdk.jsonl"
 MOCK_SCRIPT = FIXTURES / "mock_script.json"
+GOLDEN = FIXTURES / "golden"
 
 
 def find_jdk() -> tuple[str, str] | None:

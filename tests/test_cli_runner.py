@@ -329,6 +329,21 @@ def test_cli_run_rejects_invalid_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"model_id": "m", "endpoint": "not a url"},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "timeout_s": 0},
+    ],
+    ids=["endpoint", "timeout"],
+)
+def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model):
+    config_path = write_config(tmp_path, models=[model])
+    assert main(["run", "--config", config_path]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "store" / "config.json").exists()
+
+
 def test_cli_run_rejects_missing_dataset(tmp_path, capsys):
     config_path = write_config(tmp_path, dataset={"path": str(tmp_path / "nope.jsonl")})
     assert main(["run", "--config", config_path]) == 2
@@ -366,3 +381,15 @@ def test_cli_mock_run(tmp_path, capsys):
     assert "Pass rate" in out
     store = RunStore(tmp_path / "mockstore")
     assert sum(len(v) for v in store.load_all().values()) == 15
+
+
+def test_cli_mock_run_rejects_non_script_before_creating_store(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text("null", encoding="utf-8")
+    output = tmp_path / "mockstore"
+    code = main(
+        ["mock-run", "--script", str(script), "--dataset", str(MOCK_TASKS), "--output", str(output)]
+    )
+    assert code == 2
+    assert "must be a list or an object" in capsys.readouterr().err
+    assert not (output / "config.json").exists()

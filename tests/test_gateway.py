@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from singletonlab.config import ModelSpec
 from singletonlab.gateway import (
     ChatMessage,
     GatewayError,
-    ModelHandle,
     ScriptedModel,
     complete,
     endpoint_limiter,
@@ -16,8 +16,8 @@ from conftest import StubHandler
 HISTORY = [ChatMessage("system", "sys"), ChatMessage("user", "hello")]
 
 
-def handle(endpoint: str, **kwargs) -> ModelHandle:
-    return ModelHandle("test-model", endpoint, **kwargs)
+def handle(endpoint: str, **kwargs) -> ModelSpec:
+    return ModelSpec("test-model", endpoint, **kwargs)
 
 
 # --- scripted backend -------------------------------------------------------
@@ -131,9 +131,12 @@ def test_http_transport_failure():
 
 def test_invalid_endpoint_rejected():
     with pytest.raises(ValueError, match="invalid endpoint"):
-        ModelHandle("m", "not a url")
+        ModelSpec("m", "not a url")
+    with pytest.raises(ValueError, match="invalid endpoint"):
+        ModelSpec("m")
     with pytest.raises(ValueError, match="timeout"):
-        ModelHandle("m", "http://localhost:1", timeout_s=0)
+        ModelSpec("m", "http://localhost:1", timeout_s=0)
+    ModelSpec("m", timeout_s=0, script=["class A {}"])  # scripted: no endpoint needed
 
 
 def test_endpoint_limiter_is_shared_and_bounded():
@@ -145,3 +148,8 @@ def test_endpoint_limiter_is_shared_and_bounded():
     assert not limiter.acquire(blocking=False)
     limiter.release()
     limiter.release()
+    # a later run with a wider cap on the same endpoint gets that cap
+    wider = endpoint_limiter("http://example.test/x", cap=3)
+    assert [wider.acquire(blocking=False) for _ in range(4)] == [True, True, True, False]
+    for _ in range(3):
+        wider.release()

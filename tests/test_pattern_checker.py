@@ -122,8 +122,6 @@ def test_holder_field_modifier_combinations(mods, expected):
             MemberModel("field", "instance", "Engine", mods),
             MemberModel("method", "getInstance", "Engine", frozenset({"public", "static"})),
         ),
-        True,
-        (0, 1),
     )
     assert evaluate_predicates(model).instance_field is expected
 
@@ -248,8 +246,8 @@ def test_existential_predicates_are_monotone_under_added_members(extra):
         MemberModel("field", "instance", "Engine", frozenset({"private", "static"})),
         MemberModel("method", "getInstance", "Engine", frozenset({"public", "static"})),
     )
-    base = ClassModel("Engine", base_members, True, (0, 1))
-    grown = ClassModel("Engine", base_members + tuple(extra), True, (0, 1))
+    base = ClassModel("Engine", base_members)
+    grown = ClassModel("Engine", base_members + tuple(extra))
     before = evaluate_predicates(base)
     after = evaluate_predicates(grown)
     # instance_field and global_access_point are existential: adding members
