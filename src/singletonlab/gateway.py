@@ -21,6 +21,9 @@ if TYPE_CHECKING:
 
 VALID_ROLES = ("system", "user", "assistant")
 
+# 4xx statuses that a later attempt may get past: request timeout, throttling.
+RETRIED_CLIENT_ERRORS = (408, 429)
+
 
 class GatewayError(Exception):
     pass
@@ -61,7 +64,9 @@ def complete(
     """Send the full history, return the assistant reply.
 
     HTTP failures (transport, bad status, malformed body, timeout) are
-    retried up to `retries` times with exponential backoff before raising.
+    retried up to `retries` times with exponential backoff before raising,
+    except a 4xx status other than 408 and 429: the request itself is at
+    fault, so it raises after that one attempt.
     """
     if not history:
         raise ValueError("history must not be empty")
@@ -93,16 +98,16 @@ def _http_complete(
         headers["Authorization"] = f"Bearer {credential}"
 
     last_error = ""
-    attempts = retries + 1
+    attempt, attempts = 0, retries + 1
     for attempt in range(1, attempts + 1):
+        status = 0
         try:
             response = requests.post(
                 spec.endpoint, json=payload, headers=headers, timeout=spec.timeout_s
             )
-            if response.status_code // 100 != 2:
-                raise GatewayError(
-                    f"HTTP {response.status_code}: {response.text[:200]}"
-                )
+            status = response.status_code
+            if status // 100 != 2:
+                raise GatewayError(f"HTTP {status}: {response.text[:200]}")
             body = response.json()
             content = body["choices"][0]["message"]["content"]
             if not isinstance(content, str):
@@ -110,10 +115,12 @@ def _http_complete(
             return ChatMessage("assistant", content)
         except (requests.RequestException, GatewayError, KeyError, IndexError, ValueError) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
+            if status // 100 == 4 and status not in RETRIED_CLIENT_ERRORS:
+                break
             if attempt < attempts:
                 time.sleep(backoff_s * 2 ** (attempt - 1))
     raise GatewayError(
-        f"{spec.model_id}: request failed after {attempts} attempts: {last_error}"
+        f"{spec.model_id}: request failed after {attempt} attempts: {last_error}"
     )
 
 

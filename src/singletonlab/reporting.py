@@ -7,8 +7,10 @@ summary, and rendering is a pure function of it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+from typing import Callable, NamedTuple
 
 from .exec_harness import (
     ABORTED,
@@ -81,7 +83,6 @@ def _strategy_cell(
     baseline_rate: float | None,
 ) -> dict:
     rate = pass_at_1(records)
-    counts = predicate_counts(records)
     cell = {
         "kind": kind,
         "n_tasks": len(records),
@@ -90,51 +91,31 @@ def _strategy_cell(
             singleton_score(selected_report(r)) for r in records
         )
         / len(records),
-        "predicate_counts": {
-            "private_constructor": counts.private_constructor,
-            "instance_field": counts.instance_field,
-            "global_access_point": counts.global_access_point,
-        },
+        "predicate_counts": dataclasses.asdict(predicate_counts(records)),
         "outcomes": _outcome_breakdown(records),
         "delta_pp": None,
         "mcnemar": None,
     }
     if kind != BASELINE and baseline_records and baseline_rate is not None:
-        result = mcnemar(pair_outcomes(baseline_records, records))
         cell["delta_pp"] = delta_pp(rate, baseline_rate)
-        cell["mcnemar"] = {
-            "b": result.b,
-            "c": result.c,
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "method": result.method,
-            "stars": result.stars,
-        }
+        cell["mcnemar"] = dataclasses.asdict(
+            mcnemar(pair_outcomes(baseline_records, records))
+        )
     return cell
 
 
 def _outcome_breakdown(records: list[RunRecord]) -> dict:
-    breakdown = {
-        PASS: 0,
-        TEST_FAIL: 0,
-        COMPILE_ERROR: 0,
-        TIMEOUT: 0,
-        ABORTED: 0,
-        "compile_error_categories": {
-            MISSING_EXTERNAL_LIBRARY: 0,
-            NON_CODE_OUTPUT: 0,
-            OTHER_COMPILE_ERROR: 0,
-        },
-    }
+    breakdown = dict.fromkeys((PASS, TEST_FAIL, COMPILE_ERROR, TIMEOUT, ABORTED), 0)
+    categories = dict.fromkeys(
+        (MISSING_EXTERNAL_LIBRARY, NON_CODE_OUTPUT, OTHER_COMPILE_ERROR), 0
+    )
     for record in records:
         outcome = record.functional_outcome
         kind = outcome.kind if outcome is not None else ABORTED
-        if kind not in breakdown:
-            kind = ABORTED
-        breakdown[kind] += 1
-        if outcome is not None and outcome.kind == COMPILE_ERROR:
-            category = outcome.compile_error_category or OTHER_COMPILE_ERROR
-            breakdown["compile_error_categories"][category] += 1
+        breakdown[kind if kind in breakdown else ABORTED] += 1
+        if kind == COMPILE_ERROR:
+            categories[outcome.compile_error_category or OTHER_COMPILE_ERROR] += 1
+    breakdown["compile_error_categories"] = categories
     return breakdown
 
 
@@ -152,239 +133,161 @@ def render_json(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt_rate(value) -> str:
-    return "-" if value is None else f"{value:.1f}"
+class Column(NamedTuple):
+    """One value per summary cell: its CSV header, its text header (None
+    for a CSV-only column), how to read it and how to print it as text."""
+
+    csv: str
+    text: str | None
+    get: Callable[[dict], object]
+    fmt: Callable[[object], str] = str
 
 
-def _fmt_delta(cell) -> str:
-    if cell is None or cell.get("delta_pp") is None:
+def _path(*keys: str) -> Callable[[dict], object]:
+    """Getter for a nested cell value; None once any level is None."""
+
+    def get(cell: dict) -> object:
+        for key in keys:
+            if cell is None:
+                return None
+            cell = cell[key]
+        return cell
+
+    return get
+
+
+PASS_RATE_COLUMNS = (
+    Column("n_tasks", None, _path("n_tasks")),
+    Column("pass_rate", None, _path("pass_rate")),
+    Column("delta_pp", None, _path("delta_pp")),
+    Column("b", "b", _path("mcnemar", "b")),
+    Column("c", "c", _path("mcnemar", "c")),
+    Column("statistic", "statistic", _path("mcnemar", "statistic"),
+           lambda v: "-" if v is None else f"{v:.4f}"),
+    Column("p_value", "p_value", _path("mcnemar", "p_value"), lambda v: f"{v:.6g}"),
+    Column("method", "method", _path("mcnemar", "method")),
+    Column("stars", "stars", _path("mcnemar", "stars"), lambda v: v or "-"),
+)
+SCORE_COLUMNS = (Column("avg_singleton_score", None, _path("avg_singleton_score")),)
+PREDICATE_COLUMNS = (
+    Column("n_tasks", "tasks", _path("n_tasks")),
+    *(Column(name, name, _path("predicate_counts", name))
+      for name in ("private_constructor", "instance_field", "global_access_point")),
+)
+OUTCOME_COLUMNS = (
+    Column("pass", "pass", _path("outcomes", PASS)),
+    Column("test_fail", "test_fail", _path("outcomes", TEST_FAIL)),
+    Column("compile_error", "compile_error", _path("outcomes", COMPILE_ERROR)),
+    *(Column(category, text, _path("outcomes", "compile_error_categories", category))
+      for category, text in ((MISSING_EXTERNAL_LIBRARY, "missing_library"),
+                             (NON_CODE_OUTPUT, "non_code"),
+                             (OTHER_COMPILE_ERROR, "other_compile"))),
+    Column("timeout", "timeout", _path("outcomes", TIMEOUT)),
+    Column("aborted", "aborted", _path("outcomes", ABORTED)),
+)
+
+
+def _cell_rows(
+    summary: dict, columns: tuple[Column, ...], text: bool, only: str | None = None
+) -> tuple[list[str], list[list]]:
+    """Headers and one row per (model, strategy) cell, led by the model id and
+    strategy kind. Text rows keep the text columns, formatted; CSV rows keep
+    raw values, which csv.writer prints as "" for None and repr for floats.
+    `only` names a cell key whose value must be set for the cell to be listed.
+    """
+    if text:
+        columns = tuple(column for column in columns if column.text)
+    headers = ["model", "strategy"] + [c.text if text else c.csv for c in columns]
+    rows = []
+    for model in summary["models"]:
+        for cell in model["strategies"]:
+            if only and not cell.get(only):
+                continue
+            values = [
+                column.fmt(column.get(cell)) if text else column.get(cell)
+                for column in columns
+            ]
+            rows.append([model["model_id"], cell["kind"], *values])
+    return headers, rows
+
+
+def _pivot(
+    summary: dict, kinds: list[str], fmt: Callable[[str, dict], str]
+) -> tuple[list[str], list[list[str]]]:
+    """Headers and one row per model with one formatted cell per kind ("-"
+    where the model has no such cell)."""
+    rows = []
+    for model in summary["models"]:
+        cells = {cell["kind"]: cell for cell in model["strategies"]}
+        rows.append(
+            [model["model_id"]]
+            + [fmt(kind, cells[kind]) if kind in cells else "-" for kind in kinds]
+        )
+    return ["model", *kinds], rows
+
+
+def _fmt_pass(kind: str, cell: dict) -> str:
+    """Baseline pass rate, or the strategy's delta with McNemar stars."""
+    if kind == BASELINE:
+        return f"{cell['pass_rate']:.1f}"
+    if cell["delta_pp"] is None:
         return "-"
-    stars = cell["mcnemar"]["stars"] if cell.get("mcnemar") else ""
-    return f"{cell['delta_pp']:+.1f}{stars}"
+    return f"{cell['delta_pp']:+.1f}{cell['mcnemar']['stars']}"
 
 
-def _cells_by_kind(model: dict) -> dict:
-    return {cell["kind"]: cell for cell in model["strategies"]}
+def _text_table(
+    out: io.StringIO, title: str, headers: list[str], rows: list[list[str]]
+) -> None:
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    out.write(title + "\n")
+    for row in (headers, *rows):
+        out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+    out.write("\n")
+
+
+TEXT_TABLES = (
+    ("Fulfilled predicates (count of tasks)", PREDICATE_COLUMNS, None),
+    (
+        "Outcomes (Pass / TestFail / CompileError with categories / Timeout / Aborted)",
+        OUTCOME_COLUMNS,
+        None,
+    ),
+    ("McNemar detail vs baseline", PASS_RATE_COLUMNS, "mcnemar"),
+)
 
 
 def render_text(summary: dict) -> str:
-    order = [k for k in summary["strategy_order"] if k != BASELINE]
+    order = summary["strategy_order"]
     out = io.StringIO()
-
-    def table(title: str, headers: list[str], rows: list[list[str]]) -> None:
-        out.write(title + "\n")
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-            for i in range(len(headers))
-        ]
-        out.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip() + "\n")
-        for row in rows:
-            out.write(
-                "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                + "\n"
-            )
-        out.write("\n")
-
-    rows = []
-    for model in summary["models"]:
-        cells = _cells_by_kind(model)
-        rows.append(
-            [model["model_id"], _fmt_rate(model["baseline_pass_rate"])]
-            + [_fmt_delta(cells.get(kind)) for kind in order]
-        )
-    table(
+    _text_table(
+        out,
         f"Pass rate: baseline % and delta (pp) per strategy. {MCNEMAR_LEGEND}",
-        ["model", "baseline"] + order,
-        rows,
+        *_pivot(summary, [BASELINE] + [k for k in order if k != BASELINE], _fmt_pass),
     )
-
-    rows = []
-    for model in summary["models"]:
-        cells = _cells_by_kind(model)
-        row = [model["model_id"]]
-        for kind in summary["strategy_order"]:
-            cell = cells.get(kind)
-            row.append("-" if cell is None else f"{cell['avg_singleton_score']:.1f}")
-        rows.append(row)
-    table(
+    _text_table(
+        out,
         "Average Singleton Score per strategy",
-        ["model"] + summary["strategy_order"],
-        rows,
+        *_pivot(summary, order, lambda kind, cell: f"{cell['avg_singleton_score']:.1f}"),
     )
-
-    rows = []
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            counts = cell["predicate_counts"]
-            rows.append(
-                [
-                    model["model_id"],
-                    cell["kind"],
-                    str(cell["n_tasks"]),
-                    str(counts["private_constructor"]),
-                    str(counts["instance_field"]),
-                    str(counts["global_access_point"]),
-                ]
-            )
-    table(
-        "Fulfilled predicates (count of tasks)",
-        ["model", "strategy", "tasks", "private_constructor", "instance_field", "global_access_point"],
-        rows,
-    )
-
-    rows = []
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            outcome = cell["outcomes"]
-            categories = outcome["compile_error_categories"]
-            rows.append(
-                [
-                    model["model_id"],
-                    cell["kind"],
-                    str(outcome[PASS]),
-                    str(outcome[TEST_FAIL]),
-                    str(outcome[COMPILE_ERROR]),
-                    str(categories[MISSING_EXTERNAL_LIBRARY]),
-                    str(categories[NON_CODE_OUTPUT]),
-                    str(categories[OTHER_COMPILE_ERROR]),
-                    str(outcome[TIMEOUT]),
-                    str(outcome[ABORTED]),
-                ]
-            )
-    table(
-        "Outcomes (Pass / TestFail / CompileError with categories / Timeout / Aborted)",
-        [
-            "model",
-            "strategy",
-            "pass",
-            "test_fail",
-            "compile_error",
-            "missing_library",
-            "non_code",
-            "other_compile",
-            "timeout",
-            "aborted",
-        ],
-        rows,
-    )
-
-    rows = []
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            result = cell.get("mcnemar")
-            if not result:
-                continue
-            statistic = result["statistic"]
-            rows.append(
-                [
-                    model["model_id"],
-                    cell["kind"],
-                    str(result["b"]),
-                    str(result["c"]),
-                    "-" if statistic is None else f"{statistic:.4f}",
-                    f"{result['p_value']:.6g}",
-                    result["method"],
-                    result["stars"] or "-",
-                ]
-            )
-    table(
-        "McNemar detail vs baseline",
-        ["model", "strategy", "b", "c", "statistic", "p_value", "method", "stars"],
-        rows,
-    )
+    for title, columns, only in TEXT_TABLES:
+        _text_table(out, title, *_cell_rows(summary, columns, text=True, only=only))
     return out.getvalue()
+
+
+CSV_SECTIONS = (
+    ("pass_rates", PASS_RATE_COLUMNS),
+    ("singleton_scores", SCORE_COLUMNS),
+    ("predicate_counts", PREDICATE_COLUMNS),
+    ("outcomes", OUTCOME_COLUMNS),
+)
 
 
 def render_csv(summary: dict) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-
-    out.write("# pass_rates\n")
-    writer.writerow(
-        ["model", "strategy", "n_tasks", "pass_rate", "delta_pp", "b", "c", "statistic", "p_value", "method", "stars"]
-    )
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            result = cell.get("mcnemar") or {}
-            writer.writerow(
-                [
-                    model["model_id"],
-                    cell["kind"],
-                    cell["n_tasks"],
-                    _csv_num(cell["pass_rate"]),
-                    _csv_num(cell["delta_pp"]),
-                    result.get("b", ""),
-                    result.get("c", ""),
-                    _csv_num(result.get("statistic")),
-                    _csv_num(result.get("p_value")),
-                    result.get("method", ""),
-                    result.get("stars", ""),
-                ]
-            )
-
-    out.write("# singleton_scores\n")
-    writer.writerow(["model", "strategy", "avg_singleton_score"])
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            writer.writerow(
-                [model["model_id"], cell["kind"], _csv_num(cell["avg_singleton_score"])]
-            )
-
-    out.write("# predicate_counts\n")
-    writer.writerow(
-        ["model", "strategy", "n_tasks", "private_constructor", "instance_field", "global_access_point"]
-    )
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            counts = cell["predicate_counts"]
-            writer.writerow(
-                [
-                    model["model_id"],
-                    cell["kind"],
-                    cell["n_tasks"],
-                    counts["private_constructor"],
-                    counts["instance_field"],
-                    counts["global_access_point"],
-                ]
-            )
-
-    out.write("# outcomes\n")
-    writer.writerow(
-        [
-            "model",
-            "strategy",
-            "pass",
-            "test_fail",
-            "compile_error",
-            "missing_external_library",
-            "non_code_output",
-            "other_compile_error",
-            "timeout",
-            "aborted",
-        ]
-    )
-    for model in summary["models"]:
-        for cell in model["strategies"]:
-            outcome = cell["outcomes"]
-            categories = outcome["compile_error_categories"]
-            writer.writerow(
-                [
-                    model["model_id"],
-                    cell["kind"],
-                    outcome[PASS],
-                    outcome[TEST_FAIL],
-                    outcome[COMPILE_ERROR],
-                    categories[MISSING_EXTERNAL_LIBRARY],
-                    categories[NON_CODE_OUTPUT],
-                    categories[OTHER_COMPILE_ERROR],
-                    outcome[TIMEOUT],
-                    outcome[ABORTED],
-                ]
-            )
+    for name, columns in CSV_SECTIONS:
+        out.write(f"# {name}\n")
+        headers, rows = _cell_rows(summary, columns, text=False)
+        writer.writerow(headers)
+        writer.writerows(rows)
     return out.getvalue()
-
-
-def _csv_num(value) -> str:
-    if value is None or value == "":
-        return ""
-    return repr(float(value))

@@ -234,18 +234,18 @@ def _parse_class(
             break
         if text == "{":
             # nested type body, initializer block, or junk: never descend
-            i = _skip_braces(tokens, i)
+            i = _skip_group(tokens, i, "{", "}")
             buffer = []
             continue
         if text == "(":
             if _ends_with_annotation_name(buffer):
                 # annotation arguments, e.g. @SuppressWarnings("x"); not a member
-                i = _skip_parens(tokens, i)
+                i = _skip_group(tokens, i, "(", ")")
                 _drop_trailing_annotation(buffer)
                 continue
             if not buffer or _declares_nested_type(buffer[:-1] or buffer):
                 # nested record header or stray parens: consume and ignore
-                i = _skip_parens(tokens, i)
+                i = _skip_group(tokens, i, "(", ")")
                 i = _skip_to_body_or_semicolon(tokens, i)
                 buffer = []
                 continue
@@ -300,34 +300,17 @@ def _drop_trailing_annotation(buffer: list[Token]) -> None:
         buffer.pop()
 
 
-def _skip_braces(tokens: list[Token], open_idx: int) -> int:
-    """Return the index just past the brace block opening at open_idx."""
+def _skip_group(tokens: list[Token], open_idx: int, open: str, close: str) -> int:
+    """Return the index just past the `open`...`close` group at open_idx."""
     depth = 0
     i = open_idx
     n = len(tokens)
     while i < n:
         t = tokens[i]
         if t.kind == "punctuation":
-            if t.text == "{":
+            if t.text == open:
                 depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-        i += 1
-    return n
-
-
-def _skip_parens(tokens: list[Token], open_idx: int) -> int:
-    depth = 0
-    i = open_idx
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind == "punctuation":
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
+            elif t.text == close:
                 depth -= 1
                 if depth == 0:
                     return i + 1
@@ -342,7 +325,7 @@ def _skip_to_body_or_semicolon(tokens: list[Token], i: int) -> int:
         t = tokens[i]
         if t.kind == "punctuation":
             if t.text == "{":
-                return _skip_braces(tokens, i)
+                return _skip_group(tokens, i, "{", "}")
             if t.text == ";":
                 return i + 1
             if t.text == "}":
@@ -387,7 +370,7 @@ def _parse_callable(
     tokens: list[Token], open_paren_idx: int, buffer: list[Token], class_name: str
 ) -> tuple[MemberModel | None, int]:
     """Turn `header (` into a constructor or method member; consume its tail."""
-    i = _skip_parens(tokens, open_paren_idx)
+    i = _skip_group(tokens, open_paren_idx, "(", ")")
     i = _skip_to_body_or_semicolon(tokens, i)
     name_tok = buffer[-1]
     if name_tok.kind != "identifier":

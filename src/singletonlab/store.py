@@ -1,6 +1,10 @@
 """Append-only run store: a config snapshot plus per-(model, strategy) JSONL
 record files. Reports are derived purely from the store, so a finished run
 can be re-analyzed without network or toolchain access.
+
+A record is a line ending in a newline. Bytes after the last newline of a
+file are the remains of an interrupted append: readers ignore them, and
+resuming a run cuts them off before appending again.
 """
 
 from __future__ import annotations
@@ -106,6 +110,19 @@ def _outcome_from_dict(data: dict | None) -> OutcomeLabel | None:
     )
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate the file back to just after its last newline."""
+    with path.open("r+b") as fh:
+        size = fh.seek(0, 2)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def _safe_name(value: str) -> str:
     return re.sub(r"[^\w.-]+", "-", value)
 
@@ -123,7 +140,8 @@ class RunStore:
         return self.root / "records"
 
     def initialize(self, snapshot: dict, digest: str) -> None:
-        """Write the config snapshot, or verify it matches an existing one."""
+        """Write the config snapshot, or verify it matches an existing one and
+        cut any torn trailing line off the record files."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.records_dir.mkdir(parents=True, exist_ok=True)
         payload = {"config_digest": digest, "config": snapshot}
@@ -134,6 +152,8 @@ class RunStore:
                     f"store {self.root} was created with a different config "
                     f"(digest {existing.get('config_digest')} != {digest})"
                 )
+            for path in self.records_dir.glob("*.jsonl"):
+                _drop_torn_tail(path)
             return
         self.config_path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -184,7 +204,7 @@ class RunStore:
             text = path.read_text("utf-8")
         except OSError as exc:
             raise StoreError(f"cannot read {path}: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             if not line.strip():
                 continue
             try:

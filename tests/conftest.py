@@ -44,6 +44,7 @@ class StubHandler(BaseHTTPRequestHandler):
 
     requests: list[dict] = []
     failures_left = 0
+    failure_status = 500
     body = "class A {}"
 
     def do_POST(self):
@@ -54,7 +55,7 @@ class StubHandler(BaseHTTPRequestHandler):
         )
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
-            self.send_response(500)
+            self.send_response(type(self).failure_status)
             self.end_headers()
             self.wfile.write(b"boom")
             return
@@ -76,6 +77,7 @@ class StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     StubHandler.requests = []
     StubHandler.failures_left = 0
+    StubHandler.failure_status = 500
     StubHandler.body = "class A {}"
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

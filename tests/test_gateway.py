@@ -123,6 +123,24 @@ def test_http_error_carries_model_id_and_attempts(stub_server):
         complete(handle(stub_server), HISTORY, retries=1, backoff_s=0.01)
 
 
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_http_client_error_is_not_retried(stub_server, status):
+    StubHandler.failures_left = 99
+    StubHandler.failure_status = status
+    with pytest.raises(GatewayError, match=f"test-model.*after 1 attempts: .*HTTP {status}"):
+        complete(handle(stub_server), HISTORY, retries=3, backoff_s=0.01)
+    assert len(StubHandler.requests) == 1
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_timeout_and_throttle_statuses_are_retried(stub_server, status):
+    StubHandler.failures_left = 2
+    StubHandler.failure_status = status
+    reply = complete(handle(stub_server), HISTORY, retries=3, backoff_s=0.01)
+    assert reply.content == "class A {}"
+    assert len(StubHandler.requests) == 3
+
+
 def test_http_transport_failure():
     dead = handle("http://127.0.0.1:1/v1/chat", timeout_s=1)
     with pytest.raises(GatewayError, match="test-model"):

@@ -11,6 +11,13 @@ Records are compared line by line, so file order (dataset order) counts.
 `wall_time_ms` is zeroed, and `config_digest` is checked against the store's
 own digest and then blanked, because the digest hashes the absolute dataset
 path of the checkout.
+
+`fixtures/golden/branches/` is a records-only store built by
+`branch_records()` to reach every report formatting branch: chi-square and
+exact McNemar rows at every star level, each compile-error category,
+Timeout/Aborted/missing outcomes, candidates with no class, a model id with
+`/`, a model without a baseline and a model missing strategies. Its reports
+must also come out the same when rendered from the JSON summary.
 """
 
 from __future__ import annotations
@@ -24,6 +31,19 @@ from pathlib import Path
 import pytest
 
 from singletonlab.config import load_config
+from singletonlab.exec_harness import (
+    ABORTED,
+    COMPILE_ERROR,
+    MISSING_EXTERNAL_LIBRARY,
+    NON_CODE_OUTPUT,
+    OTHER_COMPILE_ERROR,
+    PASS,
+    TEST_FAIL,
+    TIMEOUT,
+    OutcomeLabel,
+)
+from singletonlab.guidance import STRATEGY_KINDS, IterationRecord, RunRecord
+from singletonlab.pattern_checker import make_report, singleton_score
 from singletonlab.reporting import FORMATS, build_summary, render
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore
@@ -54,9 +74,70 @@ def normalized_records(store: RunStore) -> dict[str, str]:
     return files
 
 
-def reports(store: RunStore) -> dict[str, str]:
-    summary = build_summary(store)
+def reports(summary: dict) -> dict[str, str]:
     return {f"report.{fmt}": render(summary, fmt) for fmt in FORMATS}
+
+
+FAIL_OUTCOMES = (
+    OutcomeLabel(TEST_FAIL, "assertion failed"),
+    OutcomeLabel(COMPILE_ERROR, "package org.acme does not exist", MISSING_EXTERNAL_LIBRARY),
+    OutcomeLabel(COMPILE_ERROR, "no code", NON_CODE_OUTPUT),
+    OutcomeLabel(COMPILE_ERROR, "';' expected", OTHER_COMPILE_ERROR),
+    OutcomeLabel(COMPILE_ERROR, "legacy record"),
+    OutcomeLabel(TIMEOUT, "budget exceeded"),
+)
+
+
+def _branch_record(model_id: str, arm: int, task: int, outcome: OutcomeLabel | None) -> RunRecord:
+    kind = STRATEGY_KINDS[arm]
+    record = RunRecord(model_id, kind, f"T/{task:02d}", functional_outcome=outcome)
+    if task % 9 == 4:  # no class in the reply: nothing selected
+        return record
+    report = make_report(
+        (task + arm) % 2 == 0, (task + 2 * arm) % 3 != 0, (task * (arm + 1)) % 5 != 0
+    )
+    code = f"class Solution{task} {{}}"
+    record.iterations = [
+        IterationRecord(1, f"prompt {task}", f"```java\n{code}\n```", code, report, report.is_singleton())
+    ]
+    record.selected_candidate = code
+    record.selected_iteration = 1
+    record.singleton_score = singleton_score(report)
+    return record
+
+
+def branch_records() -> list[RunRecord]:
+    """Records for `fixtures/golden/branches/`; see the module docstring."""
+    records = []
+    # "acme/chi-7b", 30 tasks: the baseline passes T/00-T/07, fails T/08-T/27
+    # and aborts T/28-T/29. Each other arm loses its first b baseline passes
+    # and wins its first c baseline failures; (b, c) picks the McNemar method
+    # and star level.
+    discordant = {0: (0, 0), 1: (5, 20), 2: (0, 11), 3: (1, 9), 4: (8, 17)}
+    for arm in range(5):
+        b, c = discordant[arm]
+        for task in range(30):
+            fail = FAIL_OUTCOMES[(task + arm) % len(FAIL_OUTCOMES)]
+            if arm == 0 and task == 28:
+                outcome = None
+            elif task == 29 or (arm == 3 and task == 27):
+                outcome = OutcomeLabel(ABORTED, "script exhausted")
+            elif task < 8:
+                outcome = OutcomeLabel(PASS) if task >= b else fail
+            else:
+                outcome = OutcomeLabel(PASS) if task - 8 < c else fail
+            records.append(_branch_record("acme/chi-7b", arm, task, outcome))
+    # No baseline arm, and only two strategies.
+    for arm in (1, 4):
+        for task in range(4):
+            outcome = OutcomeLabel(PASS) if task == arm else FAIL_OUTCOMES[(task + arm) % 6]
+            records.append(_branch_record("beta/no-baseline", arm, task, outcome))
+    # A baseline and one strategy that does worse.
+    for arm, passes in ((0, 2), (3, 1)):
+        for task in range(4):
+            outcome = OutcomeLabel(PASS) if task < passes else FAIL_OUTCOMES[5 - task]
+            records.append(_branch_record("gamma-3", arm, task, outcome))
+    return records
 
 
 def read_golden(directory: Path) -> dict[str, str]:
@@ -75,7 +156,16 @@ def test_golden_records_and_reports(tmp_path, task_parallelism):
     expected_reports = {
         name: text for name, text in read_golden(GOLDEN).items() if name.startswith("report.")
     }
-    assert reports(store) == expected_reports
+    assert reports(build_summary(store)) == expected_reports
+
+
+@pytest.mark.parametrize("name", ["branches"])
+def test_golden_reports_from_records(name):
+    directory = GOLDEN / name
+    expected = {n: text for n, text in read_golden(directory).items() if n.startswith("report.")}
+    summary = build_summary(RunStore(directory))
+    assert reports(summary) == expected
+    assert reports(json.loads(render(summary, "json"))) == expected
 
 
 def test_golden_fixture_has_an_aborted_cell():
@@ -95,8 +185,16 @@ def regenerate() -> None:
             old.unlink()
         for name, text in normalized_records(store).items():
             (records_dir / name).write_text(text, encoding="utf-8", newline="")
-        for name, text in reports(store).items():
+        for name, text in reports(build_summary(store)).items():
             (GOLDEN / name).write_text(text, encoding="utf-8", newline="")
+    branches = RunStore(GOLDEN / "branches")
+    branches.records_dir.mkdir(parents=True, exist_ok=True)
+    for old in branches.records_dir.glob("*.jsonl"):
+        old.unlink()
+    for record in branch_records():
+        branches.append(record)
+    for name, text in reports(build_summary(branches)).items():
+        (branches.root / name).write_text(text, encoding="utf-8", newline="")
 
 
 if __name__ == "__main__":

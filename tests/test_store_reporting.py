@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from singletonlab.config import load_config
 from singletonlab.exec_harness import OutcomeLabel
 from singletonlab.guidance import IterationRecord, RunRecord
 from singletonlab.pattern_checker import make_report
 from singletonlab.reporting import build_summary, render, render_csv, render_json, render_text
+from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore, StoreError, record_from_dict, record_to_dict
+
+from conftest import GOLDEN
 
 
 def sample_record(
@@ -94,6 +99,47 @@ def test_store_corrupt_record_names_file_and_line(tmp_path):
     path.write_text('{"bad": true}\n', encoding="utf-8")
     with pytest.raises(StoreError, match="line 1"):
         store.load_records("m1", "baseline")
+
+
+def test_store_ignores_and_truncates_torn_trailing_line(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    store.append(sample_record(task_id="Java/0"))
+    path = store.record_path("m1", "baseline")
+    intact = path.read_bytes()
+    torn_line = json.dumps(record_to_dict(sample_record(task_id="Java/1")))
+    path.write_bytes(intact + torn_line[:40].encode("utf-8"))
+    assert [r.task_id for r in store.load_records("m1", "baseline")] == ["Java/0"]
+    store.initialize({}, "d")  # resume: the torn bytes go
+    assert path.read_bytes() == intact
+    store.append(sample_record(task_id="Java/1"))
+    assert store.completed_task_ids("m1", "baseline") == {"Java/0", "Java/1"}
+
+
+def test_store_drops_a_torn_first_line(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    path = store.record_path("m1", "baseline")
+    path.write_text('{"model_id": "m1", "strat', encoding="utf-8")
+    assert store.load_records("m1", "baseline") == []
+    store.initialize({}, "d")
+    assert path.read_bytes() == b""
+
+
+def test_run_resumes_after_torn_trailing_line(tmp_path):
+    config = dataclasses.replace(
+        load_config(GOLDEN / "config.json"), output_dir=str(tmp_path / "store")
+    )
+    store = run_experiment(config, log=lambda message: None)
+    path = store.record_path("scripted-a", "instruct")
+    before = store.load_records("scripted-a", "instruct")
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    run_experiment(config, log=lambda message: None)
+    after = store.load_records("scripted-a", "instruct")
+    assert [dataclasses.replace(r, wall_time_ms=0) for r in after] == [
+        dataclasses.replace(r, wall_time_ms=0) for r in before
+    ]
 
 
 def test_model_id_sanitized_for_filenames(tmp_path):
