@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -174,6 +175,15 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     parallelism_raw = raw.get("parallelism", {})
     if not isinstance(parallelism_raw, dict):
         raise ConfigError("parallelism must be an object")
+    per_endpoint_cap = int(parallelism_raw.get("per_endpoint", 4))
+    if per_endpoint_cap < 1:
+        raise ConfigError("parallelism.per_endpoint must be >= 1")
+    retries = int(raw.get("retries", 3))
+    if retries < 0:
+        raise ConfigError("retries must be >= 0")
+    backoff_s = float(raw.get("backoff_s", 1.0))
+    if not (math.isfinite(backoff_s) and backoff_s >= 0):
+        raise ConfigError("backoff_s must be a finite number >= 0")
 
     return RunConfig(
         run_id=run_id,
@@ -184,11 +194,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         iteration_cap=iteration_cap,
         exec_settings=exec_settings,
         task_parallelism=int(parallelism_raw.get("tasks", 1)),
-        per_endpoint_cap=int(parallelism_raw.get("per_endpoint", 4)),
+        per_endpoint_cap=per_endpoint_cap,
         seed=seed if isinstance(seed, int) else None,
         field_map=dataset.get("field_map"),
-        retries=int(raw.get("retries", 3)),
-        backoff_s=float(raw.get("backoff_s", 1.0)),
+        retries=retries,
+        backoff_s=backoff_s,
     )
 
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import ModelSpec, RunConfig, config_digest, config_snapshot
 from .dataset import Task, TaskSet, load_tasks
-from .exec_harness import check_toolchain, evaluate_functionality, mock_evaluate
+from .exec_harness import ExecPool, check_toolchain, evaluate_functionality, mock_evaluate
 from .gateway import endpoint_limiter
 from .guidance import RunRecord, Strategy, run_task
 from .store import RunStore
@@ -39,19 +38,20 @@ def run_experiment(
     store = RunStore(config.output_dir)
     store.initialize(snapshot, digest)
 
-    if config.exec_settings.mode == "jdk":
-        check_toolchain(config.exec_settings.javac, config.exec_settings.java)
-    exec_pool = threading.Semaphore(max(1, config.exec_settings.workers))
-
-    for spec in config.models:
-        if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
-            log(
-                f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
-                "is not set; skipped"
-            )
-            continue
-        for strategy in config.strategies:
-            _run_arm(config, store, spec, strategy, tasks, digest, exec_pool, on_record, log)
+    settings = config.exec_settings
+    if settings.mode == "jdk":
+        check_toolchain(settings.javac, settings.java)
+    # closing the pool reaps its compile servers, on success and on error
+    with ExecPool(settings.workers, settings.javac, log) as exec_pool:
+        for spec in config.models:
+            if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
+                log(
+                    f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
+                    "is not set; skipped"
+                )
+                continue
+            for strategy in config.strategies:
+                _run_arm(config, store, spec, strategy, tasks, digest, exec_pool, on_record, log)
     return store
 
 
@@ -62,7 +62,7 @@ def _run_arm(
     strategy: Strategy,
     tasks: TaskSet,
     digest: str,
-    exec_pool: threading.Semaphore,
+    exec_pool: ExecPool,
     on_record,
     log,
 ) -> None:
@@ -94,7 +94,7 @@ def _run_one(
     strategy: Strategy,
     task: Task,
     digest: str,
-    exec_pool: threading.Semaphore,
+    exec_pool: ExecPool,
 ) -> RunRecord:
     backend = spec.backend(task.task_id)
     with endpoint_limiter(spec.endpoint, config.per_endpoint_cap):
@@ -107,13 +107,18 @@ def _run_one(
             config_digest=digest,
         )
     if record.functional_outcome is None:
-        with exec_pool:  # bounded toolchain workers across the whole run
-            record.functional_outcome = _evaluate(config, spec, strategy, task, record)
+        with exec_pool.slot():  # bounded toolchain workers across the whole run
+            record.functional_outcome = _evaluate(config, spec, strategy, task, record, exec_pool)
     return record
 
 
 def _evaluate(
-    config: RunConfig, spec: ModelSpec, strategy: Strategy, task: Task, record: RunRecord
+    config: RunConfig,
+    spec: ModelSpec,
+    strategy: Strategy,
+    task: Task,
+    record: RunRecord,
+    exec_pool: ExecPool,
 ):
     settings = config.exec_settings
     if settings.mode == "mock":
@@ -134,6 +139,7 @@ def _evaluate(
         javac=settings.javac,
         java=settings.java,
         adapt_tests=settings.test_adaptation,
+        compiler=exec_pool,
     )
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from singletonlab.exec_harness import ExecPool
+
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
 MOCK_TASKS = FIXTURES / "tasks_mock.jsonl"
@@ -27,6 +29,17 @@ def find_jdk() -> tuple[str, str] | None:
 requires_jdk = pytest.mark.skipif(
     find_jdk() is None, reason="no JDK (javac/java) on PATH"
 )
+
+
+@pytest.fixture(scope="session")
+def compile_server():
+    """One warm compile server for the JDK tests; a javac process costs ~1 s
+    per compile. test_exec_harness.py checks it against javac processes."""
+    tools = find_jdk()
+    if tools is None:
+        pytest.skip("no JDK (javac/java) on PATH")
+    with ExecPool(1, tools[0]) as pool:
+        yield pool
 
 
 @pytest.fixture(scope="session")

@@ -336,7 +336,7 @@ def test_criterion_5_end_to_end_mock_run(tmp_path):
 
 
 @requires_jdk
-def test_criterion_6_functional_harness(tmp_path):
+def test_criterion_6_functional_harness(tmp_path, compile_server):
     from singletonlab.exec_harness import (
         COMPILE_ERROR,
         MISSING_EXTERNAL_LIBRARY,
@@ -364,19 +364,22 @@ def test_criterion_6_functional_harness(tmp_path):
                 scratch_dir=tmp_path / "ok" / task.task_id.replace("/", "_"),
                 javac=javac,
                 java=java,
+                compiler=compile_server,
             )
             assert outcome.kind == PASS, (task.task_id, outcome.detail)
 
         add_task = taskset.tasks[0]
         mutated = add_task.declaration + "        return a - b;\n    }\n}\n"
         outcome = evaluate_functionality(
-            mutated, add_task, 30, scratch_dir=tmp_path / "mut", javac=javac, java=java
+            mutated, add_task, 30, scratch_dir=tmp_path / "mut", javac=javac, java=java,
+            compiler=compile_server,
         )
         assert outcome.kind == TEST_FAIL
 
         prose = "There is no code here, only a description of the algorithm."
         outcome = evaluate_functionality(
-            prose, add_task, 30, scratch_dir=tmp_path / "prose", javac=javac, java=java
+            prose, add_task, 30, scratch_dir=tmp_path / "prose", javac=javac, java=java,
+            compiler=compile_server,
         )
         assert outcome.kind == COMPILE_ERROR
         assert outcome.compile_error_category == NON_CODE_OUTPUT
@@ -388,7 +391,8 @@ def test_criterion_6_functional_harness(tmp_path):
             "}\n"
         )
         outcome = evaluate_functionality(
-            hallucinated, add_task, 30, scratch_dir=tmp_path / "lib", javac=javac, java=java
+            hallucinated, add_task, 30, scratch_dir=tmp_path / "lib", javac=javac, java=java,
+            compiler=compile_server,
         )
         assert outcome.kind == COMPILE_ERROR
         assert outcome.compile_error_category == MISSING_EXTERNAL_LIBRARY
@@ -403,7 +407,8 @@ def test_criterion_6_functional_harness(tmp_path):
         )
         start = time.monotonic()
         outcome = evaluate_functionality(
-            looper, add_task, budget, scratch_dir=tmp_path / "loop", javac=javac, java=java
+            looper, add_task, budget, scratch_dir=tmp_path / "loop", javac=javac, java=java,
+            compiler=compile_server,
         )
         elapsed = time.monotonic() - start
         assert outcome.kind == TIMEOUT

@@ -344,6 +344,25 @@ def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model
     assert not (tmp_path / "store" / "config.json").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"retries": -1},
+        {"backoff_s": -1},
+        {"backoff_s": float("nan")},
+        {"parallelism": {"per_endpoint": 0}},
+    ],
+    ids=["retries", "backoff", "backoff-nan", "per-endpoint"],
+)
+def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):
+    config_path = write_config(tmp_path, **override)
+    with pytest.raises(ConfigError):
+        load_config(config_path)
+    assert main(["run", "--config", config_path]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "store" / "config.json").exists()
+
+
 def test_cli_run_rejects_missing_dataset(tmp_path, capsys):
     config_path = write_config(tmp_path, dataset={"path": str(tmp_path / "nope.jsonl")})
     assert main(["run", "--config", config_path]) == 2
