@@ -10,15 +10,14 @@ tests).
 
 from __future__ import annotations
 
+import itertools
 import locale
 import os
 import re
-import select
 import shutil
 import signal
 import subprocess
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,8 @@ TEST_FAIL = "TestFail"
 COMPILE_ERROR = "CompileError"
 TIMEOUT = "Timeout"
 ABORTED = "Aborted"
+# Outcomes fixed by the candidate and the task alone; see ExecPool.once.
+_REUSED = (PASS, TEST_FAIL, COMPILE_ERROR)
 
 MISSING_EXTERNAL_LIBRARY = "missing_external_library"
 NON_CODE_OUTPUT = "non_code_output"
@@ -130,6 +131,7 @@ def evaluate_functionality(
         proc = subprocess.Popen(
             [java, "Main"],
             cwd=scratch,
+            stdin=subprocess.DEVNULL,  # the verdict must not hang on, or eat, our stdin
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -167,7 +169,9 @@ def _javac(javac: str, scratch: Path, budget_s: float) -> tuple[int, str] | None
 
 class CompileServer:
     """One resident JVM running CompileServer.java (protocol in that file).
-    It serves one compile at a time; ExecPool lends it out."""
+    Any number of threads may compile on it at once: requests are written
+    under a lock and one reader thread hands each reply to the caller that
+    waits on its id."""
 
     def __init__(self, java: str):
         # The real Popen, not this module's `subprocess` name, which stands
@@ -178,53 +182,97 @@ class CompileServer:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            bufsize=0,
         )
         self.answered = False
+        # set before the pool kills the server for one request's overrun,
+        # so the other requests in flight know they were not at fault
+        self.overrun = False
+        self._lock = threading.Lock()
+        self._ids = itertools.count()
+        self._waiting: dict[int, tuple[threading.Event, list]] = {}
+        self._lost: str | None = None
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
 
     def compile(self, directory: str, budget_s: float) -> tuple[int, str] | None:
         """Like _javac for directory/Main.java, with the diagnostics' paths
         made relative as a javac run in `directory` prints them. Raises
         EOFError if the JVM has exited."""
-        deadline = time.monotonic() + budget_s
-        try:
-            self.proc.stdin.write(directory.encode("utf-8") + b"\n")
-        except BrokenPipeError as exc:
-            raise EOFError(f"compile server exited with {self.proc.wait()}") from exc
-        reply = b""
-        while True:
-            header, newline, body = reply.partition(b"\n")
-            if newline and len(body) >= int(header.split()[1]):
-                break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([self.proc.stdout], [], [], remaining)[0]:
-                return None
-            chunk = self.proc.stdout.read(65536)
-            if not chunk:
-                raise EOFError(f"compile server exited with {self.proc.wait()}")
-            reply += chunk
-        self.answered = True
+        done, reply = threading.Event(), []
+        with self._lock:
+            if self._lost is not None:
+                raise EOFError(self._lost)
+            key = next(self._ids)
+            self._waiting[key] = (done, reply)
+            try:
+                self.proc.stdin.write(f"{key} {directory}\n".encode("utf-8"))
+                self.proc.stdin.flush()
+            except OSError as exc:
+                del self._waiting[key]
+                raise EOFError(f"compile server stopped reading: {exc}") from exc
+        if not done.wait(budget_s):
+            with self._lock:
+                self._waiting.pop(key, None)
+            return None
+        if not reply:
+            raise EOFError(self._lost)
+        code, body = reply[0]
         diagnostics = body.decode(locale.getpreferredencoding(False), "replace")
-        return int(header.split()[0]), diagnostics.replace(directory + os.sep, "")
+        return code, diagnostics.replace(directory + os.sep, "")
 
     def close(self) -> None:
         """Kill the JVM and collect its exit status."""
         self.proc.kill()
-        self.proc.communicate()
+        self._reader.join()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass  # a request line the dead JVM never read
+
+    def _read(self) -> None:
+        out = self.proc.stdout
+        while True:
+            try:
+                key, code, size = map(int, out.readline().split())
+            except ValueError:  # end of output, or a line that is no reply
+                break
+            body = out.read(size)
+            if len(body) < size:
+                break
+            with self._lock:
+                waiter = self._waiting.pop(key, None)
+                self.answered = True
+            if waiter is not None:
+                waiter[1].append((code, body))
+                waiter[0].set()
+        self.proc.kill()  # no-op once it has exited; the waiters must not wait on it
+        status = self.proc.wait()
+        with self._lock:
+            self._lost = f"compile server exited with {status}"
+            waiting, self._waiting = self._waiting, {}
+        for done, _ in waiting.values():
+            done.set()
 
 
 class ExecPool:
-    """A run's toolchain slots and the compile servers behind them.
+    """A run's toolchain slots, its compile server and its outcome memo.
 
-    slot() bounds concurrent evaluations to `workers`. compile() lends an
-    idle server and starts one only when none is idle, so resident JVMs never
-    outnumber the peak of concurrent compiles. A server that overruns the
-    budget is killed and dropped. The servers run on the `java` beside the
-    resolved `javac`; if one cannot start (no such `java`, a JDK older than
+    slot() bounds concurrent evaluations to `workers`. compile() sends every
+    compile to one lazily started CompileServer, so a run keeps at most one
+    compile JVM, however many slots compile at once. A compile that overruns
+    its budget kills that server; the other compiles in flight on it are
+    sent once more to a fresh one. The server runs on the `java` beside the
+    resolved `javac`; if it cannot start (no such `java`, a JDK older than
     11, no jdk.compiler module), the pool logs it once and compiles with
     javac processes from then on. A pool that is never asked to compile
-    (mock mode) starts no JVM. close() kills and reaps every server, so no JVM outlives the run and
-    their CPU time counts as the run's.
+    (mock mode) starts no JVM. close() kills and reaps the server, so no JVM
+    outlives the run and its CPU time counts as the run's.
+
+    once() evaluates each distinct key one time per pool, so a byte-identical
+    candidate of the same task in a later arm reuses its outcome. (Arms run
+    one after another, and the cells of one arm are distinct tasks, so no
+    two calls with one key overlap.)
     """
 
     def __init__(self, workers: int, javac: str = "javac", log=None):
@@ -234,8 +282,8 @@ class ExecPool:
         self._java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
         self._log = log or (lambda message: None)
         self._lock = threading.Lock()
-        self._idle: list[CompileServer] = []
-        self._live: list[CompileServer] = []
+        self._server: CompileServer | None = None
+        self._outcomes: dict[object, OutcomeLabel] = {}
 
     def __enter__(self) -> ExecPool:
         return self
@@ -246,55 +294,63 @@ class ExecPool:
     def slot(self) -> threading.Semaphore:
         return self._slots
 
+    def once(self, key, evaluate) -> OutcomeLabel:
+        """evaluate(), or the outcome an earlier call with `key` returned.
+        Timeout and Aborted depend on the moment, not on the key, so they
+        are not kept: the next call evaluates again."""
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            outcome = evaluate()
+            if outcome.kind in _REUSED:
+                self._outcomes[key] = outcome
+        return outcome
+
     def compile(self, scratch: Path, budget_s: float) -> tuple[int, str] | None:
         directory = os.path.abspath(scratch)
-        server = self._take() if _SERVABLE_PATH.fullmatch(directory) else None
-        if server is None:
-            return _javac(self._javac, scratch, budget_s)
-        try:
-            result = server.compile(directory, budget_s)
-        except EOFError as exc:
-            self._drop(server)
-            if not server.answered:
-                self._give_up(str(exc))
-            return _javac(self._javac, scratch, budget_s)
-        if result is None:
-            self._drop(server)
-        else:
-            with self._lock:
-                self._idle.append(server)
-        return result
+        if _SERVABLE_PATH.fullmatch(directory):
+            for _ in range(2):
+                server = self._current()
+                if server is None:
+                    break
+                try:
+                    result = server.compile(directory, budget_s)
+                except EOFError as exc:
+                    self._retire(server)
+                    if server.overrun:
+                        continue  # another compile overran: once more on a fresh server
+                    if not server.answered:
+                        self._give_up(str(exc))
+                    break
+                if result is None:
+                    server.overrun = True
+                    self._retire(server)
+                return result
+        return _javac(self._javac, scratch, budget_s)
 
     def close(self) -> None:
         with self._lock:
             self._java = None
-            servers, self._live, self._idle = self._live, [], []
-        for server in servers:
+            server, self._server = self._server, None
+        if server is not None:
             server.close()
 
-    def _take(self) -> CompileServer | None:
+    def _current(self) -> CompileServer | None:
         with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            java = self._java
-        if java is None:
-            return None
-        try:
-            server = CompileServer(java)
-        except OSError as exc:
-            self._give_up(f"cannot run {java!r}: {exc}")
-            return None
-        with self._lock:
-            if self._java is not None:
-                self._live.append(server)
-                return server
-        server.close()  # the pool closed or gave up meanwhile
+            if self._server is not None or self._java is None:
+                return self._server
+            try:
+                # started under the lock, so concurrent first compiles share one
+                self._server = CompileServer(self._java)
+                return self._server
+            except OSError as exc:
+                reason = f"cannot run {self._java!r}: {exc}"
+        self._give_up(reason)
         return None
 
-    def _drop(self, server: CompileServer) -> None:
+    def _retire(self, server: CompileServer) -> None:
         with self._lock:
-            if server in self._live:
-                self._live.remove(server)
+            if self._server is server:
+                self._server = None
         server.close()
 
     def _give_up(self, reason: str) -> None:

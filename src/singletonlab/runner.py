@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import ModelSpec, RunConfig, config_digest, config_snapshot
-from .dataset import Task, TaskSet, load_tasks
+from .dataset import Task, load_tasks
 from .exec_harness import ExecPool, check_toolchain, evaluate_functionality, mock_evaluate
 from .gateway import endpoint_limiter
 from .guidance import RunRecord, Strategy, run_task
@@ -36,22 +36,30 @@ def run_experiment(
     snapshot = config_snapshot(config)
     digest = config_digest(snapshot)
     store = RunStore(config.output_dir)
-    store.initialize(snapshot, digest)
+    resumed = store.initialize(snapshot, digest)
 
     settings = config.exec_settings
-    if settings.mode == "jdk":
+    jdk = settings.mode == "jdk"
+    if jdk and not resumed:
+        # a new store has every cell pending: probe now, before any arm is read
         check_toolchain(settings.javac, settings.java)
-    # closing the pool reaps its compile servers, on success and on error
+    arms = []
+    for spec in config.models:
+        if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
+            log(
+                f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
+                "is not set; skipped"
+            )
+            continue
+        for strategy in config.strategies:
+            done = store.completed_task_ids(spec.model_id, strategy.kind)
+            arms.append((spec, strategy, len(done), [t for t in tasks if t.task_id not in done]))
+    if jdk and resumed and any(pending for *_, pending in arms):
+        check_toolchain(settings.javac, settings.java)
+    # closing the pool reaps its compile server, on success and on error
     with ExecPool(settings.workers, settings.javac, log) as exec_pool:
-        for spec in config.models:
-            if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
-                log(
-                    f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
-                    "is not set; skipped"
-                )
-                continue
-            for strategy in config.strategies:
-                _run_arm(config, store, spec, strategy, tasks, digest, exec_pool, on_record, log)
+        for spec, strategy, done, pending in arms:
+            _run_arm(config, store, spec, strategy, done, pending, digest, exec_pool, on_record, log)
     return store
 
 
@@ -60,17 +68,16 @@ def _run_arm(
     store: RunStore,
     spec: ModelSpec,
     strategy: Strategy,
-    tasks: TaskSet,
+    done: int,
+    pending: list[Task],
     digest: str,
     exec_pool: ExecPool,
     on_record,
     log,
 ) -> None:
-    done = store.completed_task_ids(spec.model_id, strategy.kind)
-    pending = [t for t in tasks if t.task_id not in done]
     if done:
         log(
-            f"{spec.model_id}/{strategy.kind}: {len(done)} record(s) already "
+            f"{spec.model_id}/{strategy.kind}: {done} record(s) already "
             f"present, {len(pending)} to run"
         )
     if not pending:
@@ -107,8 +114,7 @@ def _run_one(
             config_digest=digest,
         )
     if record.functional_outcome is None:
-        with exec_pool.slot():  # bounded toolchain workers across the whole run
-            record.functional_outcome = _evaluate(config, spec, strategy, task, record, exec_pool)
+        record.functional_outcome = _evaluate(config, spec, strategy, task, record, exec_pool)
     return record
 
 
@@ -122,7 +128,8 @@ def _evaluate(
 ):
     settings = config.exec_settings
     if settings.mode == "mock":
-        return mock_evaluate(record.selected_candidate)
+        with exec_pool.slot():  # bounded toolchain workers across the whole run
+            return mock_evaluate(record.selected_candidate)
     scratch = (
         Path(config.output_dir)
         / "scratch"
@@ -131,16 +138,22 @@ def _evaluate(
         / strategy.kind
         / _safe(task.task_id)
     )
-    return evaluate_functionality(
-        record.selected_candidate,
-        task,
-        settings.budget_s,
-        scratch_dir=scratch,
-        javac=settings.javac,
-        java=settings.java,
-        adapt_tests=settings.test_adaptation,
-        compiler=exec_pool,
-    )
+
+    def evaluate():
+        with exec_pool.slot():
+            return evaluate_functionality(
+                record.selected_candidate,
+                task,
+                settings.budget_s,
+                scratch_dir=scratch,
+                javac=settings.javac,
+                java=settings.java,
+                adapt_tests=settings.test_adaptation,
+                compiler=exec_pool,
+            )
+
+    # a later arm's byte-identical candidate reuses the JVM verdict, slot-free
+    return exec_pool.once((task.task_id, record.selected_candidate), evaluate)
 
 
 def _safe(value: str) -> str:

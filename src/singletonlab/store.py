@@ -139,9 +139,10 @@ class RunStore:
     def records_dir(self) -> Path:
         return self.root / "records"
 
-    def initialize(self, snapshot: dict, digest: str) -> None:
+    def initialize(self, snapshot: dict, digest: str) -> bool:
         """Write the config snapshot, or verify it matches an existing one and
-        cut any torn trailing line off the record files."""
+        cut any torn trailing line off the record files. True when the store
+        already existed."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.records_dir.mkdir(parents=True, exist_ok=True)
         payload = {"config_digest": digest, "config": snapshot}
@@ -154,10 +155,11 @@ class RunStore:
                 )
             for path in self.records_dir.glob("*.jsonl"):
                 _drop_torn_tail(path)
-            return
+            return True
         self.config_path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+        return False
 
     def load_snapshot(self) -> dict:
         try:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fnmatch import fnmatch
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from singletonlab import exec_harness
+from singletonlab import exec_harness, runner
+from singletonlab.cli import main
 from singletonlab.config import parse_config
 from singletonlab.dataset import load_tasks
 from singletonlab.exec_harness import (
@@ -326,27 +329,79 @@ EXPECTED = {
 }
 
 
-@requires_jdk
-@pytest.mark.parametrize("task_id", [row["task_id"] for row in jdk_fixture_rows()])
-def test_compile_server_matches_javac_processes(tmp_path, compile_server, task_id):
-    javac, java = jdk_tools()
-    task = next(t for t in load_tasks(JDK_TASKS) if t.task_id == task_id)
-    row = next(r for r in jdk_fixture_rows() if r["task_id"] == task_id)
-    variants = candidate_variants(task, row)
+def variant_cases() -> list[tuple[object, str, str]]:
+    """(task, variant name, candidate) for every fixture task and variant."""
+    rows = {row["task_id"]: row for row in jdk_fixture_rows()}
+    return [
+        (task, name, candidate)
+        for task in load_tasks(JDK_TASKS)
+        for name, candidate in candidate_variants(task, rows[task.task_id]).items()
+    ]
 
-    def evaluate(name: str, compiler=None) -> OutcomeLabel:
-        where = "cold" if compiler is None else "server"
+
+@pytest.fixture(scope="module")
+def javac_process_outcomes(tmp_path_factory) -> dict[tuple[str, str], OutcomeLabel]:
+    """The reference: every variant compiled by a javac process."""
+    if find_jdk() is None:
+        pytest.skip("no JDK (javac/java) on PATH")
+    javac, java = jdk_tools()
+    root = tmp_path_factory.mktemp("javac-processes")
+
+    def evaluate(case) -> OutcomeLabel:
+        task, name, candidate = case
         return evaluate_functionality(
-            variants[name], task, 30, scratch_dir=tmp_path / where / name,
-            javac=javac, java=java, compiler=compiler,
+            candidate, task, 30, scratch_dir=root / task.task_id.replace("/", "_") / name,
+            javac=javac, java=java,
         )
 
+    cases = variant_cases()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        cold = dict(zip(variants, pool.map(evaluate, variants)))
-        served = {name: evaluate(name, compile_server) for name in variants}
-    for name, outcome in cold.items():
-        assert (outcome.kind, outcome.compile_error_category) == EXPECTED[name], (name, outcome)
-        assert served[name] == outcome, name
+        outcomes = list(pool.map(evaluate, cases))
+    return {(task.task_id, name): outcome for (task, name, _), outcome in zip(cases, outcomes)}
+
+
+@requires_jdk
+@pytest.mark.parametrize("task_id", [row["task_id"] for row in jdk_fixture_rows()])
+def test_compile_server_matches_javac_processes(
+    tmp_path, compile_server, javac_process_outcomes, task_id
+):
+    javac, java = jdk_tools()
+    for task, name, candidate in variant_cases():
+        if task.task_id != task_id:
+            continue
+        cold = javac_process_outcomes[(task_id, name)]
+        assert (cold.kind, cold.compile_error_category) == EXPECTED[name], (name, cold)
+        served = evaluate_functionality(
+            candidate, task, 30, scratch_dir=tmp_path / name,
+            javac=javac, java=java, compiler=compile_server,
+        )
+        assert served == cold, name
+
+
+@requires_jdk
+def test_one_shared_server_matches_javac_processes_under_concurrency(
+    tmp_path, monkeypatch, javac_process_outcomes
+):
+    started = record_servers(monkeypatch)
+    javac, java = jdk_tools()
+    cases = variant_cases()
+    assert len(cases) == 60
+    with ExecPool(4, javac) as pool:
+
+        def evaluate(case) -> OutcomeLabel:
+            task, name, candidate = case
+            with pool.slot():
+                return evaluate_functionality(
+                    candidate, task, 30, scratch_dir=tmp_path / task.task_id.replace("/", "_") / name,
+                    javac=javac, java=java, compiler=pool,
+                )
+
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            served = list(threads.map(evaluate, cases, timeout=600))
+    for (task, name, _), outcome in zip(cases, served):
+        assert outcome == javac_process_outcomes[(task.task_id, name)], (task.task_id, name)
+    assert len(started) == 1
+    assert started[0].proc.returncode is not None
 
 
 def record_servers(monkeypatch) -> list:
@@ -361,69 +416,108 @@ def record_servers(monkeypatch) -> list:
     return started
 
 
-def test_exec_pool_lends_each_server_to_one_compile_at_a_time(tmp_path, monkeypatch):
-    workers, threads = 3, 8
-    started = []
-    overlaps = []
+# A stand-in for `java CompileServer.java` that speaks the same protocol: it
+# batches the requests of each 5 ms and answers every batch last-in first-out,
+# with exit code and diagnostics derived from the request's directory.
+FAKE_SERVER = """\
+import os, sys, threading, time
+pending, lock = [], threading.Lock()
+order = open(sys.argv[1], "a")
 
-    class FakeServer:
-        answered = True
+def answer():
+    while True:
+        time.sleep(0.005)
+        with lock:
+            batch = pending[:]
+            del pending[:]
+        for key, directory in reversed(batch):
+            body = (directory + os.sep + "Main.java: " + directory).encode()
+            code = int(directory.rsplit("-", 1)[1])
+            sys.stdout.buffer.write(b"%s %d %d\\n" % (key.encode(), code, len(body)) + body)
+            sys.stdout.buffer.flush()
+            order.write(key + "\\n")
+            order.flush()
 
-        def __init__(self, java: str):
-            self.busy = False
-            self.closed = False
-            started.append(self)
+threading.Thread(target=answer, daemon=True).start()
+for line in sys.stdin:
+    key, directory = line.rstrip("\\n").split(" ", 1)
+    with lock:
+        pending.append((key, directory))
+"""
 
-        def compile(self, directory: str, budget_s: float):
-            if self.busy:
-                overlaps.append(self)
-            self.busy = True
-            time.sleep(0.0005)
-            self.busy = False
-            return 0, ""
 
-        def close(self) -> None:
-            self.closed = True
+def fake_jdk(tmp_path) -> tuple[Path, Path]:
+    """A javac whose sibling java runs FAKE_SERVER; returns (javac, answer log)."""
+    bin_dir = tmp_path / "fake-jdk"
+    bin_dir.mkdir()
+    log = tmp_path / "answer-order.log"
+    (bin_dir / "server.py").write_text(FAKE_SERVER, encoding="utf-8")
+    for tool in ("javac", "java"):
+        script = bin_dir / tool
+        script.write_text(
+            f"#!/bin/sh\nexec {shlex.quote(sys.executable)} "
+            f"{shlex.quote(str(bin_dir / 'server.py'))} {shlex.quote(str(log))}\n"
+        )
+        script.chmod(0o755)
+    return bin_dir / "javac", log
 
-    monkeypatch.setattr(exec_harness, "CompileServer", FakeServer)
-    pool = ExecPool(workers, sys.executable)
 
-    def compile_many(_: int) -> None:
-        for _ in range(50):
+def test_exec_pool_multiplexes_one_server_across_slots(tmp_path, monkeypatch):
+    workers, threads, per_thread = 3, 8, 25
+    started = record_servers(monkeypatch)
+    javac, log = fake_jdk(tmp_path)
+    in_flight, peak = 0, 0
+    count = threading.Lock()
+    pool = ExecPool(workers, str(javac))
+
+    def compile_many(caller: int) -> None:
+        nonlocal in_flight, peak
+        for i in range(per_thread):
+            scratch = tmp_path / f"caller{caller}-{i}"
             with pool.slot():
-                assert pool.compile(tmp_path, 30) == (0, "")
+                with count:
+                    in_flight += 1
+                    peak = max(peak, in_flight)
+                result = pool.compile(scratch, 30)
+                with count:
+                    in_flight -= 1
+            assert result == (i, f"Main.java: {scratch}")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=threads) as executor:
-            for future in [executor.submit(compile_many, i) for i in range(threads)]:
+            for future in [executor.submit(compile_many, c) for c in range(threads)]:
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
         pool.close()
-    assert overlaps == []
-    assert 1 <= len(started) <= workers
-    assert all(server.closed for server in started)
+    answered = [int(key) for key in log.read_text().split()]
+    assert sorted(answered) == list(range(threads * per_thread))
+    assert answered != sorted(answered)  # replies did come out of order
+    assert peak == workers
+    assert len(started) == 1
+    assert started[0].proc.returncode is not None
 
 
-def jdk_run_config(tmp_path) -> dict:
+def jdk_run_config(tmp_path, strategies=("baseline",), replies=1) -> dict:
     rows = jdk_fixture_rows()[:2]
     dataset = tmp_path / "tasks.jsonl"
     dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     tasks = {t.task_id: t for t in load_tasks(dataset)}
     script = {
         r["task_id"]: ["```java\n" + tasks[r["task_id"]].declaration + r["canonical_solution"] + "```"]
+        * replies
         for r in rows
     }
-    javac, java = jdk_tools()
+    javac, java = find_jdk() or ("javac", "java")
     return {
         "run_id": "servers",
         "dataset": str(dataset),
         "output_dir": str(tmp_path / "store"),
         "models": [{"model_id": "scripted", "script": {"tasks": script}}],
-        "strategies": ["baseline"],
-        "exec": {"mode": "jdk", "javac": javac, "java": java, "workers": 1},
+        "strategies": list(strategies),
+        "exec": {"mode": "jdk", "javac": javac, "java": java, "workers": 2},
         "parallelism": {"tasks": 2},
     }
 
@@ -434,7 +528,7 @@ def test_run_experiment_reaps_its_compile_servers(tmp_path, monkeypatch):
     store = run_experiment(parse_config(jdk_run_config(tmp_path)), log=lambda message: None)
     records = store.load_records("scripted", "baseline")
     assert [r.functional_outcome.kind for r in records] == [PASS, PASS]
-    assert len(started) == 1  # one exec slot: at most one compile at a time
+    assert len(started) == 1  # two slots, two tasks in flight: one shared server
     assert all(server.proc.returncode is not None for server in started)
 
 
@@ -451,6 +545,35 @@ def test_run_experiment_reaps_its_compile_servers_when_it_raises(tmp_path, monke
         )
     assert started
     assert all(server.proc.returncode is not None for server in started)
+
+
+@requires_jdk
+def test_resuming_a_finished_jdk_store_starts_no_process(tmp_path, monkeypatch):
+    config = parse_config(jdk_run_config(tmp_path))
+    finished = run_experiment(config, log=lambda message: None).load_all()
+    launched = []
+
+    def refuse(argv, *args, **kwargs):
+        launched.append(argv)
+        raise OSError("no process expected")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(exec_harness, "_Popen", refuse)
+    assert run_experiment(config, log=lambda message: None).load_all() == finished
+    assert launched == []
+
+
+@pytest.mark.parametrize("store", ["new", "resumed"])
+def test_pending_jdk_cells_without_javac_exit_2_before_any_cell(tmp_path, capsys, store):
+    config = jdk_run_config(tmp_path)
+    config["exec"]["javac"] = str(tmp_path / "no-such-javac")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    if store == "resumed":
+        assert main(["run", "--config", str(path)]) == 2  # leaves a store with no records
+    assert main(["run", "--config", str(path)]) == 2
+    assert "no-such-javac" in capsys.readouterr().err
+    assert list((tmp_path / "store" / "records").glob("*.jsonl")) == []
 
 
 @requires_jdk
@@ -473,6 +596,123 @@ def test_overrun_compile_kills_its_server_and_the_next_compile_respawns(tmp_path
         assert evaluate("respawned", 30).kind == PASS
         assert len(started) == 2
     assert started[1].proc.returncode is not None
+
+
+@requires_jdk
+def test_overrun_resends_the_other_compiles_in_flight_to_a_fresh_server(tmp_path, monkeypatch):
+    started = record_servers(monkeypatch)
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    # a few hundred extra methods keep this compile in flight for a while
+    slow = canonical + "".join(
+        f"class Pad{i} {{ int f(int x) {{ return x * {i} + {i}; }} }}\n" for i in range(400)
+    )
+
+    def evaluate(pool: ExecPool, candidate: str, name: str, budget_s: float) -> OutcomeLabel:
+        return evaluate_functionality(
+            candidate, task, budget_s, scratch_dir=tmp_path / name,
+            javac=javac, java=java, compiler=pool,
+        )
+
+    with ExecPool(2, javac) as pool, ThreadPoolExecutor(max_workers=1) as other:
+        assert evaluate(pool, canonical, "warm", 30).kind == PASS
+        in_flight = other.submit(evaluate, pool, slow, "in-flight", 30)
+        deadline = time.monotonic() + 30
+        while not started[0]._waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert started[0]._waiting, "the slow compile never reached the server"
+        overrun = evaluate(pool, canonical, "overrun", 0.001)
+        assert overrun == OutcomeLabel(TIMEOUT, "compilation exceeded 0.001s")
+        assert in_flight.result(timeout=120) == OutcomeLabel(PASS, "")
+    assert len(started) == 2  # the killed server and the fresh one the slow compile went to
+    assert all(server.proc.returncode is not None for server in started)
+
+
+@requires_jdk
+def test_each_distinct_candidate_is_evaluated_once_per_run(tmp_path, monkeypatch, compile_server):
+    # instruct gets the same (non-conforming) reply every iteration, so both
+    # arms select the same candidate for each task
+    config = parse_config(jdk_run_config(tmp_path, ("baseline", "instruct"), replies=10))
+    calls = []
+    evaluate = runner.evaluate_functionality
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].task_id)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "evaluate_functionality", counted)
+    store = run_experiment(config, log=lambda message: None)
+    assert sorted(calls) == sorted(t.task_id for t in load_tasks(config.dataset_path))
+    settings = config.exec_settings
+    for strategy in ("baseline", "instruct"):
+        for record in store.load_records("scripted", strategy):
+            task = next(t for t in load_tasks(config.dataset_path) if t.task_id == record.task_id)
+            direct = evaluate(
+                record.selected_candidate, task, settings.budget_s,
+                scratch_dir=tmp_path / "direct" / strategy / record.task_id.replace("/", "_"),
+                javac=settings.javac, java=settings.java,
+                adapt_tests=settings.test_adaptation, compiler=compile_server,
+            )
+            assert record.functional_outcome == direct
+
+
+def test_exec_pool_once_shares_outcomes_but_never_timeouts():
+    pool = ExecPool(1)
+    calls = []
+
+    def evaluate(outcome: OutcomeLabel):
+        def run():
+            calls.append(outcome)
+            return outcome
+
+        return run
+
+    for kind in (PASS, TEST_FAIL, COMPILE_ERROR):
+        first = pool.once(kind, evaluate(OutcomeLabel(kind, "first")))
+        assert pool.once(kind, evaluate(OutcomeLabel(kind, "again"))) is first
+    timeout = OutcomeLabel(TIMEOUT, "first")
+    assert pool.once("slow", evaluate(timeout)) is timeout
+    assert pool.once("slow", evaluate(OutcomeLabel(PASS, "again"))) == OutcomeLabel(PASS, "again")
+    assert len(calls) == 5
+
+
+@requires_jdk
+def test_java_main_gets_an_empty_stdin(tmp_path):
+    """A test that reads System.in sees end of input at once, even when the
+    pipeline's own stdin is an open pipe that nobody writes to."""
+    javac, java = jdk_tools()
+    child = f"""
+from pathlib import Path
+from singletonlab.dataset import Task
+from singletonlab.exec_harness import evaluate_functionality
+test = (
+    "public class Main {{\\n"
+    "    public static void main(String[] args) throws Exception {{\\n"
+    "        if (System.in.read() != -1) throw new AssertionError(\\"stdin\\");\\n"
+    "    }}\\n"
+    "}}\\n"
+)
+task = Task("stdin/0", "", "", "Solution", test)
+outcome = evaluate_functionality(
+    "class Solution {{}}", task, 15, scratch_dir=Path({str(tmp_path / "scratch")!r}),
+    javac={javac!r}, java={java!r},
+)
+print(outcome.kind)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(exec_harness.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", child], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        text=True, env=env,
+    )
+    try:
+        proc.wait(timeout=120)
+        assert proc.stdout.read().split() == [PASS]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
 
 
 @requires_jdk
