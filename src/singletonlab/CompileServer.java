@@ -1,48 +1,250 @@
 import java.io.BufferedReader;
+import java.io.ByteArrayInputStream;
 import java.io.ByteArrayOutputStream;
 import java.io.File;
+import java.io.FileDescriptor;
+import java.io.FileOutputStream;
 import java.io.IOException;
 import java.io.InputStreamReader;
 import java.io.OutputStream;
-import java.io.UncheckedIOException;
+import java.io.PrintStream;
+import java.lang.invoke.MethodHandle;
+import java.lang.invoke.MethodHandles;
+import java.lang.reflect.Method;
+import java.lang.reflect.Modifier;
+import java.net.URL;
+import java.net.URLClassLoader;
+import java.nio.charset.Charset;
 import java.nio.charset.StandardCharsets;
+import java.util.Arrays;
+import java.util.Collections;
+import java.util.HashMap;
+import java.util.IdentityHashMap;
+import java.util.List;
+import java.util.Locale;
+import java.util.Set;
+import java.util.TimeZone;
+import java.util.concurrent.ConcurrentHashMap;
 import javax.tools.JavaCompiler;
 import javax.tools.ToolProvider;
 
 /**
- * Resident javac: compiles scratch Main.java files in this JVM, several at
- * once.
+ * Resident javac and java: compiles scratch Main.java files and runs the
+ * compiled Main classes in this JVM, several at once.
  *
- * Request: one line "<id> <dir>", dir the absolute scratch directory. Each
- * request compiles on its own thread. Reply: a header line
- * "<id> <exit> <nbytes>", then nbytes of diagnostics; replies come in the
- * order compiles finish and never interleave. At end of input the JVM exits
- * once the compiles in flight have answered.
+ * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
+ * absolute scratch directory. Each request runs on its own thread. Reply: a
+ * header line "<id> <exit> <nbytes>", then nbytes of body; replies come in
+ * the order requests finish and never interleave. A compile answers javac's
+ * exit code and diagnostics. A run answers what `java Main` in dir would:
+ * exit 0, or 1 after an uncaught throwable, and its stderr then its stdout.
+ * Exit REFUSED means this JVM cannot vouch for the reply; the body names why.
+ * The sender then compiles elsewhere or runs a java Main process, and retires
+ * this JVM. A run is refused when a thread of it outlives main, when it
+ * calls System.exit (every request in flight is refused as the JVM ends),
+ * and when the launcher would do something this class does not reproduce.
+ * Once the JVM-global state differs from its startup snapshot, this and
+ * every later reply is refused. At end of input the JVM exits once the
+ * requests in flight have answered.
  * Launched in source-file mode: java CompileServer.java
  */
 public class CompileServer {
+    static final int REFUSED = -1;
+    static final OutputStream REPLIES = new FileOutputStream(FileDescriptor.out);
+    static final Set<String> IN_FLIGHT = ConcurrentHashMap.newKeySet();
+    /** A run's {stdout, stderr}; threads the run starts inherit it. */
+    static final InheritableThreadLocal<ByteArrayOutputStream[]> OUTPUT = new InheritableThreadLocal<>();
+    static List<Object> startup;
+    static volatile String refusal;
+
     public static void main(String[] args) throws IOException {
         JavaCompiler javac = ToolProvider.getSystemJavaCompiler();
         BufferedReader in = new BufferedReader(new InputStreamReader(System.in, StandardCharsets.UTF_8));
-        OutputStream out = System.out;
+        System.setIn(new ByteArrayInputStream(new byte[0]));
+        System.setOut(new PrintStream(new Redirect(0), true, launcherCharset("stdout")));
+        System.setErr(new PrintStream(new Redirect(1), true, launcherCharset("stderr")));
+        startup = globals();
+        Runtime.getRuntime().addShutdownHook(new Thread(() -> {
+            refusal = "exit";
+            synchronized (REPLIES) {
+                for (String id : IN_FLIGHT) {
+                    write(id, REFUSED, refusal.getBytes(StandardCharsets.US_ASCII));
+                }
+                IN_FLIGHT.clear();
+            }
+        }));
         for (String line; (line = in.readLine()) != null; ) {
-            int space = line.indexOf(' ');
-            String id = line.substring(0, space);
-            String dir = line.substring(space + 1);
+            String[] request = line.split(" ", 3);
+            String id = request[0];
+            IN_FLIGHT.add(id);
             new Thread(() -> {
-                ByteArrayOutputStream err = new ByteArrayOutputStream();
-                int exit = javac.run(null, null, err, "-d", dir, "-cp", dir, dir + File.separator + "Main.java");
-                byte[] header = (id + " " + exit + " " + err.size() + "\n").getBytes(StandardCharsets.US_ASCII);
-                synchronized (out) {
-                    try {
-                        out.write(header);
-                        err.writeTo(out);
-                        out.flush();
-                    } catch (IOException e) {
-                        throw new UncheckedIOException(e);
+                try {
+                    if (request[1].equals("run")) {
+                        run(id, request[2]);
+                    } else {
+                        ByteArrayOutputStream err = new ByteArrayOutputStream();
+                        String dir = request[2];
+                        int exit = javac.run(null, null, err, "-d", dir, "-cp", dir, dir + File.separator + "Main.java");
+                        reply(id, exit, err.toByteArray());
                     }
+                } catch (Throwable e) {
+                    refuse(id, "unsupported");
                 }
             }).start();
+        }
+    }
+
+    /** Runs dir/Main as the java launcher would, on a thread named main. */
+    static void run(String id, String dir) throws Exception {
+        ByteArrayOutputStream[] output = {new ByteArrayOutputStream(), new ByteArrayOutputStream()};
+        URL[] classpath = {new File(dir).toURI().toURL()};
+        try (URLClassLoader loader = new URLClassLoader(classpath, ClassLoader.getPlatformClassLoader())) {
+            // not initialised here: <clinit> runs inside main's invocation, as under the launcher
+            Class<?> main = Class.forName("Main", false, loader);
+            Method method = main.getMethod("main", String[].class);
+            if (method.getDeclaringClass() != main || !Modifier.isStatic(method.getModifiers())
+                    || method.getReturnType() != void.class) {
+                refuse(id, "unsupported");
+                return;
+            }
+            method.setAccessible(true); // Main need not be public
+            MethodHandle handle = MethodHandles.lookup().unreflect(method); // its frames stay hidden
+            int[] exit = {0};
+            ThreadGroup group = new ThreadGroup("main");
+            Thread thread = new Thread(group, () -> {
+                OUTPUT.set(output);
+                StackTraceElement[] runner = new Throwable().getStackTrace();
+                try {
+                    handle.invokeExact(new String[0]);
+                } catch (Throwable e) {
+                    exit[0] = 1;
+                    trim(e, runner, Collections.newSetFromMap(new IdentityHashMap<>()));
+                    Thread self = Thread.currentThread();
+                    try {
+                        self.getUncaughtExceptionHandler().uncaughtException(self, e);
+                    } catch (Throwable f) {
+                        exit[0] = REFUSED; // the launcher reports this in its own words
+                    }
+                }
+            }, "main");
+            thread.setContextClassLoader(loader);
+            thread.start();
+            thread.join();
+            byte[] err = output[1].toByteArray(), out = output[0].toByteArray();
+            if (group.activeCount() > 0) {
+                refuse(id, "leftover thread");
+            } else if (exit[0] == REFUSED
+                    || err.length > 0 && err[err.length - 1] == '\r' && out.length > 0 && out[0] == '\n') {
+                // the process path decodes each stream apart: "\r" + "\n" is two line ends there
+                refuse(id, "unsupported");
+            } else {
+                byte[] body = Arrays.copyOf(err, err.length + out.length);
+                System.arraycopy(out, 0, body, err.length, out.length);
+                reply(id, exit[0], body);
+            }
+        }
+    }
+
+    /**
+     * Drops the frames below main from every throwable main's thread made:
+     * the runner's own, and the JDK frames that initialised Main for the
+     * method handle. The launcher calls main with no Java frame below it.
+     */
+    static void trim(Throwable e, StackTraceElement[] runner, Set<Throwable> seen) {
+        if (e == null || !seen.add(e)) {
+            return;
+        }
+        StackTraceElement[] frames = e.getStackTrace();
+        int end = frames.length - runner.length;
+        if (end >= 0 && sameMethods(frames, end, runner)) {
+            while (end > 0 && frames[end - 1].getModuleName() != null) {
+                end--;
+            }
+            e.setStackTrace(Arrays.copyOf(frames, end));
+        }
+        trim(e.getCause(), runner, seen);
+        for (Throwable suppressed : e.getSuppressed()) {
+            trim(suppressed, runner, seen);
+        }
+    }
+
+    static boolean sameMethods(StackTraceElement[] frames, int from, StackTraceElement[] runner) {
+        for (int i = 0; i < runner.length; i++) {
+            StackTraceElement frame = frames[from + i];
+            if (!frame.getClassName().equals(runner[i].getClassName())
+                    || !frame.getMethodName().equals(runner[i].getMethodName())) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    static void refuse(String id, String reason) {
+        reply(id, REFUSED, reason.getBytes(StandardCharsets.US_ASCII));
+    }
+
+    static void reply(String id, int exit, byte[] body) {
+        synchronized (REPLIES) {
+            if (refusal == null && !globals().equals(startup)) {
+                refusal = "global state";
+            }
+            if (refusal != null) {
+                exit = REFUSED;
+                body = refusal.getBytes(StandardCharsets.US_ASCII);
+            }
+            if (IN_FLIGHT.remove(id)) {
+                write(id, exit, body);
+            }
+        }
+    }
+
+    static void write(String id, int exit, byte[] body) {
+        try {
+            REPLIES.write((id + " " + exit + " " + body.length + "\n").getBytes(StandardCharsets.US_ASCII));
+            REPLIES.write(body);
+            REPLIES.flush();
+        } catch (IOException e) {
+            // the sender has gone; nobody waits for this reply
+        }
+    }
+
+    /** The JVM-wide state a run could change and a later run would see. */
+    static List<Object> globals() {
+        TimeZone zone = TimeZone.getDefault(); // first: the first call sets user.timezone
+        return Arrays.asList(
+            Locale.getDefault(), Locale.getDefault(Locale.Category.DISPLAY),
+            Locale.getDefault(Locale.Category.FORMAT), zone, new HashMap<>(System.getProperties()),
+            Thread.getDefaultUncaughtExceptionHandler(), System.in, System.out, System.err);
+    }
+
+    /** The charset the launcher gives System.out or System.err on a pipe. */
+    static Charset launcherCharset(String stream) {
+        String name = System.getProperty(stream + ".encoding", System.getProperty("sun." + stream + ".encoding"));
+        return name == null ? Charset.defaultCharset() : Charset.forName(name);
+    }
+
+    /** System.out (0) or System.err (1): writes to the current run's buffer, or nowhere. */
+    static final class Redirect extends OutputStream {
+        final int stream;
+
+        Redirect(int stream) {
+            this.stream = stream;
+        }
+
+        @Override
+        public void write(int b) {
+            ByteArrayOutputStream[] output = OUTPUT.get();
+            if (output != null) {
+                output[stream].write(b);
+            }
+        }
+
+        @Override
+        public void write(byte[] b, int off, int len) {
+            ByteArrayOutputStream[] output = OUTPUT.get();
+            if (output != null) {
+                output[stream].write(b, off, len);
+            }
         }
     }
 }

@@ -1,11 +1,12 @@
 """Functional evaluation of candidate Java code against a task's tests.
 
 Candidate and test code are written to an isolated scratch directory as one
-compilation unit, compiled with javac and run with java; the test process
-exit code is the verdict. During a run the compile goes to a resident
-CompileServer JVM (see ExecPool) rather than a fresh javac process. A
-marker-driven mock backend stands in when no JDK is wanted (demos, offline
-tests).
+compilation unit, compiled with javac and run with java; the test run's exit
+code is the verdict. During a run both steps go to a resident CompileServer
+JVM (see ExecPool) rather than fresh javac and `java Main` processes; a
+`java Main` process stays the reference and runs whatever the JVM cannot
+reproduce exactly. A marker-driven mock backend stands in when no JDK is
+wanted (demos, offline tests).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import shutil
 import signal
 import subprocess
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +49,15 @@ COMPILE_SERVER = Path(__file__).with_name("CompileServer.java")
 # Scratch paths sent to a compile server: one request line, read as UTF-8
 # by the JVM; anything else compiles with a javac process.
 _SERVABLE_PATH = re.compile(r"[ -~]+")
+# The exit of a server reply that the server cannot vouch for; its body
+# names the reason (see CompileServer.java).
+_REFUSED = -1
+# Why a test run went to a `java Main` process instead of the server, in
+# the order ExecPool.run_summary() lists them.
+_FALLBACKS = (
+    "exit", "leftover thread", "global state", "overrun", "other java", "path",
+    "unavailable", "unsupported",
+)
 _Popen = subprocess.Popen
 
 # Diagnostics that point at a library absent from the scratch classpath.
@@ -98,8 +109,9 @@ def evaluate_functionality(
     adapt_tests: bool = False,
     compiler: ExecPool | None = None,
 ) -> OutcomeLabel:
-    """Compile and run candidate + tests in scratch_dir. The compile goes to
-    `compiler`'s resident servers when given, else to a javac process."""
+    """Compile and run candidate + tests in scratch_dir. Both steps go to
+    `compiler`'s resident server when given, else to javac and `java Main`
+    processes."""
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
     test_code = task.test_code
@@ -126,7 +138,14 @@ def evaluate_functionality(
         return OutcomeLabel(
             COMPILE_ERROR, diagnostics, classify_compile_error(diagnostics, candidate)
         )
+    if compiler is None:
+        return _java_main(java, scratch, budget_s)
+    return compiler.run(scratch, budget_s, java)
 
+
+def _java_main(java: str, scratch: Path, budget_s: float) -> OutcomeLabel:
+    """The test run as a `java Main` process in scratch: the reference that
+    a run in the server must match."""
     try:
         proc = subprocess.Popen(
             [java, "Main"],
@@ -144,9 +163,13 @@ def evaluate_functionality(
     except subprocess.TimeoutExpired:
         _kill_process_group(proc)
         return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
-    if proc.returncode == 0:
+    return _test_outcome(proc.returncode, stderr + stdout)
+
+
+def _test_outcome(returncode: int, output: str) -> OutcomeLabel:
+    if returncode == 0:
         return OutcomeLabel(PASS, "")
-    return OutcomeLabel(TEST_FAIL, (stderr + stdout)[:_DETAIL_LIMIT])
+    return OutcomeLabel(TEST_FAIL, output[:_DETAIL_LIMIT])
 
 
 def _javac(javac: str, scratch: Path, budget_s: float) -> tuple[int, str] | None:
@@ -169,9 +192,9 @@ def _javac(javac: str, scratch: Path, budget_s: float) -> tuple[int, str] | None
 
 class CompileServer:
     """One resident JVM running CompileServer.java (protocol in that file).
-    Any number of threads may compile on it at once: requests are written
-    under a lock and one reader thread hands each reply to the caller that
-    waits on its id."""
+    Any number of threads may send requests on it at once: requests are
+    written under a lock and one reader thread hands each reply to the
+    caller that waits on its id."""
 
     def __init__(self, java: str):
         # The real Popen, not this module's `subprocess` name, which stands
@@ -184,9 +207,10 @@ class CompileServer:
             stderr=subprocess.DEVNULL,
         )
         self.answered = False
-        # set before the pool kills the server for one request's overrun,
-        # so the other requests in flight know they were not at fault
-        self.overrun = False
+        # Why this server is being retired (another request's overrun, or
+        # a refused reply), set before it is killed, so the other requests
+        # in flight know they were not at fault.
+        self.retired: str | None = None
         self._lock = threading.Lock()
         self._ids = itertools.count()
         self._waiting: dict[int, tuple[threading.Event, list]] = {}
@@ -194,10 +218,10 @@ class CompileServer:
         self._reader = threading.Thread(target=self._read, daemon=True)
         self._reader.start()
 
-    def compile(self, directory: str, budget_s: float) -> tuple[int, str] | None:
-        """Like _javac for directory/Main.java, with the diagnostics' paths
-        made relative as a javac run in `directory` prints them. Raises
-        EOFError if the JVM has exited."""
+    def request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes] | None:
+        """The (exit, body) reply to a `compile` or `run` request on
+        directory, or None when it overran budget_s. Raises EOFError if
+        the JVM has exited."""
         done, reply = threading.Event(), []
         with self._lock:
             if self._lost is not None:
@@ -205,7 +229,7 @@ class CompileServer:
             key = next(self._ids)
             self._waiting[key] = (done, reply)
             try:
-                self.proc.stdin.write(f"{key} {directory}\n".encode("utf-8"))
+                self.proc.stdin.write(f"{key} {kind} {directory}\n".encode("utf-8"))
                 self.proc.stdin.flush()
             except OSError as exc:
                 del self._waiting[key]
@@ -216,9 +240,7 @@ class CompileServer:
             return None
         if not reply:
             raise EOFError(self._lost)
-        code, body = reply[0]
-        diagnostics = body.decode(locale.getpreferredencoding(False), "replace")
-        return code, diagnostics.replace(directory + os.sep, "")
+        return reply[0]
 
     def close(self) -> None:
         """Kill the JVM and collect its exit status."""
@@ -243,6 +265,8 @@ class CompileServer:
             with self._lock:
                 waiter = self._waiting.pop(key, None)
                 self.answered = True
+                if code == _REFUSED and self.retired is None:
+                    self.retired = body.decode("ascii", "replace")
             if waiter is not None:
                 waiter[1].append((code, body))
                 waiter[0].set()
@@ -258,16 +282,19 @@ class CompileServer:
 class ExecPool:
     """A run's toolchain slots, its compile server and its outcome memo.
 
-    slot() bounds concurrent evaluations to `workers`. compile() sends every
-    compile to one lazily started CompileServer, so a run keeps at most one
-    compile JVM, however many slots compile at once. A compile that overruns
-    its budget kills that server; the other compiles in flight on it are
-    sent once more to a fresh one. The server runs on the `java` beside the
-    resolved `javac`; if it cannot start (no such `java`, a JDK older than
-    11, no jdk.compiler module), the pool logs it once and compiles with
-    javac processes from then on. A pool that is never asked to compile
-    (mock mode) starts no JVM. close() kills and reaps the server, so no JVM
-    outlives the run and its CPU time counts as the run's.
+    slot() bounds concurrent evaluations to `workers`. compile() and run()
+    send every compile and test run to one lazily started CompileServer, so
+    a run keeps at most one JVM, however many slots are busy at once. A
+    request that overruns its budget kills that server; the other requests
+    in flight on it are sent once more to a fresh one. A refused reply
+    retires the server too: a refused compile is sent once more, a refused
+    run runs as a `java Main` process, as does a run with a `java` other
+    than the server's. The server runs on the `java` beside the resolved
+    `javac`; if it cannot start (no such `java`, a JDK older than 11, no
+    jdk.compiler module), the pool logs it once and uses javac and
+    `java Main` processes from then on. A pool that is never asked to
+    compile (mock mode) starts no JVM. close() kills and reaps the server,
+    so no JVM outlives the run and its CPU time counts as the run's.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -280,10 +307,12 @@ class ExecPool:
         self._javac = javac
         found = shutil.which(javac)
         self._java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
+        self._server_java = _resolve(self._java)
         self._log = log or (lambda message: None)
         self._lock = threading.Lock()
         self._server: CompileServer | None = None
         self._outcomes: dict[object, OutcomeLabel] = {}
+        self._runs: Counter[str] = Counter()
 
     def __enter__(self) -> ExecPool:
         return self
@@ -306,26 +335,51 @@ class ExecPool:
         return outcome
 
     def compile(self, scratch: Path, budget_s: float) -> tuple[int, str] | None:
+        """Like _javac for scratch/Main.java, with the diagnostics' paths
+        made relative as a javac run in scratch prints them."""
         directory = os.path.abspath(scratch)
-        if _SERVABLE_PATH.fullmatch(directory):
-            for _ in range(2):
-                server = self._current()
-                if server is None:
-                    break
-                try:
-                    result = server.compile(directory, budget_s)
-                except EOFError as exc:
-                    self._retire(server)
-                    if server.overrun:
-                        continue  # another compile overran: once more on a fresh server
-                    if not server.answered:
-                        self._give_up(str(exc))
-                    break
-                if result is None:
-                    server.overrun = True
-                    self._retire(server)
-                return result
-        return _javac(self._javac, scratch, budget_s)
+        reply = self._request("compile", directory, budget_s)
+        if isinstance(reply, str):
+            return _javac(self._javac, scratch, budget_s)
+        if reply is None:
+            return None
+        code, body = reply
+        diagnostics = body.decode(locale.getpreferredencoding(False), "replace")
+        return code, diagnostics.replace(directory + os.sep, "")
+
+    def run(self, scratch: Path, budget_s: float, java: str) -> OutcomeLabel:
+        """The outcome of the compiled scratch/Main, as _java_main gives it."""
+        if self._server_java is not None and _resolve(java) != self._server_java:
+            reply = "other java"
+        else:
+            reply = self._request("run", os.path.abspath(scratch), budget_s)
+        if reply is None:
+            return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
+        if not isinstance(reply, str):
+            code, body = reply
+            try:
+                # as Popen(text=True) reads a pipe, so the detail is the same
+                output = body.decode(locale.getpreferredencoding(False))
+            except UnicodeDecodeError:
+                reply = "unsupported"
+            else:
+                self._count("resident JVM")
+                return _test_outcome(code, output.replace("\r\n", "\n").replace("\r", "\n"))
+        self._count(reply)
+        return _java_main(java, scratch, budget_s)
+
+    def run_summary(self) -> str | None:
+        """Where this pool's test runs went, or None if it ran none."""
+        with self._lock:
+            runs = dict(self._runs)
+        if not runs:
+            return None
+        served = runs.pop("resident JVM", 0)
+        reasons = ", ".join(f"{reason} {runs[reason]}" for reason in _FALLBACKS if reason in runs)
+        return (
+            f"exec: {served} test run(s) in the resident JVM, "
+            f"{sum(runs.values())} as java Main processes" + (f" ({reasons})" if reasons else "")
+        )
 
     def close(self) -> None:
         with self._lock:
@@ -334,12 +388,47 @@ class ExecPool:
         if server is not None:
             server.close()
 
+    def _request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes] | str | None:
+        """The server's (exit, body) reply, None when the request overran
+        budget_s, or why it must go to a process instead (_FALLBACKS)."""
+        if not _SERVABLE_PATH.fullmatch(directory):
+            return "path"
+        reason = "unavailable"
+        for _ in range(2):
+            server = self._current()
+            if server is None:
+                return "unavailable"
+            try:
+                reply = server.request(kind, directory, budget_s)
+            except EOFError as exc:
+                self._retire(server)
+                if server.retired is not None:
+                    reason = server.retired
+                    continue  # not this request's doing: once more on a fresh server
+                if not server.answered:
+                    self._give_up(str(exc))
+                return "unavailable"
+            if reply is None:
+                self._retire(server, "overrun")
+                return None
+            if reply[0] != _REFUSED:
+                return reply
+            reason = reply[1].decode("ascii", "replace")
+            self._retire(server)
+            if kind == "run":
+                return reason
+        return reason
+
+    def _count(self, where: str) -> None:
+        with self._lock:
+            self._runs[where] += 1
+
     def _current(self) -> CompileServer | None:
         with self._lock:
             if self._server is not None or self._java is None:
                 return self._server
             try:
-                # started under the lock, so concurrent first compiles share one
+                # started under the lock, so concurrent first requests share one
                 self._server = CompileServer(self._java)
                 return self._server
             except OSError as exc:
@@ -347,10 +436,12 @@ class ExecPool:
         self._give_up(reason)
         return None
 
-    def _retire(self, server: CompileServer) -> None:
+    def _retire(self, server: CompileServer, reason: str | None = None) -> None:
         with self._lock:
             if self._server is server:
                 self._server = None
+        if reason is not None and server.retired is None:
+            server.retired = reason
         server.close()
 
     def _give_up(self, reason: str) -> None:
@@ -358,7 +449,12 @@ class ExecPool:
             if self._java is None:
                 return
             self._java = None
-        self._log(f"exec: compile server unavailable ({reason}); compiling with javac processes")
+        self._log(f"exec: compile server unavailable ({reason}); using javac and java Main processes")
+
+
+def _resolve(tool: str | None) -> str | None:
+    found = shutil.which(tool) if tool else None
+    return os.path.realpath(found) if found else None
 
 
 def classify_compile_error(diagnostics: str, candidate: str) -> str:

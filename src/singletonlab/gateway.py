@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +24,9 @@ VALID_ROLES = ("system", "user", "assistant")
 
 # 4xx statuses that a later attempt may get past: request timeout, throttling.
 RETRIED_CLIENT_ERRORS = (408, 429)
+# Statuses whose Retry-After header (delay-seconds) sets the least wait
+# before the next attempt.
+RETRY_AFTER_STATUSES = (429, 503)
 
 
 class GatewayError(Exception):
@@ -66,7 +70,8 @@ def complete(
     HTTP failures (transport, bad status, malformed body, timeout) are
     retried up to `retries` times with exponential backoff before raising,
     except a 4xx status other than 408 and 429: the request itself is at
-    fault, so it raises after that one attempt.
+    fault, so it raises after that one attempt. A 429 or 503 with a
+    Retry-After of N seconds waits at least N seconds before the next.
     """
     if not history:
         raise ValueError("history must not be empty")
@@ -100,12 +105,14 @@ def _http_complete(
     last_error = ""
     attempt, attempts = 0, retries + 1
     for attempt in range(1, attempts + 1):
-        status = 0
+        status, retry_after = 0, 0
         try:
             response = requests.post(
                 spec.endpoint, json=payload, headers=headers, timeout=spec.timeout_s
             )
             status = response.status_code
+            if status in RETRY_AFTER_STATUSES:
+                retry_after = _delay_seconds(response.headers.get("Retry-After", ""))
             if status // 100 != 2:
                 raise GatewayError(f"HTTP {status}: {response.text[:200]}")
             body = response.json()
@@ -118,18 +125,65 @@ def _http_complete(
             if status // 100 == 4 and status not in RETRIED_CLIENT_ERRORS:
                 break
             if attempt < attempts:
-                time.sleep(backoff_s * 2 ** (attempt - 1))
+                time.sleep(max(backoff_s * 2 ** (attempt - 1), retry_after))
     raise GatewayError(
         f"{spec.model_id}: request failed after {attempt} attempts: {last_error}"
     )
 
 
-_limiters: dict[tuple[str | None, int], threading.BoundedSemaphore] = {}
+def _delay_seconds(value: str) -> int:
+    """A Retry-After header's delay-seconds; 0 for the HTTP-date form."""
+    value = value.strip()
+    return int(value) if value.isascii() and value.isdigit() else 0
+
+
+class FifoLimiter:
+    """A bounded semaphore that hands a released permit to its longest
+    waiter. With a plain semaphore, a thread that releases and at once
+    acquires again can take the permit ahead of a thread already waiting,
+    and that waiter's cell can starve."""
+
+    def __init__(self, cap: int):
+        self._cap = self._free = cap
+        self._lock = threading.Lock()
+        self._waiters: deque[threading.Lock] = deque()
+
+    def acquire(self, blocking: bool = True) -> bool:
+        with self._lock:
+            if self._free and not self._waiters:
+                self._free -= 1
+                return True
+            if not blocking:
+                return False
+            handoff = threading.Lock()
+            handoff.acquire()
+            self._waiters.append(handoff)
+        handoff.acquire()  # released by release(), with the permit
+        return True
+
+    def release(self) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            elif self._free < self._cap:
+                self._free += 1
+            else:
+                raise ValueError("limiter released too many times")
+
+    def __enter__(self) -> FifoLimiter:
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
+_limiters: dict[tuple[str | None, int], FifoLimiter] = {}
 _limiters_lock = threading.Lock()
 
 
-def endpoint_limiter(endpoint: str | None, cap: int = 4) -> threading.BoundedSemaphore:
-    """Semaphore shared by every caller with this endpoint and cap; callers
+def endpoint_limiter(endpoint: str | None, cap: int = 4) -> FifoLimiter:
+    """Limiter shared by every caller with this endpoint and cap; callers
     hold it around complete()."""
     with _limiters_lock:
-        return _limiters.setdefault((endpoint, cap), threading.BoundedSemaphore(cap))
+        return _limiters.setdefault((endpoint, cap), FifoLimiter(cap))

@@ -4,13 +4,20 @@ records, resume over what a previous invocation already finished."""
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import ModelSpec, RunConfig, config_digest, config_snapshot
 from .dataset import Task, load_tasks
-from .exec_harness import ExecPool, check_toolchain, evaluate_functionality, mock_evaluate
+from .exec_harness import (
+    TIMEOUT,
+    ExecPool,
+    check_toolchain,
+    evaluate_functionality,
+    mock_evaluate,
+)
 from .gateway import endpoint_limiter
 from .guidance import RunRecord, Strategy, run_task
 from .store import RunStore
@@ -60,6 +67,9 @@ def run_experiment(
     with ExecPool(settings.workers, settings.javac, log) as exec_pool:
         for spec, strategy, done, pending in arms:
             _run_arm(config, store, spec, strategy, done, pending, digest, exec_pool, on_record, log)
+    runs = exec_pool.run_summary()
+    if runs:
+        log(runs)
     return store
 
 
@@ -141,7 +151,7 @@ def _evaluate(
 
     def evaluate():
         with exec_pool.slot():
-            return evaluate_functionality(
+            outcome = evaluate_functionality(
                 record.selected_candidate,
                 task,
                 settings.budget_s,
@@ -151,6 +161,9 @@ def _evaluate(
                 adapt_tests=settings.test_adaptation,
                 compiler=exec_pool,
             )
+        if outcome.kind != TIMEOUT:  # a Timeout's scratch stays for inspection
+            shutil.rmtree(scratch, ignore_errors=True)
+        return outcome
 
     # a later arm's byte-identical candidate reuses the JVM verdict, slot-free
     return exec_pool.once((task.task_id, record.selected_candidate), evaluate)

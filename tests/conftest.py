@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -58,17 +59,20 @@ class StubHandler(BaseHTTPRequestHandler):
     requests: list[dict] = []
     failures_left = 0
     failure_status = 500
+    retry_after: str | None = None  # the Retry-After header of a failure
     body = "class A {}"
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
         type(self).requests.append(
-            {"payload": payload, "auth": self.headers.get("Authorization")}
+            {"payload": payload, "auth": self.headers.get("Authorization"), "at": time.monotonic()}
         )
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
             self.send_response(type(self).failure_status)
+            if type(self).retry_after is not None:
+                self.send_header("Retry-After", type(self).retry_after)
             self.end_headers()
             self.wfile.write(b"boom")
             return
@@ -91,10 +95,12 @@ def stub_server():
     StubHandler.requests = []
     StubHandler.failures_left = 0
     StubHandler.failure_status = 500
+    StubHandler.retry_after = None
     StubHandler.body = "class A {}"
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)

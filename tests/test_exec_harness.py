@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fnmatch import fnmatch
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from singletonlab import exec_harness, runner
 from singletonlab.cli import main
 from singletonlab.config import parse_config
-from singletonlab.dataset import load_tasks
+from singletonlab.dataset import Task, load_tasks
 from singletonlab.exec_harness import (
     COMPILE_ERROR,
     COMPILE_SERVER,
@@ -402,6 +403,9 @@ def test_one_shared_server_matches_javac_processes_under_concurrency(
         assert outcome == javac_process_outcomes[(task.task_id, name)], (task.task_id, name)
     assert len(started) == 1
     assert started[0].proc.returncode is not None
+    # every candidate that compiled ran its test in that JVM: no java Main process
+    compiled = sum(1 for _, name, _ in cases if EXPECTED[name][0] != COMPILE_ERROR)
+    assert pool.run_summary() == f"exec: {compiled} test run(s) in the resident JVM, 0 as java Main processes"
 
 
 def record_servers(monkeypatch) -> list:
@@ -440,7 +444,7 @@ def answer():
 
 threading.Thread(target=answer, daemon=True).start()
 for line in sys.stdin:
-    key, directory = line.rstrip("\\n").split(" ", 1)
+    key, kind, directory = line.rstrip("\\n").split(" ", 2)
     with lock:
         pending.append((key, directory))
 """
@@ -744,3 +748,256 @@ def test_javac_without_sibling_java_falls_back_to_javac_processes(
         assert evaluate("fallback", pool) == served
     assert started == []
     assert len(logs) == 1 and "compile server unavailable" in logs[0]
+    assert pool.run_summary() == (
+        "exec: 0 test run(s) in the resident JVM, 1 as java Main processes (unavailable 1)"
+    )
+
+
+# --- test runs in the resident JVM against java Main processes ------------------------
+
+
+def main_class(body: str) -> str:
+    return "public class Main {\n    public static void main(String[] args) throws Exception {\n" + body + "    }\n}\n"
+
+
+THROW = '        throw new AssertionError("checked");\n'
+# name: (candidate, test code, where the run goes: the resident JVM or the
+# reason it went to a java Main process, what the java Main outcome shows)
+ADVERSARIAL = {
+    "system-exit": (
+        "class Solution {}",
+        main_class('        System.out.println("bye");\n        System.exit(3);\n'),
+        "exit",
+        lambda outcome: outcome == OutcomeLabel(TEST_FAIL, "bye\n"),
+    ),
+    "leftover-thread": (
+        "class Solution {}",
+        main_class(
+            "        new Thread(() -> {\n"
+            "            try { Thread.sleep(1000); } catch (InterruptedException e) { }\n"
+            '            System.out.println("late");\n'
+            "        }).start();\n"
+            '        System.err.println("early");\n' + THROW
+        ),
+        "leftover thread",
+        lambda outcome: outcome.detail.startswith("early\n") and outcome.detail.endswith("late\n"),
+    ),
+    "leftover-daemon-thread": (
+        "class Solution {}",
+        main_class(
+            "        Thread t = new Thread(() -> {\n"
+            "            try { Thread.sleep(10000); } catch (InterruptedException e) { }\n"
+            "        });\n"
+            "        t.setDaemon(true);\n"
+            "        t.start();\n"
+        ),
+        "leftover thread",
+        lambda outcome: outcome == OutcomeLabel(PASS, ""),
+    ),
+    "set-out": (
+        "class Solution {}",
+        main_class(
+            "        System.setOut(new java.io.PrintStream(new java.io.ByteArrayOutputStream()));\n"
+            '        System.out.println("hidden");\n' + THROW
+        ),
+        "global state",
+        lambda outcome: outcome.kind == TEST_FAIL and "hidden" not in outcome.detail,
+    ),
+    "locale": (
+        "class Solution {}",
+        main_class(
+            "        java.util.Locale.setDefault(java.util.Locale.GERMANY);\n"
+            '        System.out.println(String.format("%.2f", 1.5));\n' + THROW
+        ),
+        "global state",
+        lambda outcome: outcome.detail.endswith("1,50\n"),
+    ),
+    "stdin": (
+        "class Solution {}",
+        main_class('        if (System.in.read() != -1) throw new AssertionError("stdin");\n'),
+        "resident JVM",
+        lambda outcome: outcome == OutcomeLabel(PASS, ""),
+    ),
+    "failing-static-initialiser": (
+        "class Solution {\n    static int zero = 0;\n    static int x = 1 / zero;\n}\n",
+        main_class("        System.out.println(Solution.x);\n"),
+        "resident JVM",
+        lambda outcome: outcome.detail.startswith(
+            'Exception in thread "main" java.lang.ExceptionInInitializerError\n\tat Main.main('
+        ),
+    ),
+    "failing-main-initialiser": (
+        "class Solution {}",
+        "public class Main {\n    static int[] none = new int[-1];\n"
+        "    public static void main(String[] args) { }\n}\n",
+        "resident JVM",
+        lambda outcome: outcome.detail.startswith(
+            'Exception in thread "main" java.lang.ExceptionInInitializerError\n'
+            "Caused by: java.lang.NegativeArraySizeException"
+        ),
+    ),
+    "cause-chain": (
+        "class Solution {\n    static void fail() {\n        try {\n"
+        '            throw new IllegalStateException("root");\n'
+        "        } catch (IllegalStateException e) {\n"
+        '            RuntimeException wrapped = new RuntimeException("middle", e);\n'
+        '            wrapped.addSuppressed(new Error("suppressed"));\n'
+        "            throw wrapped;\n        }\n    }\n}\n",
+        main_class(
+            "        try {\n            Solution.fail();\n        } catch (RuntimeException e) {\n"
+            '            throw new AssertionError("outer", e);\n        }\n'
+        ),
+        "resident JVM",
+        lambda outcome: all(
+            line in outcome.detail
+            for line in ("Caused by: java.lang.RuntimeException: middle", "\tSuppressed: java.lang.Error",
+                         "Caused by: java.lang.IllegalStateException: root", "... 1 more")
+        ),
+    ),
+    "mixed-output": (
+        "class Solution {}",
+        main_class(
+            '        System.out.println("stdout caf\\u00e9 \\u2713");\n'
+            '        System.err.print("stderr \\u00fcber\\r\\n");\n'
+            '        System.out.print("no newline");\n' + THROW
+        ),
+        "resident JVM",
+        lambda outcome: outcome.detail.startswith("stderr \u00fcber\nException in thread")
+        and outcome.detail.endswith("stdout caf\u00e9 \u2713\nno newline"),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def resident_pool():
+    if find_jdk() is None:
+        pytest.skip("no JDK (javac/java) on PATH")
+    with ExecPool(2, jdk_tools()[0]) as pool:
+        yield pool
+
+
+def run_both(pool: ExecPool, candidate: str, test_code: str, scratch: Path) -> tuple[OutcomeLabel, OutcomeLabel, Counter]:
+    """(the run in `pool`, a java Main process on the same classes, where
+    the pool's runs went meanwhile)."""
+    javac, java = jdk_tools()
+    task = Task("adversarial/0", "", "", "Solution", test_code)
+    before = Counter(pool._runs)
+    served = evaluate_functionality(
+        candidate, task, 30, scratch_dir=scratch, javac=javac, java=java, compiler=pool
+    )
+    went = Counter(pool._runs) - before
+    assert served.kind != COMPILE_ERROR, served.detail
+    return served, exec_harness._java_main(java, scratch, 30), went
+
+
+@requires_jdk
+@pytest.mark.parametrize("name", list(ADVERSARIAL))
+def test_adversarial_runs_match_java_main_processes(tmp_path, resident_pool, name):
+    candidate, test_code, where, shows = ADVERSARIAL[name]
+    served, process, went = run_both(resident_pool, candidate, test_code, tmp_path)
+    assert shows(process), process  # the case does exercise what it names
+    assert served == process
+    assert went == Counter({where: 1})
+
+
+@requires_jdk
+def test_a_static_counter_starts_fresh_on_every_run(tmp_path, resident_pool):
+    candidate = "class Solution {\n    static int runs = 0;\n}\n"
+    test_code = main_class(
+        "        Solution.runs++;\n"
+        '        if (Solution.runs != 1) throw new AssertionError("runs " + Solution.runs);\n'
+    )
+    for attempt in ("first", "second"):
+        served, process, went = run_both(resident_pool, candidate, test_code, tmp_path / attempt)
+        assert served == process == OutcomeLabel(PASS, "")
+        assert went == Counter({"resident JVM": 1})
+
+
+@requires_jdk
+def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, monkeypatch):
+    started = record_servers(monkeypatch)
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    slow = canonical + "".join(
+        f"class Pad{i} {{ int f(int x) {{ return x * {i} + {i}; }} }}\n" for i in range(400)
+    )
+    looping = "class Solution {\n    public int add(int a, int b) {\n        while (true) { }\n    }\n}\n"
+
+    def evaluate(pool: ExecPool, candidate: str, name: str) -> OutcomeLabel:
+        return evaluate_functionality(
+            candidate, task, 30, scratch_dir=tmp_path / name, javac=javac, java=java, compiler=pool,
+        )
+
+    with ExecPool(2, javac) as pool, ThreadPoolExecutor(max_workers=1) as other:
+        assert evaluate(pool, canonical, "warm").kind == PASS
+        loop_dir = tmp_path / "loop"
+        loop_dir.mkdir()
+        (loop_dir / "Main.java").write_text(looping + "\n\n" + task.test_code, encoding="utf-8")
+        assert pool.compile(loop_dir, 30) == (0, "")
+        in_flight = other.submit(evaluate, pool, slow, "in-flight")
+        deadline = time.monotonic() + 30
+        while not started[0]._waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert started[0]._waiting, "the slow compile never reached the server"
+        assert pool.run(loop_dir, 0.2, java) == OutcomeLabel(TIMEOUT, "test run exceeded 0.2s")
+        assert in_flight.result(timeout=120) == OutcomeLabel(PASS, "")
+    assert len(started) == 2  # the killed server and the fresh one the slow compile went to
+    assert all(server.proc.returncode is not None for server in started)
+
+
+@requires_jdk
+def test_a_wrapper_java_gets_java_main_processes(tmp_path, resident_pool):
+    javac, java = jdk_tools()
+    calls = tmp_path / "calls.log"
+    wrapper = tmp_path / "bin" / "java"
+    wrapper.parent.mkdir()
+    wrapper.write_text(
+        f'#!/bin/sh\necho "$@" >> {shlex.quote(str(calls))}\n'
+        f'exec {shlex.quote(os.path.realpath(java))} "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    task = load_tasks(JDK_TASKS).tasks[0]
+    variants = candidate_variants(task, jdk_fixture_rows()[0])
+    before = Counter(resident_pool._runs)
+    outcomes = [
+        evaluate_functionality(
+            variants[name], task, 30, scratch_dir=tmp_path / name, javac=javac, java=str(wrapper),
+            compiler=resident_pool,
+        )
+        for name in ("canonical", "mutant")
+    ]
+    assert [o.kind for o in outcomes] == [PASS, TEST_FAIL]
+    assert calls.read_text().splitlines() == ["Main", "Main"]
+    assert Counter(resident_pool._runs) - before == Counter({"other java": 2})
+
+
+@requires_jdk
+def test_a_scratch_path_outside_printable_ascii_gets_processes(tmp_path, resident_pool):
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    before = Counter(resident_pool._runs)
+    outcome = evaluate_functionality(
+        canonical, task, 30, scratch_dir=tmp_path / "caf\u00e9", javac=javac, java=java,
+        compiler=resident_pool,
+    )
+    assert outcome == OutcomeLabel(PASS, "")
+    assert Counter(resident_pool._runs) - before == Counter({"path": 1})
+
+
+@requires_jdk
+def test_jdk_run_keeps_only_timeout_scratch_and_logs_where_runs_went(tmp_path):
+    raw = jdk_run_config(tmp_path)
+    raw["exec"]["budget_s"] = 2
+    second = load_tasks(raw["dataset"]).tasks[1]
+    looping = second.declaration + "        while (true) { }\n    }\n}\n"
+    raw["models"][0]["script"]["tasks"][second.task_id] = ["```java\n" + looping + "```"]
+    logs: list[str] = []
+    store = run_experiment(parse_config(raw), log=logs.append)
+    outcomes = {r.task_id: r.functional_outcome.kind for r in store.load_records("scripted", "baseline")}
+    assert sorted(outcomes.values()) == [PASS, TIMEOUT]
+    scratch_root = tmp_path / "store" / "scratch"
+    left = sorted(path.parent.name for path in scratch_root.rglob("Main.java"))
+    assert left == [runner._safe(second.task_id)]
+    assert "exec: 1 test run(s) in the resident JVM, 0 as java Main processes" in logs

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from singletonlab.config import ModelSpec
@@ -141,6 +145,21 @@ def test_http_timeout_and_throttle_statuses_are_retried(stub_server, status):
     assert len(StubHandler.requests) == 3
 
 
+@pytest.mark.parametrize(
+    "status, retry_after, least_wait",
+    [(429, "1", 1.0), (503, " 1 ", 1.0), (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0), (500, "1", 0.0)],
+)
+def test_http_retry_after_seconds_delay_the_next_attempt(stub_server, status, retry_after, least_wait):
+    StubHandler.failures_left = 1
+    StubHandler.failure_status = status
+    StubHandler.retry_after = retry_after
+    complete(handle(stub_server), HISTORY, retries=1, backoff_s=0.01)
+    first, second = (request["at"] for request in StubHandler.requests)
+    assert second - first >= least_wait
+    if least_wait == 0.0:
+        assert second - first < 1.0  # the date form, or another status: backoff alone
+
+
 def test_http_transport_failure():
     dead = handle("http://127.0.0.1:1/v1/chat", timeout_s=1)
     with pytest.raises(GatewayError, match="test-model"):
@@ -171,3 +190,31 @@ def test_endpoint_limiter_is_shared_and_bounded():
     assert [wider.acquire(blocking=False) for _ in range(4)] == [True, True, True, False]
     for _ in range(3):
         wider.release()
+
+
+def test_endpoint_limiter_hands_a_released_permit_to_its_waiter():
+    limiter = endpoint_limiter("http://example.test/fifo", cap=1)
+    assert limiter.acquire(blocking=False)
+    got = threading.Event()
+
+    def wait_for_permit():
+        limiter.acquire()
+        got.set()
+        limiter.release()
+
+    waiter = threading.Thread(target=wait_for_permit, daemon=True)
+    waiter.start()
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:  # until the waiter is parked in acquire
+        frame = sys._current_frames().get(waiter.ident)
+        if frame is not None and frame.f_code.co_name in ("acquire", "wait"):
+            break
+        time.sleep(0.001)
+    limiter.release()
+    # the releasing thread starts its next cell at once: it must queue
+    assert not limiter.acquire(blocking=False)
+    assert got.wait(10)
+    waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert limiter.acquire(blocking=False)
+    limiter.release()
