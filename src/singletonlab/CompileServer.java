@@ -10,6 +10,7 @@ import java.io.OutputStream;
 import java.io.PrintStream;
 import java.lang.invoke.MethodHandle;
 import java.lang.invoke.MethodHandles;
+import java.lang.reflect.Field;
 import java.lang.reflect.Method;
 import java.lang.reflect.Modifier;
 import java.net.URL;
@@ -19,19 +20,24 @@ import java.nio.charset.StandardCharsets;
 import java.util.Arrays;
 import java.util.Collections;
 import java.util.HashMap;
+import java.util.HashSet;
 import java.util.IdentityHashMap;
 import java.util.List;
 import java.util.Locale;
+import java.util.Map;
 import java.util.Set;
 import java.util.TimeZone;
 import java.util.concurrent.ConcurrentHashMap;
+import java.util.function.Supplier;
 import javax.tools.JavaCompiler;
 import javax.tools.ToolProvider;
+import sun.misc.Unsafe;
 
 /**
  * Resident javac and java: compiles scratch Main.java files and runs the
  * compiled Main classes in this JVM, several at once.
  *
+ * Once set up, it writes the line "ready"; a request's time starts there.
  * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
  * absolute scratch directory. Each request runs on its own thread. Reply: a
  * header line "<id> <exit> <nbytes>", then nbytes of body; replies come in
@@ -42,28 +48,36 @@ import javax.tools.ToolProvider;
  * The sender then compiles elsewhere or runs a java Main process, and retires
  * this JVM. A run is refused when a thread of it outlives main, when it
  * calls System.exit (every request in flight is refused as the JVM ends),
- * and when the launcher would do something this class does not reproduce.
- * Once the JVM-global state differs from its startup snapshot, this and
- * every later reply is refused. At end of input the JVM exits once the
- * requests in flight have answered.
- * Launched in source-file mode: java CompileServer.java
+ * when it closes System.in, System.out or System.err, and when the launcher
+ * would do something this class does not reproduce. Once the JVM-global
+ * state differs from its startup snapshot, this and every later reply is
+ * refused.
+ * At end of input the JVM exits once the requests in flight have answered.
+ * Launched in source-file mode with -XX:+ExitOnOutOfMemoryError, so a run
+ * that fills the shared heap ends the JVM before any reply it could spoil.
  */
 public class CompileServer {
     static final int REFUSED = -1;
     static final OutputStream REPLIES = new FileOutputStream(FileDescriptor.out);
     static final Set<String> IN_FLIGHT = ConcurrentHashMap.newKeySet();
-    /** A run's {stdout, stderr}; threads the run starts inherit it. */
-    static final InheritableThreadLocal<ByteArrayOutputStream[]> OUTPUT = new InheritableThreadLocal<>();
+    /** The current run's output; threads the run starts inherit it. */
+    static final InheritableThreadLocal<Output> OUTPUT = new InheritableThreadLocal<>();
+    /** The application's shutdown hooks: a java Main process runs them at exit, this JVM never does. */
+    static final Supplier<Object> HOOKS = hooksReader();
     static List<Object> startup;
     static volatile String refusal;
 
     public static void main(String[] args) throws IOException {
         JavaCompiler javac = ToolProvider.getSystemJavaCompiler();
         BufferedReader in = new BufferedReader(new InputStreamReader(System.in, StandardCharsets.UTF_8));
-        System.setIn(new ByteArrayInputStream(new byte[0]));
-        System.setOut(new PrintStream(new Redirect(0), true, launcherCharset("stdout")));
-        System.setErr(new PrintStream(new Redirect(1), true, launcherCharset("stderr")));
-        startup = globals();
+        System.setIn(new ByteArrayInputStream(new byte[0]) {
+            @Override
+            public void close() {
+                closed();
+            }
+        });
+        System.setOut(new Stdio(0, "stdout"));
+        System.setErr(new Stdio(1, "stderr"));
         Runtime.getRuntime().addShutdownHook(new Thread(() -> {
             refusal = "exit";
             synchronized (REPLIES) {
@@ -73,6 +87,8 @@ public class CompileServer {
                 IN_FLIGHT.clear();
             }
         }));
+        startup = globals(); // after the hook above, which is part of it
+        REPLIES.write("ready\n".getBytes(StandardCharsets.US_ASCII));
         for (String line; (line = in.readLine()) != null; ) {
             String[] request = line.split(" ", 3);
             String id = request[0];
@@ -96,7 +112,7 @@ public class CompileServer {
 
     /** Runs dir/Main as the java launcher would, on a thread named main. */
     static void run(String id, String dir) throws Exception {
-        ByteArrayOutputStream[] output = {new ByteArrayOutputStream(), new ByteArrayOutputStream()};
+        Output output = new Output();
         URL[] classpath = {new File(dir).toURI().toURL()};
         try (URLClassLoader loader = new URLClassLoader(classpath, ClassLoader.getPlatformClassLoader())) {
             // not initialised here: <clinit> runs inside main's invocation, as under the launcher
@@ -130,10 +146,10 @@ public class CompileServer {
             thread.setContextClassLoader(loader);
             thread.start();
             thread.join();
-            byte[] err = output[1].toByteArray(), out = output[0].toByteArray();
+            byte[] err = output.streams[1].toByteArray(), out = output.streams[0].toByteArray();
             if (group.activeCount() > 0) {
                 refuse(id, "leftover thread");
-            } else if (exit[0] == REFUSED
+            } else if (exit[0] == REFUSED || output.closed
                     || err.length > 0 && err[err.length - 1] == '\r' && out.length > 0 && out[0] == '\n') {
                 // the process path decodes each stream apart: "\r" + "\n" is two line ends there
                 refuse(id, "unsupported");
@@ -214,13 +230,65 @@ public class CompileServer {
         return Arrays.asList(
             Locale.getDefault(), Locale.getDefault(Locale.Category.DISPLAY),
             Locale.getDefault(Locale.Category.FORMAT), zone, new HashMap<>(System.getProperties()),
-            Thread.getDefaultUncaughtExceptionHandler(), System.in, System.out, System.err);
+            Thread.getDefaultUncaughtExceptionHandler(), System.in, System.out, System.err, HOOKS.get());
+    }
+
+    /**
+     * Reads the application's shutdown hooks through sun.misc.Unsafe, as
+     * java.lang is not open to this class; where this JDK does not allow
+     * that, a constant, and hooks go unseen.
+     */
+    static Supplier<Object> hooksReader() {
+        try {
+            Field theUnsafe = Unsafe.class.getDeclaredField("theUnsafe");
+            theUnsafe.setAccessible(true);
+            Unsafe unsafe = (Unsafe) theUnsafe.get(null);
+            Class<?> owner = Class.forName("java.lang.ApplicationShutdownHooks");
+            Field field = owner.getDeclaredField("hooks");
+            Object base = unsafe.staticFieldBase(field);
+            long offset = unsafe.staticFieldOffset(field);
+            return () -> {
+                synchronized (owner) { // its add and remove hold this lock
+                    Map<?, ?> hooks = (Map<?, ?>) unsafe.getObject(base, offset);
+                    return hooks == null ? null : new HashSet<>(hooks.keySet()); // null once shutdown began
+                }
+            };
+        } catch (ReflectiveOperationException | RuntimeException e) {
+            return () -> "unreadable";
+        }
+    }
+
+    /** A standard stream was closed: the current run is refused, as java Main drops what follows. */
+    static void closed() {
+        Output output = OUTPUT.get();
+        if (output != null) {
+            output.closed = true;
+        }
     }
 
     /** The charset the launcher gives System.out or System.err on a pipe. */
     static Charset launcherCharset(String stream) {
         String name = System.getProperty(stream + ".encoding", System.getProperty("sun." + stream + ".encoding"));
         return name == null ? Charset.defaultCharset() : Charset.forName(name);
+    }
+
+    /** One run's {stdout, stderr}, and whether it closed a standard stream. */
+    static final class Output {
+        final ByteArrayOutputStream[] streams = {new ByteArrayOutputStream(), new ByteArrayOutputStream()};
+        volatile boolean closed;
+    }
+
+    /** System.out or System.err. It stays open for later runs: close() only flushes and refuses the run. */
+    static final class Stdio extends PrintStream {
+        Stdio(int stream, String name) {
+            super(new Redirect(stream), true, launcherCharset(name));
+        }
+
+        @Override
+        public void close() {
+            flush();
+            closed();
+        }
     }
 
     /** System.out (0) or System.err (1): writes to the current run's buffer, or nowhere. */
@@ -233,17 +301,17 @@ public class CompileServer {
 
         @Override
         public void write(int b) {
-            ByteArrayOutputStream[] output = OUTPUT.get();
+            Output output = OUTPUT.get();
             if (output != null) {
-                output[stream].write(b);
+                output.streams[stream].write(b);
             }
         }
 
         @Override
         public void write(byte[] b, int off, int len) {
-            ByteArrayOutputStream[] output = OUTPUT.get();
+            Output output = OUTPUT.get();
             if (output != null) {
-                output[stream].write(b, off, len);
+                output.streams[stream].write(b, off, len);
             }
         }
     }

@@ -52,10 +52,23 @@ _SERVABLE_PATH = re.compile(r"[ -~]+")
 # The exit of a server reply that the server cannot vouch for; its body
 # names the reason (see CompileServer.java).
 _REFUSED = -1
+# The server's JVM flags. An OutOfMemoryError anywhere ends the JVM with
+# _OUT_OF_MEMORY before any thread can reply (the heap is shared by every
+# compile and run in flight), and the VM's own message goes to stderr, not
+# into the replies on stdout. A test's Runtime.halt(3) ends it the same way
+# and is handled the same way.
+_SERVER_FLAGS = (
+    "-XX:TieredStopAtLevel=1", "-XX:+ExitOnOutOfMemoryError", "-XX:+DisplayVMOutputToStderr",
+)
+_OUT_OF_MEMORY = 3
+# How long a request waits for a new server's "ready" line (its start-up
+# compiles CompileServer.java) before the pool gives the server up. The
+# request's own budget starts after it.
+_START_S = 120
 # Why a test run went to a `java Main` process instead of the server, in
 # the order ExecPool.run_summary() lists them.
 _FALLBACKS = (
-    "exit", "leftover thread", "global state", "overrun", "other java", "path",
+    "exit", "leftover thread", "global state", "memory", "overrun", "other java", "path",
     "unavailable", "unsupported",
 )
 _Popen = subprocess.Popen
@@ -196,20 +209,23 @@ class CompileServer:
     written under a lock and one reader thread hands each reply to the
     caller that waits on its id."""
 
-    def __init__(self, java: str):
+    def __init__(self, java: str, cwd: str | Path | None = None):
         # The real Popen, not this module's `subprocess` name, which stands
         # for the per-cell javac/java launches (perfbench/tracer.py times
         # each of those until communicate()); the server lives for the run.
         self.proc = _Popen(
-            [java, "-XX:TieredStopAtLevel=1", str(COMPILE_SERVER)],
+            [java, *_SERVER_FLAGS, os.path.abspath(COMPILE_SERVER)],
+            cwd=cwd,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
         )
-        self.answered = False
-        # Why this server is being retired (another request's overrun, or
-        # a refused reply), set before it is killed, so the other requests
-        # in flight know they were not at fault.
+        self.started = False  # it has written its "ready" line
+        self._up = threading.Event()  # set once it is ready, or has exited
+        # Why this server is being retired (another request's overrun, a
+        # refused reply, or "memory" once the JVM ended on an
+        # OutOfMemoryError), set before the waiters are woken, so the other
+        # requests in flight know they were not at fault.
         self.retired: str | None = None
         self._lock = threading.Lock()
         self._ids = itertools.count()
@@ -234,6 +250,10 @@ class CompileServer:
             except OSError as exc:
                 del self._waiting[key]
                 raise EOFError(f"compile server stopped reading: {exc}") from exc
+        if not self._up.wait(_START_S):
+            with self._lock:
+                self._waiting.pop(key, None)
+            raise EOFError(f"compile server not ready after {_START_S}s")
         if not done.wait(budget_s):
             with self._lock:
                 self._waiting.pop(key, None)
@@ -254,7 +274,11 @@ class CompileServer:
 
     def _read(self) -> None:
         out = self.proc.stdout
-        while True:
+        ready = out.readline() == b"ready\n"
+        with self._lock:
+            self.started = ready
+        self._up.set()
+        while ready:
             try:
                 key, code, size = map(int, out.readline().split())
             except ValueError:  # end of output, or a line that is no reply
@@ -264,7 +288,6 @@ class CompileServer:
                 break
             with self._lock:
                 waiter = self._waiting.pop(key, None)
-                self.answered = True
                 if code == _REFUSED and self.retired is None:
                     self.retired = body.decode("ascii", "replace")
             if waiter is not None:
@@ -273,6 +296,8 @@ class CompileServer:
         self.proc.kill()  # no-op once it has exited; the waiters must not wait on it
         status = self.proc.wait()
         with self._lock:
+            if status == _OUT_OF_MEMORY and self.retired is None:
+                self.retired = "memory"
             self._lost = f"compile server exited with {status}"
             waiting, self._waiting = self._waiting, {}
         for done, _ in waiting.values():
@@ -289,12 +314,17 @@ class ExecPool:
     in flight on it are sent once more to a fresh one. A refused reply
     retires the server too: a refused compile is sent once more, a refused
     run runs as a `java Main` process, as does a run with a `java` other
-    than the server's. The server runs on the `java` beside the resolved
-    `javac`; if it cannot start (no such `java`, a JDK older than 11, no
-    jdk.compiler module), the pool logs it once and uses javac and
-    `java Main` processes from then on. A pool that is never asked to
-    compile (mock mode) starts no JVM. close() kills and reaps the server,
-    so no JVM outlives the run and its CPU time counts as the run's.
+    than the server's. When the JVM ends on an OutOfMemoryError, no request
+    in flight on it can be trusted, nor sent again (the one that filled
+    the heap is among them): each goes to a javac or `java Main` process.
+    The server starts in scratch_root, so relative paths a run opens land
+    there, not in the caller's directory (they are not the cell's own
+    directory, as they are for `java Main`). The server runs on the `java`
+    beside the resolved `javac`; if it cannot start (no such `java`, a JDK
+    older than 11, no jdk.compiler module), the pool logs it once and uses
+    javac and `java Main` processes from then on. A pool that is never
+    asked to compile (mock mode) starts no JVM. close() kills and reaps the
+    server, so no JVM outlives the run and its CPU time counts as the run's.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -302,8 +332,9 @@ class ExecPool:
     two calls with one key overlap.)
     """
 
-    def __init__(self, workers: int, javac: str = "javac", log=None):
+    def __init__(self, workers: int, javac: str = "javac", log=None, scratch_root: str | Path | None = None):
         self._slots = threading.Semaphore(max(1, workers))
+        self._scratch_root = scratch_root
         self._javac = javac
         found = shutil.which(javac)
         self._java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
@@ -402,10 +433,12 @@ class ExecPool:
                 reply = server.request(kind, directory, budget_s)
             except EOFError as exc:
                 self._retire(server)
+                if server.retired == "memory":
+                    return "memory"
                 if server.retired is not None:
                     reason = server.retired
                     continue  # not this request's doing: once more on a fresh server
-                if not server.answered:
+                if not server.started:
                     self._give_up(str(exc))
                 return "unavailable"
             if reply is None:
@@ -429,7 +462,9 @@ class ExecPool:
                 return self._server
             try:
                 # started under the lock, so concurrent first requests share one
-                self._server = CompileServer(self._java)
+                if self._scratch_root is not None:
+                    os.makedirs(self._scratch_root, exist_ok=True)
+                self._server = CompileServer(self._java, self._scratch_root)
                 return self._server
             except OSError as exc:
                 reason = f"cannot run {self._java!r}: {exc}"

@@ -71,7 +71,9 @@ def complete(
     retried up to `retries` times with exponential backoff before raising,
     except a 4xx status other than 408 and 429: the request itself is at
     fault, so it raises after that one attempt. A 429 or 503 with a
-    Retry-After of N seconds waits at least N seconds before the next.
+    Retry-After of N seconds waits at least N seconds before the next,
+    up to the model's timeout_s: the header comes from outside, and an
+    hour's wait would hold the cell's endpoint permit all that time.
     """
     if not history:
         raise ValueError("history must not be empty")
@@ -112,7 +114,7 @@ def _http_complete(
             )
             status = response.status_code
             if status in RETRY_AFTER_STATUSES:
-                retry_after = _delay_seconds(response.headers.get("Retry-After", ""))
+                retry_after = min(_delay_seconds(response.headers.get("Retry-After", "")), spec.timeout_s)
             if status // 100 != 2:
                 raise GatewayError(f"HTTP {status}: {response.text[:200]}")
             body = response.json()

@@ -64,7 +64,7 @@ def run_experiment(
     if jdk and resumed and any(pending for *_, pending in arms):
         check_toolchain(settings.javac, settings.java)
     # closing the pool reaps its compile server, on success and on error
-    with ExecPool(settings.workers, settings.javac, log) as exec_pool:
+    with ExecPool(settings.workers, settings.javac, log, _scratch_root(config)) as exec_pool:
         for spec, strategy, done, pending in arms:
             _run_arm(config, store, spec, strategy, done, pending, digest, exec_pool, on_record, log)
     runs = exec_pool.run_summary()
@@ -141,9 +141,7 @@ def _evaluate(
         with exec_pool.slot():  # bounded toolchain workers across the whole run
             return mock_evaluate(record.selected_candidate)
     scratch = (
-        Path(config.output_dir)
-        / "scratch"
-        / config.run_id
+        _scratch_root(config)
         / _safe(spec.model_id)
         / strategy.kind
         / _safe(task.task_id)
@@ -167,6 +165,11 @@ def _evaluate(
 
     # a later arm's byte-identical candidate reuses the JVM verdict, slot-free
     return exec_pool.once((task.task_id, record.selected_candidate), evaluate)
+
+
+def _scratch_root(config: RunConfig) -> Path:
+    """The run's scratch directory: one subdirectory per cell below it."""
+    return Path(config.output_dir) / "scratch" / config.run_id
 
 
 def _safe(value: str) -> str:

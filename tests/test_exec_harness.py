@@ -412,8 +412,8 @@ def record_servers(monkeypatch) -> list:
     started = []
 
     class Recorded(exec_harness.CompileServer):
-        def __init__(self, java: str):
-            super().__init__(java)
+        def __init__(self, *args):
+            super().__init__(*args)
             started.append(self)
 
     monkeypatch.setattr(exec_harness, "CompileServer", Recorded)
@@ -443,6 +443,8 @@ def answer():
             order.flush()
 
 threading.Thread(target=answer, daemon=True).start()
+sys.stdout.buffer.write(b"ready\\n")
+sys.stdout.buffer.flush()
 for line in sys.stdin:
     key, kind, directory = line.rstrip("\\n").split(" ", 2)
     with lock:
@@ -600,6 +602,26 @@ def test_overrun_compile_kills_its_server_and_the_next_compile_respawns(tmp_path
         assert evaluate("respawned", 30).kind == PASS
         assert len(started) == 2
     assert started[1].proc.returncode is not None
+
+
+@requires_jdk
+def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
+    javac, java = jdk_tools()
+    bin_dir = tmp_path / "slow-jdk"
+    bin_dir.mkdir()
+    # a JDK whose java takes a second longer to start than the whole budget
+    for tool, real, pause in (("javac", javac, ""), ("java", java, "sleep 1\n")):
+        (bin_dir / tool).write_text(f'#!/bin/sh\n{pause}exec {shlex.quote(os.path.realpath(real))} "$@"\n')
+        (bin_dir / tool).chmod(0o755)
+    task = load_tasks(JDK_TASKS).tasks[0]
+    scratch = tmp_path / "cell"
+    scratch.mkdir()
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    (scratch / "Main.java").write_text(canonical + "\n\n" + task.test_code, encoding="utf-8")
+    logs: list[str] = []
+    with ExecPool(1, str(bin_dir / "javac"), logs.append) as pool:
+        assert pool.compile(scratch, 0.5) == (0, "")
+        assert pool._server is not None and pool._server.started and logs == []
 
 
 @requires_jdk
@@ -812,6 +834,26 @@ ADVERSARIAL = {
         "global state",
         lambda outcome: outcome.detail.endswith("1,50\n"),
     ),
+    "close-stdout": (
+        "class Solution {}",
+        main_class(
+            "        try (java.io.PrintWriter w = new java.io.PrintWriter(System.out)) {\n"
+            '            w.println("closed");\n'
+            "        }\n"
+            '        System.out.println("dropped");\n' + THROW
+        ),
+        "unsupported",
+        lambda outcome: outcome.detail.endswith("closed\n") and "dropped" not in outcome.detail,
+    ),
+    "shutdown-hook": (
+        "class Solution {}",
+        main_class(
+            '        Runtime.getRuntime().addShutdownHook(new Thread(() -> System.out.println("hook")));\n'
+            + THROW
+        ),
+        "global state",
+        lambda outcome: outcome.kind == TEST_FAIL and outcome.detail.endswith("hook\n"),
+    ),
     "stdin": (
         "class Solution {}",
         main_class('        if (System.in.read() != -1) throw new AssertionError("stdin");\n'),
@@ -911,6 +953,85 @@ def test_a_static_counter_starts_fresh_on_every_run(tmp_path, resident_pool):
         served, process, went = run_both(resident_pool, candidate, test_code, tmp_path / attempt)
         assert served == process == OutcomeLabel(PASS, "")
         assert went == Counter({"resident JVM": 1})
+
+
+@requires_jdk
+def test_a_run_after_one_that_closed_stdout_keeps_its_output(tmp_path, resident_pool):
+    closing, closing_test, *_ = ADVERSARIAL["close-stdout"]
+    served, process, went = run_both(resident_pool, closing, closing_test, tmp_path / "closing")
+    assert served == process and went == Counter({"unsupported": 1})
+    later = main_class('        System.out.println("still here");\n' + THROW)
+    served, process, went = run_both(resident_pool, "class Solution {}", later, tmp_path / "later")
+    assert served == process and process.detail.endswith("still here\n")
+    assert went == Counter({"resident JVM": 1})
+
+
+@requires_jdk
+def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tmp_path, monkeypatch):
+    # a server heap too small for the greedy run, which a java Main heap holds
+    monkeypatch.setattr(exec_harness, "_SERVER_FLAGS", (*exec_harness._SERVER_FLAGS, "-Xmx128m"))
+    started = record_servers(monkeypatch)
+    javac_processes: list[Path] = []
+    javac_process = exec_harness._javac
+    monkeypatch.setattr(
+        exec_harness, "_javac", lambda *args: javac_processes.append(args[1]) or javac_process(*args)
+    )
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    slow = canonical + "".join(
+        f"class Pad{i} {{ int f(int x) {{ return x * {i} + {i}; }} }}\n" for i in range(400)
+    )
+    logs: list[str] = []
+    with ExecPool(3, javac, logs.append) as pool, ThreadPoolExecutor(max_workers=2) as other:
+
+        def compiled(name: str, body: str) -> Path:
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / "Main.java").write_text("class Solution {}\n\n" + main_class(body), encoding="utf-8")
+            assert pool.compile(directory, 30) == (0, "")
+            return directory
+
+        sleeping = compiled("sleeping", "        Thread.sleep(2000);\n")
+        greedy = compiled("greedy", "        byte[] b = new byte[160 << 20];\n        System.out.println(b.length);\n")
+        in_flight = [
+            other.submit(
+                evaluate_functionality, slow, task, 30, scratch_dir=tmp_path / "slow", javac=javac,
+                java=java, compiler=pool,
+            ),
+            other.submit(pool.run, sleeping, 30, java),
+        ]
+        deadline = time.monotonic() + 30
+        while len(started[0]._waiting) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(started[0]._waiting) == 2, "the slow compile and the sleeping run never met in the server"
+        served = pool.run(greedy, 30, java)
+        assert [future.result(timeout=120) for future in in_flight] == [OutcomeLabel(PASS, "")] * 2
+    process = exec_harness._java_main(java, greedy, 30)
+    assert process.kind == PASS  # the case does exercise what it names
+    assert served == process
+    assert started[0].proc.returncode == exec_harness._OUT_OF_MEMORY
+    assert javac_processes == [tmp_path / "slow"]  # the compile in flight went to a javac process
+    # the two runs in flight went to java Main processes; the slow candidate's run to a fresh server
+    assert Counter(pool._runs) == Counter({"memory": 2, "resident JVM": 1})
+    assert len(started) == 2 and logs == []  # the server was replaced, not given up
+
+
+@requires_jdk
+def test_relative_paths_of_a_run_land_in_the_scratch_root(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    javac, java = jdk_tools()
+    test_code = main_class('        new java.io.File("stray.txt").createNewFile();\n')
+    task = Task("relative/0", "", "", "Solution", test_code)
+    with ExecPool(1, javac, scratch_root=tmp_path / "root") as pool:
+        outcome = evaluate_functionality(
+            "class Solution {}", task, 30, scratch_dir=tmp_path / "root" / "cell", javac=javac,
+            java=java, compiler=pool,
+        )
+        assert outcome == OutcomeLabel(PASS, "")
+        assert pool.run_summary() == "exec: 1 test run(s) in the resident JVM, 0 as java Main processes"
+    assert (tmp_path / "root" / "stray.txt").exists()
+    assert not (tmp_path / "stray.txt").exists()
 
 
 @requires_jdk

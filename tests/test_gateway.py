@@ -160,6 +160,15 @@ def test_http_retry_after_seconds_delay_the_next_attempt(stub_server, status, re
         assert second - first < 1.0  # the date form, or another status: backoff alone
 
 
+def test_http_retry_after_is_capped_at_the_model_timeout(stub_server):
+    StubHandler.failures_left = 1
+    StubHandler.failure_status = 429
+    StubHandler.retry_after = "3600"
+    complete(handle(stub_server, timeout_s=1), HISTORY, retries=1, backoff_s=0.01)
+    first, second = (request["at"] for request in StubHandler.requests)
+    assert 1.0 <= second - first < 3.0
+
+
 def test_http_transport_failure():
     dead = handle("http://127.0.0.1:1/v1/chat", timeout_s=1)
     with pytest.raises(GatewayError, match="test-model"):
