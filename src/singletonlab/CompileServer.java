@@ -43,7 +43,8 @@ import sun.misc.Unsafe;
  * header line "<id> <exit> <nbytes>", then nbytes of body; replies come in
  * the order requests finish and never interleave. A compile answers javac's
  * exit code and diagnostics. A run answers what `java Main` in dir would:
- * exit 0, or 1 after an uncaught throwable, and its stderr then its stdout.
+ * exit 0, or 1 after an uncaught throwable, and its stderr then its stdout,
+ * with the header "<id> <exit> <nbytes> <nerr>", nerr the stderr's length.
  * Exit REFUSED means this JVM cannot vouch for the reply; the body names why.
  * The sender then compiles elsewhere or runs a java Main process, and retires
  * this JVM. A run is refused when a thread of it outlives main, when it
@@ -82,7 +83,7 @@ public class CompileServer {
             refusal = "exit";
             synchronized (REPLIES) {
                 for (String id : IN_FLIGHT) {
-                    write(id, REFUSED, refusal.getBytes(StandardCharsets.US_ASCII));
+                    write(id, REFUSED, refusal.getBytes(StandardCharsets.US_ASCII), -1);
                 }
                 IN_FLIGHT.clear();
             }
@@ -101,7 +102,7 @@ public class CompileServer {
                         ByteArrayOutputStream err = new ByteArrayOutputStream();
                         String dir = request[2];
                         int exit = javac.run(null, null, err, "-d", dir, "-cp", dir, dir + File.separator + "Main.java");
-                        reply(id, exit, err.toByteArray());
+                        reply(id, exit, err.toByteArray(), -1);
                     }
                 } catch (Throwable e) {
                     refuse(id, "unsupported");
@@ -149,14 +150,12 @@ public class CompileServer {
             byte[] err = output.streams[1].toByteArray(), out = output.streams[0].toByteArray();
             if (group.activeCount() > 0) {
                 refuse(id, "leftover thread");
-            } else if (exit[0] == REFUSED || output.closed
-                    || err.length > 0 && err[err.length - 1] == '\r' && out.length > 0 && out[0] == '\n') {
-                // the process path decodes each stream apart: "\r" + "\n" is two line ends there
+            } else if (exit[0] == REFUSED || output.closed) {
                 refuse(id, "unsupported");
             } else {
                 byte[] body = Arrays.copyOf(err, err.length + out.length);
                 System.arraycopy(out, 0, body, err.length, out.length);
-                reply(id, exit[0], body);
+                reply(id, exit[0], body, err.length);
             }
         }
     }
@@ -196,10 +195,11 @@ public class CompileServer {
     }
 
     static void refuse(String id, String reason) {
-        reply(id, REFUSED, reason.getBytes(StandardCharsets.US_ASCII));
+        reply(id, REFUSED, reason.getBytes(StandardCharsets.US_ASCII), -1);
     }
 
-    static void reply(String id, int exit, byte[] body) {
+    /** Writes a reply; nerr is a run's stderr length, -1 for any other reply. */
+    static void reply(String id, int exit, byte[] body, int nerr) {
         synchronized (REPLIES) {
             if (refusal == null && !globals().equals(startup)) {
                 refusal = "global state";
@@ -207,16 +207,18 @@ public class CompileServer {
             if (refusal != null) {
                 exit = REFUSED;
                 body = refusal.getBytes(StandardCharsets.US_ASCII);
+                nerr = -1;
             }
             if (IN_FLIGHT.remove(id)) {
-                write(id, exit, body);
+                write(id, exit, body, nerr);
             }
         }
     }
 
-    static void write(String id, int exit, byte[] body) {
+    static void write(String id, int exit, byte[] body, int nerr) {
+        String split = nerr < 0 ? "" : " " + nerr;
         try {
-            REPLIES.write((id + " " + exit + " " + body.length + "\n").getBytes(StandardCharsets.US_ASCII));
+            REPLIES.write((id + " " + exit + " " + body.length + split + "\n").getBytes(StandardCharsets.US_ASCII));
             REPLIES.write(body);
             REPLIES.flush();
         } catch (IOException e) {

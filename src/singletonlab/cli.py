@@ -24,7 +24,7 @@ from .config import (
 from .dataset import DatasetError
 from .exec_harness import ToolchainError
 from .guidance import assess_candidate
-from .pattern_checker import singleton_score
+from .pattern_checker import PREDICATE_NAMES, singleton_score
 from .reporting import FORMATS, build_summary, render
 from .runner import run_experiment
 from .store import RunStore, StoreError
@@ -105,9 +105,7 @@ def cmd_check(args) -> int:
         results.append(
             {
                 "path": str(path),
-                "private_constructor": report.private_constructor,
-                "instance_field": report.instance_field,
-                "global_access_point": report.global_access_point,
+                **{name: getattr(report, name) for name in PREDICATE_NAMES},
                 "singleton_score": singleton_score(report),
                 "conforming": report.is_singleton(),
                 "failed_checks": list(report.failed_checks),
@@ -117,12 +115,8 @@ def cmd_check(args) -> int:
         print(json.dumps(results, indent=2))
     else:
         for row in results:
-            print(
-                f"{row['path']}: score {row['singleton_score']:.1f} "
-                f"[private_constructor={_yn(row['private_constructor'])} "
-                f"instance_field={_yn(row['instance_field'])} "
-                f"global_access_point={_yn(row['global_access_point'])}]"
-            )
+            verdicts = " ".join(f"{name}={_yn(row[name])}" for name in PREDICATE_NAMES)
+            print(f"{row['path']}: score {row['singleton_score']:.1f} [{verdicts}]")
             for failure in row["failed_checks"]:
                 print(f"  - {failure}")
     return 0 if all(r["conforming"] for r in results) else 1

@@ -6,12 +6,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
 from .gateway import ScriptedModel
-from .guidance import STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
+from .guidance import PROTOCOLS, STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
 
 EXEC_MODES = ("jdk", "mock")
 
@@ -249,7 +249,7 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
         raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}, got {kind!r}")
     max_iterations = int(raw.get("max_iterations", iteration_cap))
     exemplars: tuple[str, ...] = ()
-    if kind == "fewshot_feedback":
+    if PROTOCOLS[kind].exemplars:
         paths = raw.get("exemplar_paths")
         if paths:
             if not isinstance(paths, list) or len(paths) != 2:
@@ -270,50 +270,16 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
 
 
 def config_snapshot(config: RunConfig) -> dict:
-    """JSON-native view of the config, stable across runs of the same setup."""
-    return {
-        "run_id": config.run_id,
-        "dataset_path": config.dataset_path,
-        "output_dir": config.output_dir,
-        "models": [
-            {
-                "model_id": m.model_id,
-                "endpoint": m.endpoint,
-                "auth_ref": m.auth_ref,
-                "temperature": m.temperature,
-                "max_tokens": m.max_tokens,
-                "timeout_s": m.timeout_s,
-                "seed": m.seed,
-                "script": m.script,
-            }
-            for m in config.models
-        ],
-        "strategies": [
-            {
-                "kind": s.kind,
-                "max_iterations": s.max_iterations,
-                "exemplars": list(s.exemplars),
-            }
-            for s in config.strategies
-        ],
-        "iteration_cap": config.iteration_cap,
-        "exec": {
-            "mode": config.exec_settings.mode,
-            "budget_s": config.exec_settings.budget_s,
-            "javac": config.exec_settings.javac,
-            "java": config.exec_settings.java,
-            "test_adaptation": config.exec_settings.test_adaptation,
-            "workers": config.exec_settings.workers,
-        },
-        "parallelism": {
-            "tasks": config.task_parallelism,
-            "per_endpoint": config.per_endpoint_cap,
-        },
-        "seed": config.seed,
-        "field_map": config.field_map,
-        "retries": config.retries,
-        "backoff_s": config.backoff_s,
+    """JSON-native view of the config, stable across runs of the same setup:
+    its fields, with exec_settings stored as "exec" and the two limits on
+    cells in flight as "parallelism"."""
+    snapshot = asdict(config)
+    snapshot["exec"] = snapshot.pop("exec_settings")
+    snapshot["parallelism"] = {
+        "tasks": snapshot.pop("task_parallelism"),
+        "per_endpoint": snapshot.pop("per_endpoint_cap"),
     }
+    return snapshot
 
 
 def config_digest(snapshot: dict) -> str:

@@ -166,7 +166,6 @@ def _java_main(java: str, scratch: Path, budget_s: float) -> OutcomeLabel:
             stdin=subprocess.DEVNULL,  # the verdict must not hang on, or eat, our stdin
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
             start_new_session=True,
         )
     except FileNotFoundError as exc:
@@ -176,13 +175,20 @@ def _java_main(java: str, scratch: Path, budget_s: float) -> OutcomeLabel:
     except subprocess.TimeoutExpired:
         _kill_process_group(proc)
         return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
-    return _test_outcome(proc.returncode, stderr + stdout)
+    return _test_outcome(proc.returncode, stderr, stdout)
 
 
-def _test_outcome(returncode: int, output: str) -> OutcomeLabel:
+def _test_outcome(returncode: int, stderr: bytes, stdout: bytes) -> OutcomeLabel:
     if returncode == 0:
         return OutcomeLabel(PASS, "")
-    return OutcomeLabel(TEST_FAIL, output[:_DETAIL_LIMIT])
+    return OutcomeLabel(TEST_FAIL, (_text(stderr) + _text(stdout))[:_DETAIL_LIMIT])
+
+
+def _text(output: bytes) -> str:
+    """One stream's bytes read as Popen(text=True) reads a pipe, except that
+    a byte the locale encoding cannot decode becomes U+FFFD."""
+    text = output.decode(locale.getpreferredencoding(False), "replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _javac(javac: str, scratch: Path, budget_s: float) -> tuple[int, str] | None:
@@ -234,9 +240,9 @@ class CompileServer:
         self._reader = threading.Thread(target=self._read, daemon=True)
         self._reader.start()
 
-    def request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes] | None:
-        """The (exit, body) reply to a `compile` or `run` request on
-        directory, or None when it overran budget_s. Raises EOFError if
+    def request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | None:
+        """The (exit, stderr, stdout) reply to a `compile` or `run` request
+        on directory, or None when it overran budget_s. Raises EOFError if
         the JVM has exited."""
         done, reply = threading.Event(), []
         with self._lock:
@@ -280,18 +286,19 @@ class CompileServer:
         self._up.set()
         while ready:
             try:
-                key, code, size = map(int, out.readline().split())
+                key, code, size, *split = map(int, out.readline().split())
             except ValueError:  # end of output, or a line that is no reply
                 break
             body = out.read(size)
             if len(body) < size:
                 break
+            err = split[0] if split else size  # a run's body is its stderr, then its stdout
             with self._lock:
                 waiter = self._waiting.pop(key, None)
                 if code == _REFUSED and self.retired is None:
                     self.retired = body.decode("ascii", "replace")
             if waiter is not None:
-                waiter[1].append((code, body))
+                waiter[1].append((code, body[:err], body[err:]))
                 waiter[0].set()
         self.proc.kill()  # no-op once it has exited; the waiters must not wait on it
         status = self.proc.wait()
@@ -374,7 +381,7 @@ class ExecPool:
             return _javac(self._javac, scratch, budget_s)
         if reply is None:
             return None
-        code, body = reply
+        code, body, _ = reply
         diagnostics = body.decode(locale.getpreferredencoding(False), "replace")
         return code, diagnostics.replace(directory + os.sep, "")
 
@@ -387,15 +394,8 @@ class ExecPool:
         if reply is None:
             return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
         if not isinstance(reply, str):
-            code, body = reply
-            try:
-                # as Popen(text=True) reads a pipe, so the detail is the same
-                output = body.decode(locale.getpreferredencoding(False))
-            except UnicodeDecodeError:
-                reply = "unsupported"
-            else:
-                self._count("resident JVM")
-                return _test_outcome(code, output.replace("\r\n", "\n").replace("\r", "\n"))
+            self._count("resident JVM")
+            return _test_outcome(*reply)
         self._count(reply)
         return _java_main(java, scratch, budget_s)
 
@@ -419,8 +419,8 @@ class ExecPool:
         if server is not None:
             server.close()
 
-    def _request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes] | str | None:
-        """The server's (exit, body) reply, None when the request overran
+    def _request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | str | None:
+        """The server's (exit, stderr, stdout) reply, None when the request overran
         budget_s, or why it must go to a process instead (_FALLBACKS)."""
         if not _SERVABLE_PATH.fullmatch(directory):
             return "path"

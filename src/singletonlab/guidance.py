@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dataset import Task
 from .exec_harness import OutcomeLabel, ABORTED
@@ -56,7 +56,26 @@ INSTRUCT = "instruct"
 BINARY_FEEDBACK = "binary_feedback"
 PREDICATE_FEEDBACK = "predicate_feedback"
 FEWSHOT_FEEDBACK = "fewshot_feedback"
-STRATEGY_KINDS = (BASELINE, INSTRUCT, BINARY_FEEDBACK, PREDICATE_FEEDBACK, FEWSHOT_FEEDBACK)
+
+
+class Protocol(NamedTuple):
+    """What a strategy sends: the first user turn ({task}), each feedback
+    turn ({candidate}, {errors}; None for one attempt, no feedback), and
+    whether the two exemplars follow both."""
+
+    task: str
+    feedback: str | None
+    exemplars: bool = False
+
+
+PROTOCOLS = {
+    BASELINE: Protocol("{task}", None),
+    INSTRUCT: Protocol(INSTRUCT_TASK_TEMPLATE, INSTRUCT_FEEDBACK_TEMPLATE),
+    BINARY_FEEDBACK: Protocol(INSTRUCT_TASK_TEMPLATE, BINARY_FEEDBACK_TEMPLATE),
+    PREDICATE_FEEDBACK: Protocol(INSTRUCT_TASK_TEMPLATE, PREDICATE_FEEDBACK_TEMPLATE),
+    FEWSHOT_FEEDBACK: Protocol(INSTRUCT_TASK_TEMPLATE, PREDICATE_FEEDBACK_TEMPLATE, True),
+}
+STRATEGY_KINDS = tuple(PROTOCOLS)
 
 _EXEMPLAR_FILES = ("AppConfig.java", "ConnectionPool.java")
 
@@ -72,10 +91,11 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.kind == BASELINE:
+        protocol = PROTOCOLS[self.kind]
+        if protocol.feedback is None:
             object.__setattr__(self, "max_iterations", 1)
-        if self.kind == FEWSHOT_FEEDBACK and len(self.exemplars) != 2:
-            raise ValueError("fewshot_feedback requires exactly 2 exemplars")
+        if protocol.exemplars and len(self.exemplars) != 2:
+            raise ValueError(f"{self.kind} requires exactly 2 exemplars")
 
 
 @dataclass
@@ -137,13 +157,11 @@ def _exemplar_block(exemplars: tuple[str, ...]) -> str:
 
 
 def initial_prompt(strategy: Strategy, task: Task) -> list[ChatMessage]:
-    system = ChatMessage("system", ROLE_PROMPT)
-    if strategy.kind == BASELINE:
-        return [system, ChatMessage("user", task.description)]
-    text = INSTRUCT_TASK_TEMPLATE.format(task=task.description)
-    if strategy.kind == FEWSHOT_FEEDBACK:
+    protocol = PROTOCOLS[strategy.kind]
+    text = protocol.task.format(task=task.description)
+    if protocol.exemplars:
         text = text + "\n\n" + _exemplar_block(strategy.exemplars)
-    return [system, ChatMessage("user", text)]
+    return [ChatMessage("system", ROLE_PROMPT), ChatMessage("user", text)]
 
 
 def extract_code(raw_response: str) -> str:
@@ -176,17 +194,12 @@ def feedback_prompt(
 ) -> ChatMessage:
     if report.is_singleton():
         raise ValueError("feedback requested for a conforming candidate")
-    if strategy.kind == BASELINE:
-        raise ValueError("baseline sends no feedback")
-    if strategy.kind == INSTRUCT:
-        text = INSTRUCT_FEEDBACK_TEMPLATE.format(candidate=candidate)
-    elif strategy.kind == BINARY_FEEDBACK:
-        text = BINARY_FEEDBACK_TEMPLATE.format(candidate=candidate)
-    else:
-        errors = "; ".join(report.failed_checks)
-        text = PREDICATE_FEEDBACK_TEMPLATE.format(candidate=candidate, errors=errors)
-        if strategy.kind == FEWSHOT_FEEDBACK:
-            text = text + "\n\n" + _exemplar_block(strategy.exemplars)
+    protocol = PROTOCOLS[strategy.kind]
+    if protocol.feedback is None:
+        raise ValueError(f"{strategy.kind} sends no feedback")
+    text = protocol.feedback.format(candidate=candidate, errors="; ".join(report.failed_checks))
+    if protocol.exemplars:
+        text = text + "\n\n" + _exemplar_block(strategy.exemplars)
     return ChatMessage("user", text)
 
 

@@ -23,7 +23,7 @@ from .exec_harness import (
     TIMEOUT,
 )
 from .guidance import BASELINE, STRATEGY_KINDS, RunRecord
-from .pattern_checker import singleton_score
+from .pattern_checker import PREDICATE_NAMES, singleton_score
 from .stats import (
     delta_pp,
     mcnemar,
@@ -172,7 +172,7 @@ SCORE_COLUMNS = (Column("avg_singleton_score", None, _path("avg_singleton_score"
 PREDICATE_COLUMNS = (
     Column("n_tasks", "tasks", _path("n_tasks")),
     *(Column(name, name, _path("predicate_counts", name))
-      for name in ("private_constructor", "instance_field", "global_access_point")),
+      for name in PREDICATE_NAMES),
 )
 OUTCOME_COLUMNS = (
     Column("pass", "pass", _path("outcomes", PASS)),

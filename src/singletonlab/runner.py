@@ -137,9 +137,8 @@ def _evaluate(
     exec_pool: ExecPool,
 ):
     settings = config.exec_settings
-    if settings.mode == "mock":
-        with exec_pool.slot():  # bounded toolchain workers across the whole run
-            return mock_evaluate(record.selected_candidate)
+    if settings.mode == "mock":  # pure Python: no toolchain slot
+        return mock_evaluate(record.selected_candidate)
     scratch = (
         _scratch_root(config)
         / _safe(spec.model_id)

@@ -2,13 +2,15 @@
 record files. Reports are derived purely from the store, so a finished run
 can be re-analyzed without network or toolchain access.
 
-A record is a line ending in a newline. Bytes after the last newline of a
+A record is a line ending in a newline: its RunRecord as nested JSON
+objects, one key per dataclass field. Bytes after the last newline of a
 file are the remains of an interrupted append: readers ignore them, and
 resuming a run cuts them off before appending again.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -23,91 +25,31 @@ class StoreError(Exception):
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    return {
-        "model_id": record.model_id,
-        "strategy_kind": record.strategy_kind,
-        "task_id": record.task_id,
-        "iterations": [
-            {
-                "index": it.index,
-                "prompt_sent": it.prompt_sent,
-                "raw_response": it.raw_response,
-                "extracted_code": it.extracted_code,
-                "predicate_report": _report_to_dict(it.predicate_report),
-                "conforming": it.conforming,
-            }
-            for it in record.iterations
-        ],
-        "selected_candidate": record.selected_candidate,
-        "selected_iteration": record.selected_iteration,
-        "singleton_score": record.singleton_score,
-        "functional_outcome": _outcome_to_dict(record.functional_outcome),
-        "wall_time_ms": record.wall_time_ms,
-        "config_digest": record.config_digest,
-    }
+    return dataclasses.asdict(record)
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    return RunRecord(
-        model_id=data["model_id"],
-        strategy_kind=data["strategy_kind"],
-        task_id=data["task_id"],
-        iterations=[
-            IterationRecord(
-                index=it["index"],
-                prompt_sent=it["prompt_sent"],
-                raw_response=it["raw_response"],
-                extracted_code=it["extracted_code"],
-                predicate_report=_report_from_dict(it["predicate_report"]),
-                conforming=it["conforming"],
-            )
-            for it in data["iterations"]
-        ],
-        selected_candidate=data["selected_candidate"],
-        selected_iteration=data["selected_iteration"],
-        singleton_score=data["singleton_score"],
-        functional_outcome=_outcome_from_dict(data["functional_outcome"]),
-        wall_time_ms=data["wall_time_ms"],
-        config_digest=data["config_digest"],
-    )
+    """The record one line holds. A field whose key an older line lacks
+    takes its default, and a key that names no field is ignored."""
+    record = _build(RunRecord, data)
+    record.iterations = [_build(IterationRecord, it) for it in record.iterations]
+    for it in record.iterations:
+        report = it.predicate_report
+        it.predicate_report = _build(
+            PredicateReport, report, failed_checks=tuple(report["failed_checks"])
+        )
+    if record.functional_outcome is not None:
+        record.functional_outcome = _build(OutcomeLabel, record.functional_outcome)
+    return record
 
 
-def _report_to_dict(report: PredicateReport) -> dict:
-    return {
-        "private_constructor": report.private_constructor,
-        "instance_field": report.instance_field,
-        "global_access_point": report.global_access_point,
-        "failed_checks": list(report.failed_checks),
-    }
-
-
-def _report_from_dict(data: dict) -> PredicateReport:
-    return PredicateReport(
-        private_constructor=data["private_constructor"],
-        instance_field=data["instance_field"],
-        global_access_point=data["global_access_point"],
-        failed_checks=tuple(data["failed_checks"]),
-    )
-
-
-def _outcome_to_dict(outcome: OutcomeLabel | None) -> dict | None:
-    if outcome is None:
-        return None
-    return {
-        "kind": outcome.kind,
-        "detail": outcome.detail,
-        "compile_error_category": outcome.compile_error_category,
-    }
-
-
-def _outcome_from_dict(data: dict | None) -> OutcomeLabel | None:
-    if data is None:
-        return None
-    return OutcomeLabel(
-        kind=data["kind"],
-        detail=data["detail"],
-        compile_error_category=data.get("compile_error_category"),
-    )
+def _build(cls, data: dict, **values):
+    """cls(**values), each other field taken from data under its name; a
+    field that data lacks too takes its default."""
+    for f in dataclasses.fields(cls):
+        if f.name in data and f.name not in values:
+            values[f.name] = data[f.name]
+    return cls(**values)
 
 
 def _drop_torn_tail(path: Path) -> None:
@@ -211,6 +153,6 @@ class RunStore:
                 continue
             try:
                 records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise StoreError(f"corrupt record in {path} line {lineno}: {exc}") from exc
         return records

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import locale
 import os
 import shlex
 import subprocess
@@ -906,6 +907,28 @@ ADVERSARIAL = {
         "resident JVM",
         lambda outcome: outcome.detail.startswith("stderr \u00fcber\nException in thread")
         and outcome.detail.endswith("stdout caf\u00e9 \u2713\nno newline"),
+    ),
+    "undecodable-output": (
+        "class Solution {}",
+        main_class("        System.out.write(0xff);\n        System.out.println();\n" + THROW),
+        "resident JVM",
+        lambda outcome: outcome.kind == TEST_FAIL
+        and outcome.detail.endswith(b"\xff".decode(locale.getpreferredencoding(False), "replace") + "\n"),
+    ),
+    # each stream's line ends are translated apart: "\r" then "\n" is two of them
+    "stderr-cr-then-stdout-lf": (
+        "class Solution {}",
+        main_class(
+            '        System.out.print("\\nout");\n'
+            "        throw new RuntimeException() {\n"
+            "            @Override\n"
+            "            public void printStackTrace(java.io.PrintStream s) {\n"
+            '                s.print("failed\\r");\n'
+            "            }\n"
+            "        };\n"
+        ),
+        "resident JVM",
+        lambda outcome: outcome == OutcomeLabel(TEST_FAIL, 'Exception in thread "main" failed\n\nout'),
     ),
 }
 

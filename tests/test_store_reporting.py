@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singletonlab.config import load_config
+from singletonlab.config import config_digest, config_snapshot, load_config, parse_config
 from singletonlab.exec_harness import OutcomeLabel
 from singletonlab.guidance import IterationRecord, RunRecord
-from singletonlab.pattern_checker import make_report
+from singletonlab.pattern_checker import PredicateReport, make_report
 from singletonlab.reporting import build_summary, render, render_csv, render_json, render_text
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore, StoreError, record_from_dict, record_to_dict
@@ -59,6 +62,219 @@ def test_record_with_no_outcome_roundtrips():
     record = sample_record()
     record.functional_outcome = None
     assert record_from_dict(record_to_dict(record)) == record
+
+
+# --- stored formats: the bytes a store holds ----------------------------------------
+
+
+def line_of(record: RunRecord) -> str:
+    """A record as RunStore.append writes it, without the newline."""
+    return json.dumps(record_to_dict(record), sort_keys=True)
+
+
+def test_every_golden_record_line_roundtrips_byte_identically():
+    paths = sorted(GOLDEN.glob("**/*.jsonl"))
+    lines = [line for path in paths for line in path.read_text("utf-8").splitlines()]
+    assert len(lines) == 216
+    for line in lines:
+        assert line_of(record_from_dict(json.loads(line))) == line
+
+
+def test_an_older_line_without_compile_error_category_loads_with_none():
+    data = record_to_dict(sample_record(outcome_kind="CompileError", category="non_code_output"))
+    del data["functional_outcome"]["compile_error_category"]
+    record = record_from_dict(json.loads(json.dumps(data)))
+    assert record.functional_outcome == OutcomeLabel("CompileError", "detail", None)
+
+
+def test_a_line_with_an_unknown_key_loads():
+    data = record_to_dict(sample_record())
+    data["added_later"] = {"x": 1}
+    data["iterations"][0]["added_later"] = 2
+    data["functional_outcome"]["added_later"] = 3
+    assert record_from_dict(json.loads(json.dumps(data))) == sample_record()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[]",
+        '"text"',
+        '{"model_id": "m1", "strategy_kind": "baseline", "task_id": 7, "iterations": 5}',
+        '{"model_id": "m1", "strategy_kind": "baseline", "task_id": "T", "iterations": [{}]}',
+        '{"model_id": "m1", "strategy_kind": "baseline", "task_id": "T", "functional_outcome": "Pass"}',
+    ],
+)
+def test_a_line_of_the_wrong_shape_names_file_and_line(tmp_path, line):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    path = store.record_path("m1", "baseline")
+    path.write_text(line_of(sample_record()) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(StoreError, match="line 2"):
+        store.load_records("m1", "baseline")
+
+
+TEXT = st.text(max_size=12) | st.sampled_from(["café", "✓ \U0001f600", "a\r\nb\x00"])
+RECORDS = st.builds(
+    RunRecord,
+    model_id=TEXT,
+    strategy_kind=TEXT,
+    task_id=TEXT,
+    iterations=st.lists(
+        st.builds(
+            IterationRecord,
+            index=st.integers(1, 10),
+            prompt_sent=TEXT,
+            raw_response=TEXT,
+            extracted_code=TEXT,
+            predicate_report=st.builds(
+                PredicateReport,
+                st.booleans(),
+                st.booleans(),
+                st.booleans(),
+                st.lists(TEXT, max_size=3).map(tuple),
+            ),
+            conforming=st.booleans(),
+        ),
+        max_size=10,
+    ),
+    selected_candidate=TEXT,
+    selected_iteration=st.integers(0, 10),
+    singleton_score=st.floats(allow_nan=False, allow_infinity=False),
+    functional_outcome=st.none() | st.builds(OutcomeLabel, TEXT, TEXT, st.none() | TEXT),
+    wall_time_ms=st.integers(0, 10**9),
+    config_digest=TEXT,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(record=RECORDS)
+def test_generated_records_roundtrip_through_their_line(record):
+    line = line_of(record)
+    loaded = record_from_dict(json.loads(line))
+    assert loaded == record
+    assert line_of(loaded) == line
+
+
+PINNED_CONFIG = {
+    "run_id": "pinned",
+    "dataset": {"path": "tasks.jsonl", "field_map": {"prompt": "text"}},
+    "output_dir": "runs/pinned",
+    "models": [
+        {"model_id": "endpoint-m", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+         "auth_ref": "PINNED_KEY", "temperature": 0.5, "max_tokens": 512, "timeout_s": 9, "seed": 3},
+        {"model_id": "scripted-m", "script": {"tasks": {"Java/0": ["class A {}"]}, "default": ["café"]}},
+    ],
+    "strategies": ["baseline", {"kind": "instruct", "max_iterations": 4}, "binary_feedback",
+                   "predicate_feedback", "fewshot_feedback"],
+    "iteration_cap": 6,
+    "exec": {"mode": "mock", "budget_s": 12, "javac": "javac-17", "java": "java",
+             "test_adaptation": True, "workers": 3},
+    "parallelism": {"tasks": 2, "per_endpoint": 5},
+    "seed": 11,
+    "retries": 2,
+    "backoff_s": 0.25,
+}
+PINNED_DIGEST = "fbea11335fc810c8"
+PINNED_CONFIG_JSON = r"""{
+  "config": {
+    "backoff_s": 0.25,
+    "dataset_path": "/pinned/tasks.jsonl",
+    "exec": {
+      "budget_s": 12,
+      "java": "java",
+      "javac": "javac-17",
+      "mode": "mock",
+      "test_adaptation": true,
+      "workers": 3
+    },
+    "field_map": {
+      "prompt": "text"
+    },
+    "iteration_cap": 6,
+    "models": [
+      {
+        "auth_ref": "PINNED_KEY",
+        "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+        "max_tokens": 512,
+        "model_id": "endpoint-m",
+        "script": null,
+        "seed": 3,
+        "temperature": 0.5,
+        "timeout_s": 9
+      },
+      {
+        "auth_ref": null,
+        "endpoint": null,
+        "max_tokens": 4096,
+        "model_id": "scripted-m",
+        "script": {
+          "default": [
+            "caf\u00e9"
+          ],
+          "tasks": {
+            "Java/0": [
+              "class A {}"
+            ]
+          }
+        },
+        "seed": 11,
+        "temperature": 0.2,
+        "timeout_s": 60
+      }
+    ],
+    "output_dir": "/pinned/runs/pinned",
+    "parallelism": {
+      "per_endpoint": 5,
+      "tasks": 2
+    },
+    "retries": 2,
+    "run_id": "pinned",
+    "seed": 11,
+    "strategies": [
+      {
+        "exemplars": [],
+        "kind": "baseline",
+        "max_iterations": 1
+      },
+      {
+        "exemplars": [],
+        "kind": "instruct",
+        "max_iterations": 4
+      },
+      {
+        "exemplars": [],
+        "kind": "binary_feedback",
+        "max_iterations": 6
+      },
+      {
+        "exemplars": [],
+        "kind": "predicate_feedback",
+        "max_iterations": 6
+      },
+      {
+        "exemplars": [
+          "public final class AppConfig {\n    private static final AppConfig INSTANCE = new AppConfig();\n\n    private AppConfig() {\n    }\n\n    public static AppConfig getInstance() {\n        return INSTANCE;\n    }\n}",
+          "public class ConnectionPool {\n    private static ConnectionPool instance;\n\n    private ConnectionPool() {\n    }\n\n    public static synchronized ConnectionPool getInstance() {\n        if (instance == null) {\n            instance = new ConnectionPool();\n        }\n        return instance;\n    }\n}"
+        ],
+        "kind": "fewshot_feedback",
+        "max_iterations": 6
+      }
+    ]
+  },
+  "config_digest": "fbea11335fc810c8"
+}
+"""
+
+
+def test_config_json_bytes_and_digest_are_pinned(tmp_path):
+    """Every config section set; base_dir and exec.workers are fixed, so
+    the bytes do not depend on the host."""
+    snapshot = config_snapshot(parse_config(PINNED_CONFIG, base_dir=Path("/pinned")))
+    assert config_digest(snapshot) == PINNED_DIGEST
+    store = RunStore(tmp_path / "store")
+    store.initialize(snapshot, config_digest(snapshot))
+    assert store.config_path.read_text("utf-8") == PINNED_CONFIG_JSON
 
 
 # --- store ------------------------------------------------------------------------
