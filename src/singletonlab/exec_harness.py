@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .dataset import Task
 from .pattern_checker import evaluate_predicates
-from .source_model import parse_compilation_unit, select_primary_class
+from .source_model import ClassModel, parse_compilation_unit, select_primary_class
 
 PASS = "Pass"
 TEST_FAIL = "TestFail"
@@ -121,14 +121,15 @@ def evaluate_functionality(
     java: str = "java",
     adapt_tests: bool = False,
     compiler: ExecPool | None = None,
+    classes: list[ClassModel] | None = None,
 ) -> OutcomeLabel:
     """Compile and run candidate + tests in scratch_dir. Both steps go to
     `compiler`'s resident server when given, else to javac and `java Main`
-    processes."""
+    processes. `classes` is the candidate's parse, when the caller has it."""
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
     test_code = task.test_code
-    if adapt_tests and task.expected_class_name and _has_private_constructor(candidate, task):
+    if adapt_tests and task.expected_class_name and _has_private_constructor(candidate, task, classes):
         test_code = adapt_test_code(test_code, task.expected_class_name)
 
     # One compilation unit: the test declares the (public) entry class Main,
@@ -149,7 +150,7 @@ def evaluate_functionality(
     if returncode != 0:
         diagnostics = stderr[:_DETAIL_LIMIT]
         return OutcomeLabel(
-            COMPILE_ERROR, diagnostics, classify_compile_error(diagnostics, candidate)
+            COMPILE_ERROR, diagnostics, classify_compile_error(diagnostics, candidate, classes)
         )
     if compiler is None:
         return _java_main(java, scratch, budget_s)
@@ -492,9 +493,12 @@ def _resolve(tool: str | None) -> str | None:
     return os.path.realpath(found) if found else None
 
 
-def classify_compile_error(diagnostics: str, candidate: str) -> str:
-    """Coarse bucket for a compile failure (heuristic, not ground truth)."""
-    if not parse_compilation_unit(candidate):
+def classify_compile_error(
+    diagnostics: str, candidate: str, classes: list[ClassModel] | None = None
+) -> str:
+    """Coarse bucket for a compile failure (heuristic, not ground truth).
+    `classes` is the candidate's parse, when the caller has it."""
+    if not _parsed(candidate, classes):
         return NON_CODE_OUTPUT
     if any(p.search(diagnostics) for p in _MISSING_LIBRARY_PATTERNS):
         return MISSING_EXTERNAL_LIBRARY
@@ -506,14 +510,15 @@ def classify_compile_error(diagnostics: str, candidate: str) -> str:
     return OTHER_COMPILE_ERROR
 
 
-def mock_evaluate(candidate: str) -> OutcomeLabel:
+def mock_evaluate(candidate: str, classes: list[ClassModel] | None = None) -> OutcomeLabel:
     """Deterministic stand-in for the JDK: outcome is derived from markers.
 
     No extractable class means CompileError/non_code_output (same rule as
     the real classifier); otherwise MOCK-TIMEOUT / MOCK-FAIL markers select
-    the outcome and anything else passes.
+    the outcome and anything else passes. `classes` is the candidate's
+    parse, when the caller has it.
     """
-    if not parse_compilation_unit(candidate):
+    if not _parsed(candidate, classes):
         return OutcomeLabel(COMPILE_ERROR, "mock: no class extracted", NON_CODE_OUTPUT)
     if MOCK_TIMEOUT_MARKER in candidate:
         return OutcomeLabel(TIMEOUT, "mock: timeout marker")
@@ -522,10 +527,13 @@ def mock_evaluate(candidate: str) -> OutcomeLabel:
     return OutcomeLabel(PASS, "mock")
 
 
-def _has_private_constructor(candidate: str, task: Task) -> bool:
-    classes = parse_compilation_unit(candidate)
-    primary = select_primary_class(classes, task.expected_class_name or None)
+def _has_private_constructor(candidate: str, task: Task, classes: list[ClassModel] | None) -> bool:
+    primary = select_primary_class(_parsed(candidate, classes), task.expected_class_name or None)
     return primary is not None and evaluate_predicates(primary).private_constructor
+
+
+def _parsed(candidate: str, classes: list[ClassModel] | None) -> list[ClassModel]:
+    return parse_compilation_unit(candidate) if classes is None else classes
 
 
 def _kill_process_group(proc: subprocess.Popen) -> None:

@@ -185,7 +185,8 @@ _limiters_lock = threading.Lock()
 
 
 def endpoint_limiter(endpoint: str | None, cap: int = 4) -> FifoLimiter:
-    """Limiter shared by every caller with this endpoint and cap; callers
-    hold it around complete()."""
+    """Limiter shared by every caller with this endpoint and cap. The runner
+    holds it around a cell's whole conversation (`run_task`): every
+    complete() call, retry backoff sleep and Singleton check of the cell."""
     with _limiters_lock:
         return _limiters.setdefault((endpoint, cap), FifoLimiter(cap))

@@ -20,6 +20,7 @@ from .exec_harness import (
 )
 from .gateway import endpoint_limiter
 from .guidance import RunRecord, Strategy, run_task
+from .source_model import ClassModel
 from .store import RunStore
 
 
@@ -114,6 +115,7 @@ def _run_one(
     exec_pool: ExecPool,
 ) -> RunRecord:
     backend = spec.backend(task.task_id)
+    classes: list[ClassModel] = []  # the selected candidate's, parsed once by run_task
     with endpoint_limiter(spec.endpoint, config.per_endpoint_cap):
         record = run_task(
             backend,
@@ -122,9 +124,10 @@ def _run_one(
             retries=config.retries,
             backoff_s=config.backoff_s,
             config_digest=digest,
+            selected_classes=classes,
         )
     if record.functional_outcome is None:
-        record.functional_outcome = _evaluate(config, spec, strategy, task, record, exec_pool)
+        record.functional_outcome = _evaluate(config, spec, strategy, task, record, classes, exec_pool)
     return record
 
 
@@ -134,11 +137,12 @@ def _evaluate(
     strategy: Strategy,
     task: Task,
     record: RunRecord,
+    classes: list[ClassModel],
     exec_pool: ExecPool,
 ):
     settings = config.exec_settings
     if settings.mode == "mock":  # pure Python: no toolchain slot
-        return mock_evaluate(record.selected_candidate)
+        return mock_evaluate(record.selected_candidate, classes)
     scratch = (
         _scratch_root(config)
         / _safe(spec.model_id)
@@ -157,6 +161,7 @@ def _evaluate(
                 java=settings.java,
                 adapt_tests=settings.test_adaptation,
                 compiler=exec_pool,
+                classes=classes,
             )
         if outcome.kind != TIMEOUT:  # a Timeout's scratch stays for inspection
             shutil.rmtree(scratch, ignore_errors=True)

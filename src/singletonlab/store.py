@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
@@ -89,7 +90,7 @@ class RunStore:
         self.records_dir.mkdir(parents=True, exist_ok=True)
         payload = {"config_digest": digest, "config": snapshot}
         if self.config_path.exists():
-            existing = json.loads(self.config_path.read_text("utf-8"))
+            existing = self.load_snapshot()
             if existing.get("config_digest") != digest:
                 raise StoreError(
                     f"store {self.root} was created with a different config "
@@ -98,9 +99,10 @@ class RunStore:
             for path in self.records_dir.glob("*.jsonl"):
                 _drop_torn_tail(path)
             return True
-        self.config_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        # a kill mid-write leaves the temp file, never a torn config.json
+        partial = self.config_path.with_name(self.config_path.name + ".tmp")
+        partial.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(partial, self.config_path)
         return False
 
     def load_snapshot(self) -> dict:

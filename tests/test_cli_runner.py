@@ -412,3 +412,14 @@ def test_cli_mock_run_rejects_non_script_before_creating_store(tmp_path, capsys)
     assert code == 2
     assert "must be a list or an object" in capsys.readouterr().err
     assert not (output / "config.json").exists()
+
+
+def test_cli_mock_run_on_a_torn_store_config_exits_2_and_names_it(tmp_path, capsys):
+    output = tmp_path / "mockstore"
+    output.mkdir()
+    (output / "config.json").write_text('{"config_digest": ', encoding="utf-8")
+    code = main(
+        ["mock-run", "--script", str(MOCK_SCRIPT), "--dataset", str(MOCK_TASKS), "--output", str(output)]
+    )
+    assert code == 2
+    assert str(output / "config.json") in capsys.readouterr().err

@@ -1,0 +1,119 @@
+"""Each candidate is parsed once: by `run_task`, one parse per iteration.
+
+The selected candidate's classes travel from `run_task` to its evaluation
+(`mock_evaluate`, test adaptation, `classify_compile_error`), so nothing
+under `runner._evaluate` parses again.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+
+import pytest
+
+from singletonlab import exec_harness, guidance, runner, source_model
+from singletonlab.config import load_config, parse_config
+from singletonlab.dataset import load_tasks
+from singletonlab.exec_harness import COMPILE_ERROR, PASS
+from singletonlab.runner import run_experiment
+
+from conftest import JDK_TASKS, MOCK_SCRIPT, MOCK_TASKS, find_jdk, requires_jdk
+
+SINGLETON_SOLUTION = """\
+class Solution {
+    private static Solution instance;
+    private Solution() {}
+    public static Solution getInstance() {
+        if (instance == null) { instance = new Solution(); }
+        return instance;
+    }
+    public int add(int a, int b) { return a + b; }
+}
+"""
+
+
+@pytest.fixture
+def parses(monkeypatch) -> list[bool]:
+    """One entry per parse made for a cell: whether `runner._evaluate` made it."""
+    calls: list[bool] = []
+    evaluating = threading.local()
+    parse = source_model.parse_compilation_unit
+
+    def counted(*args, **kwargs):
+        calls.append(getattr(evaluating, "active", False))
+        return parse(*args, **kwargs)
+
+    evaluate = runner._evaluate
+
+    def traced_evaluate(*args, **kwargs):
+        evaluating.active = True
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            evaluating.active = False
+
+    for module in (guidance, exec_harness):
+        monkeypatch.setattr(module, "parse_compilation_unit", counted)
+    monkeypatch.setattr(runner, "_evaluate", traced_evaluate)
+    return calls
+
+
+def iteration_count(store) -> int:
+    return sum(len(r.iterations) for records in store.load_all().values() for r in records)
+
+
+def test_a_mock_run_parses_each_iteration_once(tmp_path, parses):
+    config = {
+        "run_id": "parse-once",
+        "dataset": {"path": str(MOCK_TASKS)},
+        "output_dir": str(tmp_path / "store"),
+        "models": [{"model_id": "scripted-model", "script_path": str(MOCK_SCRIPT)}],
+        "strategies": list(guidance.STRATEGY_KINDS),
+        "exec": {"mode": "mock"},
+        "parallelism": {"tasks": 3},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    loaded = load_config(path)
+    parses.clear()  # loading verifies the few-shot exemplars
+    store = run_experiment(loaded, log=lambda message: None)
+    assert iteration_count(store) > len(guidance.STRATEGY_KINDS) * 5  # feedback loops ran
+    assert len(parses) == iteration_count(store)
+    assert not any(parses)
+
+
+@requires_jdk
+def test_a_jdk_run_with_test_adaptation_parses_each_iteration_once(tmp_path, parses):
+    rows = [json.loads(line) for line in JDK_TASKS.read_text("utf-8").splitlines()][:2]
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    first, second = load_tasks(dataset)
+    plain = first.declaration + rows[0]["canonical_solution"]
+    broken = "class Solution { int f() { return 1 + ; } }"
+    javac, java = find_jdk()
+    config = parse_config({
+        "run_id": "parse-once",
+        "dataset": str(dataset),
+        "output_dir": str(tmp_path / "store"),
+        "models": [{"model_id": "scripted", "script": {"tasks": {
+            # conforms at the second iteration, and passes only with adapted tests
+            first.task_id: [plain, SINGLETON_SOLUTION],
+            # never conforms and never compiles
+            second.task_id: [broken] * 3,
+        }}}],
+        "strategies": ["baseline", "predicate_feedback"],
+        "iteration_cap": 3,
+        "exec": {"mode": "jdk", "javac": javac, "java": java, "workers": 2, "test_adaptation": True},
+        "parallelism": {"tasks": 2},
+    })
+    store = run_experiment(config, log=lambda message: None)
+    outcomes = {
+        (r.strategy_kind, r.task_id): r.functional_outcome.kind
+        for records in store.load_all().values()
+        for r in records
+    }
+    assert outcomes[("predicate_feedback", first.task_id)] == PASS
+    assert outcomes[("predicate_feedback", second.task_id)] == COMPILE_ERROR
+    assert len(parses) == iteration_count(store) == 1 + 1 + 2 + 3
+    assert not any(parses)
