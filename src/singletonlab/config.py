@@ -129,6 +129,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         dataset = {"path": dataset}
     if not isinstance(dataset, dict) or not dataset.get("path"):
         raise ConfigError("dataset.path is required")
+    field_map = dataset.get("field_map")
+    if field_map is not None and not (
+        isinstance(field_map, dict) and all(isinstance(v, str) for v in field_map.values())
+    ):
+        raise ConfigError("dataset.field_map must be an object of strings")
 
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -171,10 +176,15 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     )
     if exec_settings.budget_s < 1:
         raise ConfigError("exec.budget_s must be >= 1")
+    if exec_settings.workers < 1:
+        raise ConfigError("exec.workers must be >= 1")
 
     parallelism_raw = raw.get("parallelism", {})
     if not isinstance(parallelism_raw, dict):
         raise ConfigError("parallelism must be an object")
+    task_parallelism = int(parallelism_raw.get("tasks", 1))
+    if task_parallelism < 1:
+        raise ConfigError("parallelism.tasks must be >= 1")
     per_endpoint_cap = int(parallelism_raw.get("per_endpoint", 4))
     if per_endpoint_cap < 1:
         raise ConfigError("parallelism.per_endpoint must be >= 1")
@@ -193,10 +203,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         strategies=strategies,
         iteration_cap=iteration_cap,
         exec_settings=exec_settings,
-        task_parallelism=int(parallelism_raw.get("tasks", 1)),
+        task_parallelism=task_parallelism,
         per_endpoint_cap=per_endpoint_cap,
         seed=seed if isinstance(seed, int) else None,
-        field_map=dataset.get("field_map"),
+        field_map=field_map,
         retries=retries,
         backoff_s=backoff_s,
     )

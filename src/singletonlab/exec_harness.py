@@ -3,10 +3,10 @@
 Candidate and test code are written to an isolated scratch directory as one
 compilation unit, compiled with javac and run with java; the test run's exit
 code is the verdict. During a run both steps go to a resident CompileServer
-JVM (see ExecPool) rather than fresh javac and `java Main` processes; a
-`java Main` process stays the reference and runs whatever the JVM cannot
-reproduce exactly. A marker-driven mock backend stands in when no JDK is
-wanted (demos, offline tests).
+JVM (see ExecPool) rather than fresh javac and `java Main` processes; those
+processes stay the reference and answer whatever the JVM cannot. A
+marker-driven mock backend stands in when no JDK is wanted (demos, offline
+tests).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import signal
 import subprocess
 import threading
 from collections import Counter
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -231,12 +232,12 @@ class CompileServer:
         self._up = threading.Event()  # set once it is ready, or has exited
         # Why this server is being retired (another request's overrun, a
         # refused reply, or "memory" once the JVM ended on an
-        # OutOfMemoryError), set before the waiters are woken, so the other
-        # requests in flight know they were not at fault.
+        # OutOfMemoryError), set before the waiters are woken: the other
+        # requests in flight go to processes under this reason.
         self.retired: str | None = None
         self._lock = threading.Lock()
         self._ids = itertools.count()
-        self._waiting: dict[int, tuple[threading.Event, list]] = {}
+        self._waiting: dict[int, futures.Future] = {}
         self._lost: str | None = None
         self._reader = threading.Thread(target=self._read, daemon=True)
         self._reader.start()
@@ -245,12 +246,12 @@ class CompileServer:
         """The (exit, stderr, stdout) reply to a `compile` or `run` request
         on directory, or None when it overran budget_s. Raises EOFError if
         the JVM has exited."""
-        done, reply = threading.Event(), []
+        reply: futures.Future = futures.Future()
         with self._lock:
             if self._lost is not None:
                 raise EOFError(self._lost)
             key = next(self._ids)
-            self._waiting[key] = (done, reply)
+            self._waiting[key] = reply
             try:
                 self.proc.stdin.write(f"{key} {kind} {directory}\n".encode("utf-8"))
                 self.proc.stdin.flush()
@@ -261,13 +262,12 @@ class CompileServer:
             with self._lock:
                 self._waiting.pop(key, None)
             raise EOFError(f"compile server not ready after {_START_S}s")
-        if not done.wait(budget_s):
+        try:
+            return reply.result(budget_s)
+        except futures.TimeoutError:
             with self._lock:
                 self._waiting.pop(key, None)
             return None
-        if not reply:
-            raise EOFError(self._lost)
-        return reply[0]
 
     def close(self) -> None:
         """Kill the JVM and collect its exit status."""
@@ -299,8 +299,7 @@ class CompileServer:
                 if code == _REFUSED and self.retired is None:
                     self.retired = body.decode("ascii", "replace")
             if waiter is not None:
-                waiter[1].append((code, body[:err], body[err:]))
-                waiter[0].set()
+                waiter.set_result((code, body[:err], body[err:]))
         self.proc.kill()  # no-op once it has exited; the waiters must not wait on it
         status = self.proc.wait()
         with self._lock:
@@ -308,8 +307,8 @@ class CompileServer:
                 self.retired = "memory"
             self._lost = f"compile server exited with {status}"
             waiting, self._waiting = self._waiting, {}
-        for done, _ in waiting.values():
-            done.set()
+        for waiter in waiting.values():
+            waiter.set_exception(EOFError(self._lost))
 
 
 class ExecPool:
@@ -317,22 +316,22 @@ class ExecPool:
 
     slot() bounds concurrent evaluations to `workers`. compile() and run()
     send every compile and test run to one lazily started CompileServer, so
-    a run keeps at most one JVM, however many slots are busy at once. A
-    request that overruns its budget kills that server; the other requests
-    in flight on it are sent once more to a fresh one. A refused reply
-    retires the server too: a refused compile is sent once more, a refused
-    run runs as a `java Main` process, as does a run with a `java` other
-    than the server's. When the JVM ends on an OutOfMemoryError, no request
-    in flight on it can be trusted, nor sent again (the one that filled
-    the heap is among them): each goes to a javac or `java Main` process.
-    The server starts in scratch_root, so relative paths a run opens land
-    there, not in the caller's directory (they are not the cell's own
-    directory, as they are for `java Main`). The server runs on the `java`
-    beside the resolved `javac`; if it cannot start (no such `java`, a JDK
-    older than 11, no jdk.compiler module), the pool logs it once and uses
-    javac and `java Main` processes from then on. A pool that is never
-    asked to compile (mock mode) starts no JVM. close() kills and reaps the
-    server, so no JVM outlives the run and its CPU time counts as the run's.
+    a run keeps at most one JVM, however many slots are busy at once. Each
+    request goes to that JVM at most once, and what it cannot answer goes
+    to a javac or `java Main` process, the reference: a request whose reply
+    is refused, and every request in flight on a JVM that exits, runs out
+    of memory or is killed for another request's overrun. A refused reply
+    and an overrun retire the JVM; the next request starts a fresh one. A
+    run with a `java` other than the server's, and a scratch path the
+    protocol cannot carry, go to processes too. The server starts in
+    scratch_root, so relative paths a run opens land there, not in the
+    caller's directory (they are not the cell's own directory, as they are
+    for `java Main`). The server runs on the `java` beside the resolved
+    `javac`; if it cannot start (no such `java`, a JDK older than 11, no
+    jdk.compiler module), the pool logs it once and uses javac and `java
+    Main` processes from then on. A pool that is never asked to compile
+    (mock mode) starts no JVM. close() kills and reaps the server, so no
+    JVM outlives the run and its CPU time counts as the run's.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -425,33 +424,23 @@ class ExecPool:
         budget_s, or why it must go to a process instead (_FALLBACKS)."""
         if not _SERVABLE_PATH.fullmatch(directory):
             return "path"
-        reason = "unavailable"
-        for _ in range(2):
-            server = self._current()
-            if server is None:
-                return "unavailable"
-            try:
-                reply = server.request(kind, directory, budget_s)
-            except EOFError as exc:
-                self._retire(server)
-                if server.retired == "memory":
-                    return "memory"
-                if server.retired is not None:
-                    reason = server.retired
-                    continue  # not this request's doing: once more on a fresh server
-                if not server.started:
-                    self._give_up(str(exc))
-                return "unavailable"
-            if reply is None:
-                self._retire(server, "overrun")
-                return None
-            if reply[0] != _REFUSED:
-                return reply
-            reason = reply[1].decode("ascii", "replace")
+        server = self._current()
+        if server is None:
+            return "unavailable"
+        try:
+            reply = server.request(kind, directory, budget_s)
+        except EOFError as exc:
             self._retire(server)
-            if kind == "run":
-                return reason
-        return reason
+            if server.retired is None and not server.started:
+                self._give_up(str(exc))
+            return server.retired or "unavailable"
+        if reply is None:
+            self._retire(server, "overrun")
+            return None
+        if reply[0] != _REFUSED:
+            return reply
+        self._retire(server)
+        return reply[1].decode("ascii", "replace")
 
     def _count(self, where: str) -> None:
         with self._lock:

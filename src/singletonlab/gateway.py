@@ -67,13 +67,14 @@ def complete(
 ) -> ChatMessage:
     """Send the full history, return the assistant reply.
 
-    HTTP failures (transport, bad status, malformed body, timeout) are
-    retried up to `retries` times with exponential backoff before raising,
-    except a 4xx status other than 408 and 429: the request itself is at
-    fault, so it raises after that one attempt. A 429 or 503 with a
-    Retry-After of N seconds waits at least N seconds before the next,
-    up to the model's timeout_s: the header comes from outside, and an
-    hour's wait would hold the cell's endpoint permit all that time.
+    HTTP failures (transport, bad status, a body that is not JSON or not
+    shaped as a chat completion, timeout) are retried up to `retries` times
+    with exponential backoff before raising, except a 4xx status other than
+    408 and 429: the request itself is at fault, so it raises after that
+    one attempt. A 429 or 503 with a Retry-After of N seconds waits at
+    least N seconds before the next, up to the model's timeout_s: the
+    header comes from outside, and an hour's wait would hold the cell's
+    endpoint permit all that time.
     """
     if not history:
         raise ValueError("history must not be empty")
@@ -122,7 +123,7 @@ def _http_complete(
             if not isinstance(content, str):
                 raise GatewayError("response content is not a string")
             return ChatMessage("assistant", content)
-        except (requests.RequestException, GatewayError, KeyError, IndexError, ValueError) as exc:
+        except (requests.RequestException, GatewayError, KeyError, IndexError, TypeError, ValueError) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             if status // 100 == 4 and status not in RETRIED_CLIENT_ERRORS:
                 break

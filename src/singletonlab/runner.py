@@ -64,46 +64,33 @@ def run_experiment(
             arms.append((spec, strategy, len(done), [t for t in tasks if t.task_id not in done]))
     if jdk and resumed and any(pending for *_, pending in arms):
         check_toolchain(settings.javac, settings.java)
-    # closing the pool reaps its compile server, on success and on error
-    with ExecPool(settings.workers, settings.javac, log, _scratch_root(config)) as exec_pool:
+    # closing the pool reaps its compile server, on success and on error;
+    # the cell threads stop first
+    with (
+        ExecPool(settings.workers, settings.javac, log, _scratch_root(config)) as exec_pool,
+        ThreadPoolExecutor(config.task_parallelism) as cells,
+    ):
         for spec, strategy, done, pending in arms:
-            _run_arm(config, store, spec, strategy, done, pending, digest, exec_pool, on_record, log)
+            if done:
+                log(
+                    f"{spec.model_id}/{strategy.kind}: {done} record(s) already "
+                    f"present, {len(pending)} to run"
+                )
+            if not pending:
+                continue
+            # map yields in input order, so record order stays dataset order.
+            # _run_one gets its arguments by position, as perfbench/pipeline.py
+            # wraps it; the arm's cells all end before spec and strategy change.
+            run_one = lambda task: _run_one(config, spec, strategy, task, digest, exec_pool)  # noqa: E731
+            for record in cells.map(run_one, pending):
+                store.append(record)
+                if on_record:
+                    on_record(record)
+            log(f"{spec.model_id}/{strategy.kind}: completed {len(pending)} task(s)")
     runs = exec_pool.run_summary()
     if runs:
         log(runs)
     return store
-
-
-def _run_arm(
-    config: RunConfig,
-    store: RunStore,
-    spec: ModelSpec,
-    strategy: Strategy,
-    done: int,
-    pending: list[Task],
-    digest: str,
-    exec_pool: ExecPool,
-    on_record,
-    log,
-) -> None:
-    if done:
-        log(
-            f"{spec.model_id}/{strategy.kind}: {done} record(s) already "
-            f"present, {len(pending)} to run"
-        )
-    if not pending:
-        return
-
-    def process(task: Task) -> RunRecord:
-        return _run_one(config, spec, strategy, task, digest, exec_pool)
-
-    # map yields in input order, so record order stays dataset order
-    with ThreadPoolExecutor(max_workers=max(1, config.task_parallelism)) as pool:
-        for record in pool.map(process, pending):
-            store.append(record)
-            if on_record:
-                on_record(record)
-    log(f"{spec.model_id}/{strategy.kind}: completed {len(pending)} task(s)")
 
 
 def _run_one(

@@ -90,11 +90,11 @@ class RunStore:
         self.records_dir.mkdir(parents=True, exist_ok=True)
         payload = {"config_digest": digest, "config": snapshot}
         if self.config_path.exists():
-            existing = self.load_snapshot()
-            if existing.get("config_digest") != digest:
+            existing = self.load_snapshot()["config_digest"]
+            if existing != digest:
                 raise StoreError(
                     f"store {self.root} was created with a different config "
-                    f"(digest {existing.get('config_digest')} != {digest})"
+                    f"(digest {existing} != {digest})"
                 )
             for path in self.records_dir.glob("*.jsonl"):
                 _drop_torn_tail(path)
@@ -107,11 +107,14 @@ class RunStore:
 
     def load_snapshot(self) -> dict:
         try:
-            return json.loads(self.config_path.read_text("utf-8"))
+            snapshot = json.loads(self.config_path.read_text("utf-8"))
         except OSError as exc:
             raise StoreError(f"cannot read {self.config_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise StoreError(f"corrupt store config {self.config_path}: {exc}") from exc
+        if not isinstance(snapshot, dict) or "config_digest" not in snapshot:
+            raise StoreError(f"corrupt store config {self.config_path}: no object with config_digest")
+        return snapshot
 
     def record_path(self, model_id: str, strategy_kind: str) -> Path:
         return self.records_dir / f"{_safe_name(model_id)}__{strategy_kind}.jsonl"

@@ -61,6 +61,8 @@ class StubHandler(BaseHTTPRequestHandler):
     failure_status = 500
     retry_after: str | None = None  # the Retry-After header of a failure
     body = "class A {}"
+    # payload -> the JSON document of a 200 reply; None sends `body` as a chat completion
+    document = None
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -79,6 +81,8 @@ class StubHandler(BaseHTTPRequestHandler):
         response = {
             "choices": [{"message": {"role": "assistant", "content": type(self).body}}]
         }
+        if type(self).document is not None:
+            response = type(self).document(payload)
         data = json.dumps(response).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -97,6 +101,7 @@ def stub_server():
     StubHandler.failure_status = 500
     StubHandler.retry_after = None
     StubHandler.body = "class A {}"
+    StubHandler.document = None
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

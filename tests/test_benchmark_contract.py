@@ -99,3 +99,22 @@ def test_run_one_signature_matches_pipeline_hook():
         "config", "spec", "strategy", "task", "digest", "exec_pool"
     )
     assert "model_id" in {f.name for f in dataclasses.fields(config.ModelSpec)}
+
+
+def test_run_experiment_passes_run_one_its_arguments_by_position(tmp_path, monkeypatch):
+    """perfbench/pipeline.py wraps _run_one as (cfg, spec, strategy, task, *rest),
+    with no keyword arguments."""
+    cells = []
+    run_one = runner._run_one
+
+    def hooked(cfg, spec, strategy, task, *rest):
+        cells.append((spec.model_id, strategy.kind, task.task_id))
+        return run_one(cfg, spec, strategy, task, *rest)
+
+    monkeypatch.setattr(runner, "_run_one", hooked)
+    cfg = dataclasses.replace(
+        config.load_config(GOLDEN / "config.json"), output_dir=str(tmp_path / "store")
+    )
+    runner.run_experiment(cfg, log=lambda message: None)
+    tasks = dataset.load_tasks(cfg.dataset_path)
+    assert len(set(cells)) == len(cells) == len(cfg.models) * len(cfg.strategies) * len(tasks)

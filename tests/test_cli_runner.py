@@ -9,7 +9,7 @@ from singletonlab.config import ConfigError, load_config, script_responses
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore
 
-from conftest import CORPUS_DIR, MOCK_SCRIPT, MOCK_TASKS
+from conftest import CORPUS_DIR, MOCK_SCRIPT, MOCK_TASKS, StubHandler
 
 
 def write_config(tmp_path, **overrides) -> str:
@@ -241,6 +241,27 @@ def test_parallel_tasks_against_http_endpoint(tmp_path, stub_server):
     assert all(r.functional_outcome is not None for r in records)
 
 
+def test_a_reply_of_the_wrong_shape_aborts_its_cell_and_the_others_finish(tmp_path, stub_server):
+    ok = {"choices": [{"message": {"role": "assistant", "content": "class A {}"}}]}
+    StubHandler.document = lambda payload: (
+        {"choices": None} if "(problem 2," in payload["messages"][1]["content"] else ok
+    )
+    config = load_config(
+        write_config(
+            tmp_path,
+            models=[{"model_id": "stub", "endpoint": stub_server}],
+            strategies=["baseline"],
+            retries=1,
+            backoff_s=0.0,
+        )
+    )
+    store = run_experiment(config, log=lambda m: None)
+    outcomes = {r.task_id: r.functional_outcome for r in store.load_records("stub", "baseline")}
+    assert sorted(outcomes) == [f"Java/{i}" for i in range(5)]
+    assert outcomes.pop("Java/2").kind == "Aborted"
+    assert {outcome.kind for outcome in outcomes.values()} == {"Pass"}
+
+
 def test_model_with_missing_credential_is_skipped(tmp_path, monkeypatch):
     monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
     config = load_config(
@@ -351,8 +372,10 @@ def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model
         {"backoff_s": -1},
         {"backoff_s": float("nan")},
         {"parallelism": {"per_endpoint": 0}},
+        {"parallelism": {"tasks": 0}},
+        {"exec": {"mode": "mock", "workers": 0}},
     ],
-    ids=["retries", "backoff", "backoff-nan", "per-endpoint"],
+    ids=["retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers"],
 )
 def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):
     config_path = write_config(tmp_path, **override)
@@ -360,6 +383,16 @@ def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, ove
         load_config(config_path)
     assert main(["run", "--config", config_path]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "store" / "config.json").exists()
+
+
+@pytest.mark.parametrize("field_map", [["a"], "x", {"task_id": 1}], ids=["list", "string", "number"])
+def test_cli_run_rejects_a_field_map_that_is_not_an_object_of_strings(tmp_path, capsys, field_map):
+    config_path = write_config(tmp_path, dataset={"path": str(MOCK_TASKS), "field_map": field_map})
+    with pytest.raises(ConfigError, match="field_map"):
+        load_config(config_path)
+    assert main(["run", "--config", config_path]) == 2
+    assert "field_map" in capsys.readouterr().err
     assert not (tmp_path / "store" / "config.json").exists()
 
 
@@ -423,3 +456,20 @@ def test_cli_mock_run_on_a_torn_store_config_exits_2_and_names_it(tmp_path, caps
     )
     assert code == 2
     assert str(output / "config.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snapshot", ["[]", '"x"', "{}"], ids=["list", "string", "no-digest"])
+@pytest.mark.parametrize("command", ["run", "mock-run", "report"])
+def test_a_store_config_that_is_no_snapshot_exits_2_and_names_it(tmp_path, capsys, command, snapshot):
+    output = tmp_path / "store"
+    output.mkdir()
+    (output / "config.json").write_text(snapshot, encoding="utf-8")
+    argv = {
+        "run": ["run", "--config", write_config(tmp_path)],
+        "mock-run": ["mock-run", "--script", str(MOCK_SCRIPT), "--dataset", str(MOCK_TASKS), "--output", str(output)],
+        "report": ["report", str(output)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert str(output / "config.json") in captured.err
+    assert captured.out == ""

@@ -421,6 +421,16 @@ def record_servers(monkeypatch) -> list:
     return started
 
 
+def record_javac_processes(monkeypatch) -> list[Path]:
+    """The scratch directories compiled by javac processes from now on."""
+    compiled: list[Path] = []
+    javac_process = exec_harness._javac
+    monkeypatch.setattr(
+        exec_harness, "_javac", lambda *args: compiled.append(args[1]) or javac_process(*args)
+    )
+    return compiled
+
+
 # A stand-in for `java CompileServer.java` that speaks the same protocol: it
 # batches the requests of each 5 ms and answers every batch last-in first-out,
 # with exit code and diagnostics derived from the request's directory.
@@ -626,8 +636,9 @@ def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
 
 
 @requires_jdk
-def test_overrun_resends_the_other_compiles_in_flight_to_a_fresh_server(tmp_path, monkeypatch):
+def test_overrun_sends_the_other_compiles_in_flight_to_a_javac_process(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
+    javac_processes = record_javac_processes(monkeypatch)
     javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
@@ -652,7 +663,8 @@ def test_overrun_resends_the_other_compiles_in_flight_to_a_fresh_server(tmp_path
         overrun = evaluate(pool, canonical, "overrun", 0.001)
         assert overrun == OutcomeLabel(TIMEOUT, "compilation exceeded 0.001s")
         assert in_flight.result(timeout=120) == OutcomeLabel(PASS, "")
-    assert len(started) == 2  # the killed server and the fresh one the slow compile went to
+    assert javac_processes.count(tmp_path / "in-flight") == 1  # the compile in flight, not resent
+    assert len(started) == 2  # the killed server and the fresh one the slow candidate's run started
     assert all(server.proc.returncode is not None for server in started)
 
 
@@ -994,11 +1006,7 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
     # a server heap too small for the greedy run, which a java Main heap holds
     monkeypatch.setattr(exec_harness, "_SERVER_FLAGS", (*exec_harness._SERVER_FLAGS, "-Xmx128m"))
     started = record_servers(monkeypatch)
-    javac_processes: list[Path] = []
-    javac_process = exec_harness._javac
-    monkeypatch.setattr(
-        exec_harness, "_javac", lambda *args: javac_processes.append(args[1]) or javac_process(*args)
-    )
+    javac_processes = record_javac_processes(monkeypatch)
     javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
@@ -1060,6 +1068,7 @@ def test_relative_paths_of_a_run_land_in_the_scratch_root(tmp_path, monkeypatch)
 @requires_jdk
 def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
+    javac_processes = record_javac_processes(monkeypatch)
     javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
@@ -1086,7 +1095,8 @@ def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, m
         assert started[0]._waiting, "the slow compile never reached the server"
         assert pool.run(loop_dir, 0.2, java) == OutcomeLabel(TIMEOUT, "test run exceeded 0.2s")
         assert in_flight.result(timeout=120) == OutcomeLabel(PASS, "")
-    assert len(started) == 2  # the killed server and the fresh one the slow compile went to
+    assert javac_processes.count(tmp_path / "in-flight") == 1  # the compile in flight, not resent
+    assert len(started) == 2  # the killed server and the fresh one the slow candidate's run started
     assert all(server.proc.returncode is not None for server in started)
 
 

@@ -227,3 +227,15 @@ def test_endpoint_limiter_hands_a_released_permit_to_its_waiter():
     assert not waiter.is_alive()
     assert limiter.acquire(blocking=False)
     limiter.release()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [[], "x", {"choices": None}, {"choices": [{"message": None}]}],
+    ids=["list", "string", "null-choices", "null-message"],
+)
+def test_http_reply_of_the_wrong_shape_is_retried_then_a_gateway_error(stub_server, document):
+    StubHandler.document = lambda payload: document
+    with pytest.raises(GatewayError, match="test-model.*after 2 attempts: TypeError"):
+        complete(handle(stub_server), HISTORY, retries=1, backoff_s=0.01)
+    assert len(StubHandler.requests) == 2
