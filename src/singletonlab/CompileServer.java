@@ -41,10 +41,11 @@ import sun.misc.Unsafe;
  * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
  * absolute scratch directory. Each request runs on its own thread. Reply: a
  * header line "<id> <exit> <nbytes>", then nbytes of body; replies come in
- * the order requests finish and never interleave. A compile answers javac's
- * exit code and diagnostics. A run answers what `java Main` in dir would:
- * exit 0, or 1 after an uncaught throwable, and its stderr then its stdout,
- * with the header "<id> <exit> <nbytes> <nerr>", nerr the stderr's length.
+ * the order requests finish and never interleave. A compile reads Main.java
+ * as UTF-8 and answers javac's exit code and diagnostics. A run answers what
+ * `java Main` in dir would: exit 0, or 1 after an uncaught throwable, and its
+ * stderr then its stdout, with the header "<id> <exit> <nbytes> <nerr>",
+ * nerr the stderr's length.
  * Exit REFUSED means this JVM cannot vouch for the reply; the body names why.
  * The sender then compiles elsewhere or runs a java Main process, and retires
  * this JVM. A run is refused when a thread of it outlives main, when it
@@ -101,7 +102,8 @@ public class CompileServer {
                     } else {
                         ByteArrayOutputStream err = new ByteArrayOutputStream();
                         String dir = request[2];
-                        int exit = javac.run(null, null, err, "-d", dir, "-cp", dir, dir + File.separator + "Main.java");
+                        int exit = javac.run(null, null, err, "-encoding", "UTF-8", "-d", dir, "-cp", dir,
+                                dir + File.separator + "Main.java");
                         reply(id, exit, err.toByteArray(), -1);
                     }
                 } catch (Throwable e) {

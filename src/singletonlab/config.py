@@ -12,6 +12,7 @@ from urllib.parse import urlparse
 
 from .gateway import ScriptedModel
 from .guidance import PROTOCOLS, STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
+from .store import _safe_name
 
 EXEC_MODES = ("jdk", "mock")
 
@@ -109,7 +110,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} must be a JSON object")
     try:
         return parse_config(raw, base_dir=path.parent)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
@@ -146,10 +147,14 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     models = tuple(_parse_model(m, seed) for m in models_raw)
     if len({m.model_id for m in models}) != len(models):
         raise ConfigError("model_id values must be unique")
+    stored: dict[str, str] = {}  # a model's records files are named by _safe_name(model_id)
+    for spec in models:
+        name = _safe_name(spec.model_id)
+        other = stored.setdefault(name, spec.model_id)
+        if other != spec.model_id:
+            raise ConfigError(f"model_id values {other!r} and {spec.model_id!r} share the store name {name!r}")
 
-    iteration_cap = int(raw.get("iteration_cap", 10))
-    if iteration_cap < 1:
-        raise ConfigError("iteration_cap must be >= 1")
+    iteration_cap = _at_least(raw.get("iteration_cap", 10), 1, "iteration_cap")
 
     strategies_raw = raw.get("strategies")
     if not isinstance(strategies_raw, list) or not strategies_raw:
@@ -168,29 +173,19 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError(f"exec.mode must be one of {EXEC_MODES}")
     exec_settings = ExecSettings(
         mode=mode,
-        budget_s=int(exec_raw.get("budget_s", 30)),
+        budget_s=_at_least(exec_raw.get("budget_s", 30), 1, "exec.budget_s"),
         javac=str(exec_raw.get("javac", "javac")),
         java=str(exec_raw.get("java", "java")),
         test_adaptation=bool(exec_raw.get("test_adaptation", False)),
-        workers=int(exec_raw.get("workers", os.cpu_count() or 1)),
+        workers=_at_least(exec_raw.get("workers", os.cpu_count() or 1), 1, "exec.workers"),
     )
-    if exec_settings.budget_s < 1:
-        raise ConfigError("exec.budget_s must be >= 1")
-    if exec_settings.workers < 1:
-        raise ConfigError("exec.workers must be >= 1")
 
     parallelism_raw = raw.get("parallelism", {})
     if not isinstance(parallelism_raw, dict):
         raise ConfigError("parallelism must be an object")
-    task_parallelism = int(parallelism_raw.get("tasks", 1))
-    if task_parallelism < 1:
-        raise ConfigError("parallelism.tasks must be >= 1")
-    per_endpoint_cap = int(parallelism_raw.get("per_endpoint", 4))
-    if per_endpoint_cap < 1:
-        raise ConfigError("parallelism.per_endpoint must be >= 1")
-    retries = int(raw.get("retries", 3))
-    if retries < 0:
-        raise ConfigError("retries must be >= 0")
+    task_parallelism = _at_least(parallelism_raw.get("tasks", 1), 1, "parallelism.tasks")
+    per_endpoint_cap = _at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint")
+    retries = _at_least(raw.get("retries", 3), 0, "retries")
     backoff_s = float(raw.get("backoff_s", 1.0))
     if not (math.isfinite(backoff_s) and backoff_s >= 0):
         raise ConfigError("backoff_s must be a finite number >= 0")
@@ -210,6 +205,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         retries=retries,
         backoff_s=backoff_s,
     )
+
+
+def _at_least(value: object, minimum: int, name: str) -> int:
+    number = int(value)
+    if number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    return number
 
 
 def _parse_model(raw: object, default_seed: object) -> ModelSpec:

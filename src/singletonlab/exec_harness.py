@@ -97,9 +97,7 @@ def check_toolchain(javac: str = "javac", java: str = "java") -> None:
     """Verify both tools launch; called once at startup, not per task."""
     for tool in (javac, java):
         try:
-            probe = subprocess.run(
-                [tool, "-version"], capture_output=True, text=True, timeout=30
-            )
+            probe = subprocess.run([tool, "-version"], capture_output=True, timeout=30)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise ToolchainError(f"cannot run {tool!r}: {exc}") from exc
         if probe.returncode != 0:
@@ -194,21 +192,20 @@ def _text(output: bytes) -> str:
 
 
 def _javac(javac: str, scratch: Path, budget_s: float) -> tuple[int, str] | None:
-    """A javac process on scratch/Main.java: (exit code, stderr), or None
-    when it overran budget_s."""
+    """A javac process on scratch/Main.java, read as UTF-8 as it was
+    written: (exit code, stderr), or None when it overran budget_s."""
     try:
         compiled = subprocess.run(
-            [javac, "Main.java"],
+            [javac, "-encoding", "UTF-8", "Main.java"],
             cwd=scratch,
             capture_output=True,
-            text=True,
             timeout=budget_s,
         )
     except FileNotFoundError as exc:
         raise ToolchainError(f"cannot run {javac!r}: {exc}") from exc
     except subprocess.TimeoutExpired:
         return None
-    return compiled.returncode, compiled.stderr
+    return compiled.returncode, _text(compiled.stderr)
 
 
 class CompileServer:
@@ -382,8 +379,7 @@ class ExecPool:
         if reply is None:
             return None
         code, body, _ = reply
-        diagnostics = body.decode(locale.getpreferredencoding(False), "replace")
-        return code, diagnostics.replace(directory + os.sep, "")
+        return code, _text(body).replace(directory + os.sep, "")
 
     def run(self, scratch: Path, budget_s: float, java: str) -> OutcomeLabel:
         """The outcome of the compiled scratch/Main, as _java_main gives it."""

@@ -7,7 +7,6 @@ import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 from .config import ModelSpec, RunConfig, config_digest, config_snapshot
 from .dataset import Task, load_tasks
@@ -67,7 +66,7 @@ def run_experiment(
     # closing the pool reaps its compile server, on success and on error;
     # the cell threads stop first
     with (
-        ExecPool(settings.workers, settings.javac, log, _scratch_root(config)) as exec_pool,
+        ExecPool(settings.workers, settings.javac, log, store.scratch_root(config.run_id)) as exec_pool,
         ThreadPoolExecutor(config.task_parallelism) as cells,
     ):
         for spec, strategy, done, pending in arms:
@@ -130,12 +129,7 @@ def _evaluate(
     settings = config.exec_settings
     if settings.mode == "mock":  # pure Python: no toolchain slot
         return mock_evaluate(record.selected_candidate, classes)
-    scratch = (
-        _scratch_root(config)
-        / _safe(spec.model_id)
-        / strategy.kind
-        / _safe(task.task_id)
-    )
+    scratch = RunStore(config.output_dir).scratch_dir(config.run_id, spec.model_id, strategy.kind, task.task_id)
 
     def evaluate():
         with exec_pool.slot():
@@ -156,12 +150,3 @@ def _evaluate(
 
     # a later arm's byte-identical candidate reuses the JVM verdict, slot-free
     return exec_pool.once((task.task_id, record.selected_candidate), evaluate)
-
-
-def _scratch_root(config: RunConfig) -> Path:
-    """The run's scratch directory: one subdirectory per cell below it."""
-    return Path(config.output_dir) / "scratch" / config.run_id
-
-
-def _safe(value: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-" else "-" for c in value)

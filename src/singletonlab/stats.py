@@ -48,12 +48,7 @@ def pass_at_1(records: list[RunRecord]) -> float:
     """Percentage of tasks whose single selected candidate passed its tests."""
     if not records:
         raise ValueError("no records")
-    passed = sum(
-        1
-        for r in records
-        if r.functional_outcome is not None and r.functional_outcome.kind == PASS
-    )
-    return 100.0 * passed / len(records)
+    return 100.0 * sum(map(_passed, records)) / len(records)
 
 
 def delta_pp(strategy_rate: float, baseline_rate: float) -> float:

@@ -119,6 +119,13 @@ class RunStore:
     def record_path(self, model_id: str, strategy_kind: str) -> Path:
         return self.records_dir / f"{_safe_name(model_id)}__{strategy_kind}.jsonl"
 
+    def scratch_root(self, run_id: str) -> Path:
+        """The run's scratch directory: one subdirectory per cell below it."""
+        return self.root / "scratch" / run_id
+
+    def scratch_dir(self, run_id: str, model_id: str, strategy_kind: str, task_id: str) -> Path:
+        return self.scratch_root(run_id) / _safe_name(model_id) / strategy_kind / _safe_name(task_id)
+
     def append(self, record: RunRecord) -> None:
         path = self.record_path(record.model_id, record.strategy_kind)
         line = json.dumps(record_to_dict(record), sort_keys=True)

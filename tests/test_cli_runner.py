@@ -365,6 +365,14 @@ def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model
     assert not (tmp_path / "store" / "config.json").exists()
 
 
+def test_cli_run_rejects_model_ids_that_share_a_records_file(tmp_path, capsys):
+    # both would append to records/org-m__<strategy>.jsonl, and resume would skip one's cells
+    models = [{"model_id": model_id, "script_path": str(MOCK_SCRIPT)} for model_id in ("org/m", "org-m")]
+    assert main(["run", "--config", write_config(tmp_path, models=models)]) == 2
+    assert "error: model_id values 'org/m' and 'org-m' share the store name 'org-m'" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -374,8 +382,9 @@ def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model
         {"parallelism": {"per_endpoint": 0}},
         {"parallelism": {"tasks": 0}},
         {"exec": {"mode": "mock", "workers": 0}},
+        {"retries": float("inf")},
     ],
-    ids=["retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers"],
+    ids=["retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers", "retries-infinity"],
 )
 def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):
     config_path = write_config(tmp_path, **override)

@@ -1141,6 +1141,24 @@ def test_a_scratch_path_outside_printable_ascii_gets_processes(tmp_path, residen
 
 
 @requires_jdk
+def test_main_java_compiles_as_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    # the JVMs started below inherit a locale whose encoding is ASCII
+    monkeypatch.setenv("LC_ALL", "C")
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    candidate = "// café\n" + canonical + '\nclass Accent { static final String TEXT = "é"; }\n'
+    with ExecPool(1, javac, scratch_root=tmp_path) as pool:
+        served = evaluate_functionality(
+            candidate, task, 30, scratch_dir=tmp_path / "served", javac=javac, java=java, compiler=pool
+        )
+    processes = evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / "processes", javac=javac, java=java)
+    assert served == OutcomeLabel(PASS, "")
+    assert pool._runs == Counter({"resident JVM": 1})
+    assert processes == OutcomeLabel(PASS, "")
+
+
+@requires_jdk
 def test_jdk_run_keeps_only_timeout_scratch_and_logs_where_runs_went(tmp_path):
     raw = jdk_run_config(tmp_path)
     raw["exec"]["budget_s"] = 2
@@ -1151,7 +1169,6 @@ def test_jdk_run_keeps_only_timeout_scratch_and_logs_where_runs_went(tmp_path):
     store = run_experiment(parse_config(raw), log=logs.append)
     outcomes = {r.task_id: r.functional_outcome.kind for r in store.load_records("scripted", "baseline")}
     assert sorted(outcomes.values()) == [PASS, TIMEOUT]
-    scratch_root = tmp_path / "store" / "scratch"
-    left = sorted(path.parent.name for path in scratch_root.rglob("Main.java"))
-    assert left == [runner._safe(second.task_id)]
+    left = sorted(path.parent for path in (tmp_path / "store" / "scratch").rglob("Main.java"))
+    assert left == [tmp_path / "store/scratch/servers/scripted/baseline/Java-1"]  # task Java/1
     assert "exec: 1 test run(s) in the resident JVM, 0 as java Main processes" in logs

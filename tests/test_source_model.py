@@ -140,21 +140,15 @@ def test_anonymous_class_in_initializer_is_skipped():
     ]
 
 
-def test_prose_yields_empty_list_with_warning():
-    warnings: list[str] = []
-    result = parse_compilation_unit(
-        "The class should be private and static, as described.", warnings
-    )
+def test_prose_yields_empty_list():
+    result = parse_compilation_unit("The class should be private and static, as described.")
     assert result == []
-    assert warnings  # diagnostics accumulate in the side channel
 
 
 def test_unterminated_body_is_best_effort():
-    warnings: list[str] = []
-    classes = parse_compilation_unit("class R { private R() {}", warnings)
+    classes = parse_compilation_unit("class R { private R() {}")
     assert len(classes) == 1
     assert classes[0].constructors()[0].modifiers == frozenset({"private"})
-    assert any("unterminated" in w for w in warnings)
 
 
 def test_multiple_top_level_classes_in_source_order():
@@ -290,7 +284,7 @@ def test_depth1_members_match_brace_counter_oracle(plan):
 @settings(max_examples=200, deadline=None)
 @given(text=st.text(max_size=300))
 def test_parser_is_total_over_arbitrary_text(text):
-    for model in parse_compilation_unit(text, warnings=[]):
+    for model in parse_compilation_unit(text):
         assert model.class_name
 
 

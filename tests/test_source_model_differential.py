@@ -3,8 +3,8 @@
 `reference_source_model.py` is the earlier `source_model`: it tokenizes the
 whole text, then parses the token list. The current module builds tokens
 only for top level and member headers, and steps over every skipped group
-with one regex. Both must give the same classes, members and warnings, and
-the same `tokenize` output, on any text, well-formed or not.
+with one regex. Both must give the same classes and members, and the same
+`tokenize` output, on any text, well-formed or not.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ def mangled(draw) -> str:
     return text
 
 
-def parsed(module, text: str) -> tuple[list, list[str]]:
-    warnings: list[str] = []
-    return [astuple(model) for model in module.parse_compilation_unit(text, warnings)], warnings
+def parsed(module, text: str) -> list[tuple]:
+    return [astuple(model) for model in module.parse_compilation_unit(text)]
 
 
 def tokens(module, text: str) -> list[tuple]:
