@@ -7,20 +7,13 @@ from `check`, 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import tempfile
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    ExecSettings,
-    ModelSpec,
-    RunConfig,
-    load_config,
-    load_script_file,
-    parse_strategy,
-)
+from .config import ConfigError, load_config, parse_config
 from .dataset import DatasetError
 from .exec_harness import ToolchainError
 from .guidance import assess_candidate
@@ -115,15 +108,11 @@ def cmd_check(args) -> int:
         print(json.dumps(results, indent=2))
     else:
         for row in results:
-            verdicts = " ".join(f"{name}={_yn(row[name])}" for name in PREDICATE_NAMES)
+            verdicts = " ".join(f"{name}={'yes' if row[name] else 'no'}" for name in PREDICATE_NAMES)
             print(f"{row['path']}: score {row['singleton_score']:.1f} [{verdicts}]")
             for failure in row["failed_checks"]:
                 print(f"  - {failure}")
     return 0 if all(r["conforming"] for r in results) else 1
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def cmd_run(args) -> int:
@@ -144,21 +133,19 @@ def cmd_report(args) -> int:
 
 
 def cmd_mock_run(args) -> int:
-    script = load_script_file(args.script)
-    kinds = [k.strip() for k in args.strategies.split(",") if k.strip()]
-    strategies = tuple(
-        parse_strategy(kind, args.iterations, lambda p: p) for kind in kinds
-    )
-    output = args.output or tempfile.mkdtemp(prefix="singletonlab-mock-")
-    config = RunConfig(
-        run_id="mock",
-        dataset_path=str(Path(args.dataset)),
-        output_dir=str(output),
-        models=(ModelSpec(model_id=args.model_id, script=script),),
-        strategies=strategies,
-        iteration_cap=args.iterations,
-        exec_settings=ExecSettings(mode="mock"),
-    )
+    # the config file `run --config` would read; Path() keeps relative paths as typed
+    raw = {
+        "run_id": "mock",
+        "dataset": args.dataset,
+        "output_dir": args.output or "temp",  # a placeholder until the flags pass
+        "models": [{"model_id": args.model_id, "script_path": args.script}],
+        "strategies": [k.strip() for k in args.strategies.split(",") if k.strip()],
+        "iteration_cap": args.iterations,
+        "exec": {"mode": "mock"},
+    }
+    config = parse_config(raw, base_dir=Path())
+    if not args.output:  # the digest leaves output_dir out
+        config = dataclasses.replace(config, output_dir=tempfile.mkdtemp(prefix="singletonlab-mock-"))
     store = run_experiment(config)
     sys.stdout.write(render(build_summary(store), "text"))
     print(f"store: {store.root}")

@@ -12,7 +12,7 @@ from urllib.parse import urlparse
 
 from .gateway import ScriptedModel
 from .guidance import PROTOCOLS, STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
-from .store import _safe_name
+from .dataset import store_name_clash
 
 EXEC_MODES = ("jdk", "mock")
 
@@ -102,7 +102,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -144,15 +144,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if not isinstance(models_raw, list) or not models_raw:
         raise ConfigError("models must be a non-empty list")
     seed = raw.get("seed")
-    models = tuple(_parse_model(m, seed) for m in models_raw)
+    models = tuple(_parse_model(m, seed, _resolve) for m in models_raw)
     if len({m.model_id for m in models}) != len(models):
         raise ConfigError("model_id values must be unique")
-    stored: dict[str, str] = {}  # a model's records files are named by _safe_name(model_id)
-    for spec in models:
-        name = _safe_name(spec.model_id)
-        other = stored.setdefault(name, spec.model_id)
-        if other != spec.model_id:
-            raise ConfigError(f"model_id values {other!r} and {spec.model_id!r} share the store name {name!r}")
+    if clash := store_name_clash("model_id", [m.model_id for m in models]):  # names records files
+        raise ConfigError(clash)
 
     iteration_cap = _at_least(raw.get("iteration_cap", 10), 1, "iteration_cap")
 
@@ -214,7 +210,7 @@ def _at_least(value: object, minimum: int, name: str) -> int:
     return number
 
 
-def _parse_model(raw: object, default_seed: object) -> ModelSpec:
+def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
     if not isinstance(raw, dict):
         raise ConfigError("each model entry must be an object")
     model_id = raw.get("model_id")
@@ -222,7 +218,7 @@ def _parse_model(raw: object, default_seed: object) -> ModelSpec:
         raise ConfigError("model_id must be a non-empty string")
     script = raw.get("script")
     if raw.get("script_path"):
-        script = load_script_file(raw["script_path"])
+        script = load_script_file(resolve(raw["script_path"]))
     endpoint = raw.get("endpoint")
     if script is None and not endpoint:
         raise ConfigError(f"model {model_id!r} needs an endpoint or a script")
@@ -242,7 +238,7 @@ def _parse_model(raw: object, default_seed: object) -> ModelSpec:
 def load_script_file(path: str) -> object:
     try:
         script = json.loads(Path(path).read_text("utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read script {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
@@ -270,7 +266,7 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
             for p in paths:
                 try:
                     texts.append(Path(resolve(str(p))).read_text("utf-8").rstrip("\n"))
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     raise ConfigError(f"cannot read exemplar {p}: {exc}") from exc
             exemplars = verify_exemplars(tuple(texts))
         else:

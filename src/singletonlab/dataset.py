@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,13 +57,14 @@ def load_tasks(
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
 
     tasks: list[Task] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -101,9 +103,25 @@ def load_tasks(
                 test_code=values["test_code"],
             )
         )
+    if clash := store_name_clash("task_id", [t.task_id for t in tasks]):  # names scratch directories
+        raise DatasetError(f"{path}: {clash}")
     if not tasks:
         _warn(warnings, f"{path}: no tasks loaded")
     return TaskSet(tuple(tasks), digest)
+
+
+def _safe_name(value: str) -> str:
+    return re.sub(r"[^\w.-]+", "-", value)
+
+
+def store_name_clash(label: str, values: list[str]) -> str | None:
+    """The error for the first two values that share a name in a run store, or None."""
+    named: dict[str, str] = {}
+    for value in values:
+        other = named.setdefault(_safe_name(value), value)
+        if other != value:
+            return f"{label} values {other!r} and {value!r} share the store name {_safe_name(value)!r}"
+    return None
 
 
 def _warn(warnings: list[str] | None, message: str) -> None:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import re
 from pathlib import Path
 
+from .dataset import _safe_name
 from .exec_harness import OutcomeLabel
 from .guidance import IterationRecord, RunRecord
 from .pattern_checker import PredicateReport
@@ -66,10 +66,6 @@ def _drop_torn_tail(path: Path) -> None:
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
-def _safe_name(value: str) -> str:
-    return re.sub(r"[^\w.-]+", "-", value)
-
-
 class RunStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -110,7 +106,7 @@ class RunStore:
             snapshot = json.loads(self.config_path.read_text("utf-8"))
         except OSError as exc:
             raise StoreError(f"cannot read {self.config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StoreError(f"corrupt store config {self.config_path}: {exc}") from exc
         if not isinstance(snapshot, dict) or "config_digest" not in snapshot:
             raise StoreError(f"corrupt store config {self.config_path}: no object with config_digest")
@@ -158,7 +154,7 @@ class RunStore:
         records = []
         try:
             text = path.read_text("utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StoreError(f"cannot read {path}: {exc}") from exc
         for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             if not line.strip():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -454,6 +457,167 @@ def test_cli_mock_run_rejects_non_script_before_creating_store(tmp_path, capsys)
     assert code == 2
     assert "must be a list or an object" in capsys.readouterr().err
     assert not (output / "config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--strategies", "baseline,baseline"], "strategy kinds must be unique"),
+        (["--model-id", ""], "model_id must be a non-empty string"),
+        (["--strategies", ""], "strategies must be a non-empty list"),
+        (["--iterations", "0"], "iteration_cap must be >= 1"),
+    ],
+    ids=["repeated-strategy", "empty-model-id", "no-strategy", "no-iterations"],
+)
+def test_cli_mock_run_rejects_the_flags_run_rejects_in_a_config(tmp_path, capsys, monkeypatch, flags, message):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    argv = ["mock-run", "--script", str(MOCK_SCRIPT), "--dataset", str(MOCK_TASKS), *flags]
+    assert main([*argv, "--output", str(tmp_path / "store")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "store" / "config.json").exists()
+    assert main(argv) == 2  # and no temp store is made for flags that fail
+    assert list(temp.iterdir()) == []
+
+
+MOCK_RUN_CONFIG_JSON = r"""{
+  "config": {
+    "backoff_s": 1.0,
+    "dataset_path": "tasks.jsonl",
+    "exec": {
+      "budget_s": 30,
+      "java": "java",
+      "javac": "javac",
+      "mode": "mock",
+      "test_adaptation": false,
+      "workers": 2
+    },
+    "field_map": null,
+    "iteration_cap": 10,
+    "models": [
+      {
+        "auth_ref": null,
+        "endpoint": null,
+        "max_tokens": 4096,
+        "model_id": "scripted",
+        "script": [
+          "class Solution { private static Solution s; private Solution() {} public static Solution getInstance() { return s; } }"
+        ],
+        "seed": null,
+        "temperature": 0.2,
+        "timeout_s": 60
+      }
+    ],
+    "output_dir": "store",
+    "parallelism": {
+      "per_endpoint": 4,
+      "tasks": 1
+    },
+    "retries": 3,
+    "run_id": "mock",
+    "seed": null,
+    "strategies": [
+      {
+        "exemplars": [],
+        "kind": "baseline",
+        "max_iterations": 1
+      },
+      {
+        "exemplars": [],
+        "kind": "binary_feedback",
+        "max_iterations": 10
+      },
+      {
+        "exemplars": [],
+        "kind": "predicate_feedback",
+        "max_iterations": 10
+      }
+    ]
+  },
+  "config_digest": "2ad67b8a21010430"
+}
+"""
+
+
+def test_cli_mock_run_default_flags_write_pinned_config_json(tmp_path, capsys, monkeypatch):
+    # these bytes, digest included, are what mock-run wrote when it built its
+    # config by hand: a mock store made then still resumes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    script = json.loads(MOCK_RUN_CONFIG_JSON)["config"]["models"][0]["script"]
+    (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    shutil.copy(MOCK_TASKS, tmp_path / "tasks.jsonl")
+    argv = ["mock-run", "--script", "script.json", "--dataset", "tasks.jsonl", "--output", "store"]
+    assert main(argv) == 0
+    assert (tmp_path / "store" / "config.json").read_text("utf-8") == MOCK_RUN_CONFIG_JSON
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().err.count("5 record(s) already present, 0 to run") == 3
+    assert sum(len(v) for v in RunStore(tmp_path / "store").load_all().values()) == 15
+
+
+def test_a_relative_script_path_is_read_next_to_the_config(tmp_path, monkeypatch):
+    shutil.copy(MOCK_SCRIPT, tmp_path / "script.json")
+    config_path = write_config(tmp_path, models=[{"model_id": "m", "script_path": "script.json"}])
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", config_path]) == 0
+    assert load_config(config_path).models[0].script == json.loads(MOCK_SCRIPT.read_text("utf-8"))
+    assert sum(len(v) for v in RunStore(tmp_path / "store").load_all().values()) == 10
+
+
+def test_cli_run_rejects_task_ids_that_share_a_scratch_directory(tmp_path, capsys):
+    # jdk cells of Java/0 and Java-0 would compile in one scratch directory at once
+    rows = [json.loads(line) for line in MOCK_TASKS.read_text("utf-8").splitlines()[:2]]
+    rows[1]["task_id"] = "Java-0"
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert main(["run", "--config", write_config(tmp_path, dataset={"path": str(dataset)})]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {dataset}: task_id values 'Java/0' and 'Java-0' share the store name 'Java-0'" in err
+    assert not (tmp_path / "store").exists()
+
+
+def _not_utf8(tmp_path, name):
+    """A command that meets byte 0xff in one of its input files, and that file."""
+    store = tmp_path / "store"
+    bad = tmp_path / f"{name}.bad"
+    if name == "config":
+        bad.write_bytes(b'{"run_id": "\xff"}')
+        return ["run", "--config", str(bad)], bad
+    if name == "dataset":
+        bad.write_bytes(MOCK_TASKS.read_bytes() + b'{"task_id": "\xff"}\n')
+        return ["run", "--config", write_config(tmp_path, dataset={"path": str(bad)})], bad
+    if name == "exemplar":
+        bad.write_bytes(b"class A {} // \xff")
+        strategy = {"kind": "fewshot_feedback", "exemplar_paths": [str(bad), str(bad)]}
+        return ["run", "--config", write_config(tmp_path, strategies=[strategy])], bad
+    if name == "script":
+        bad.write_bytes(b'["\xff"]')
+        return ["mock-run", "--script", str(bad), "--dataset", str(MOCK_TASKS), "--output", str(store)], bad
+    assert main(["run", "--config", write_config(tmp_path)]) == 0
+    if name == "records":
+        bad = store / "records" / "scripted-model__baseline.jsonl"
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    else:  # the store's config.json
+        bad = store / "config.json"
+        bad.write_bytes(bad.read_bytes().replace(b'"mock"', b'"mo\xffk"'))
+    return ["report", str(store)], bad
+
+
+@pytest.mark.parametrize("name", ["config", "dataset", "script", "records", "store-config", "exemplar"])
+def test_input_that_is_not_utf8_exits_2_and_names_the_file(tmp_path, capsys, name):
+    argv, path = _not_utf8(tmp_path, name)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert "codec can't decode byte 0xff" in captured.err
+    assert captured.out == ""
+    if argv[0] != "report":
+        assert not (tmp_path / "store" / "config.json").exists()
 
 
 def test_cli_mock_run_on_a_torn_store_config_exits_2_and_names_it(tmp_path, capsys):
