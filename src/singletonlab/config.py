@@ -82,6 +82,14 @@ class ExecSettings:
 
 
 @dataclass(frozen=True)
+class Parallelism:
+    """Limits on cells in flight: run-wide, and per model endpoint."""
+
+    tasks: int = 1
+    per_endpoint: int = 4
+
+
+@dataclass(frozen=True)
 class RunConfig:
     run_id: str
     dataset_path: str
@@ -89,9 +97,8 @@ class RunConfig:
     models: tuple[ModelSpec, ...]
     strategies: tuple[Strategy, ...]
     iteration_cap: int = 10
-    exec_settings: ExecSettings = field(default_factory=ExecSettings)
-    task_parallelism: int = 1
-    per_endpoint_cap: int = 4
+    exec: ExecSettings = field(default_factory=ExecSettings)
+    parallelism: Parallelism = field(default_factory=Parallelism)
     seed: int | None = None
     field_map: dict | None = None
     retries: int = 3
@@ -167,20 +174,32 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     mode = exec_raw.get("mode", "jdk")
     if mode not in EXEC_MODES:
         raise ConfigError(f"exec.mode must be one of {EXEC_MODES}")
+    test_adaptation = exec_raw.get("test_adaptation", False)
+    if not isinstance(test_adaptation, bool):
+        raise ConfigError("exec.test_adaptation must be true or false")
+
+    def _tool(name: str) -> str:  # a bare name is looked up on PATH
+        tool = exec_raw.get(name, name)
+        if not isinstance(tool, str) or not tool:
+            raise ConfigError(f"exec.{name} must be a non-empty string")
+        return _resolve(tool) if "/" in tool else tool
+
     exec_settings = ExecSettings(
         mode=mode,
         budget_s=_at_least(exec_raw.get("budget_s", 30), 1, "exec.budget_s"),
-        javac=str(exec_raw.get("javac", "javac")),
-        java=str(exec_raw.get("java", "java")),
-        test_adaptation=bool(exec_raw.get("test_adaptation", False)),
+        javac=_tool("javac"),
+        java=_tool("java"),
+        test_adaptation=test_adaptation,
         workers=_at_least(exec_raw.get("workers", os.cpu_count() or 1), 1, "exec.workers"),
     )
 
     parallelism_raw = raw.get("parallelism", {})
     if not isinstance(parallelism_raw, dict):
         raise ConfigError("parallelism must be an object")
-    task_parallelism = _at_least(parallelism_raw.get("tasks", 1), 1, "parallelism.tasks")
-    per_endpoint_cap = _at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint")
+    parallelism = Parallelism(
+        tasks=_at_least(parallelism_raw.get("tasks", 1), 1, "parallelism.tasks"),
+        per_endpoint=_at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint"),
+    )
     retries = _at_least(raw.get("retries", 3), 0, "retries")
     backoff_s = float(raw.get("backoff_s", 1.0))
     if not (math.isfinite(backoff_s) and backoff_s >= 0):
@@ -193,9 +212,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         models=models,
         strategies=strategies,
         iteration_cap=iteration_cap,
-        exec_settings=exec_settings,
-        task_parallelism=task_parallelism,
-        per_endpoint_cap=per_endpoint_cap,
+        exec=exec_settings,
+        parallelism=parallelism,
         seed=seed if isinstance(seed, int) else None,
         field_map=field_map,
         retries=retries,
@@ -219,6 +237,8 @@ def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
     script = raw.get("script")
     if raw.get("script_path"):
         script = load_script_file(resolve(raw["script_path"]))
+    elif script is not None:
+        script = _script(script, f"model {model_id!r}: script")
     endpoint = raw.get("endpoint")
     if script is None and not endpoint:
         raise ConfigError(f"model {model_id!r} needs an endpoint or a script")
@@ -237,13 +257,16 @@ def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
 
 def load_script_file(path: str) -> object:
     try:
-        script = json.loads(Path(path).read_text("utf-8"))
+        return _script(json.loads(Path(path).read_text("utf-8")), f"script {path}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read script {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
+
+
+def _script(script: object, name: str) -> object:
     if not isinstance(script, (list, dict)):
-        raise ConfigError(f"script {path} must be a list or an object")
+        raise ConfigError(f"{name} must be a list or an object")
     return script
 
 
@@ -278,16 +301,9 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
 
 
 def config_snapshot(config: RunConfig) -> dict:
-    """JSON-native view of the config, stable across runs of the same setup:
-    its fields, with exec_settings stored as "exec" and the two limits on
-    cells in flight as "parallelism"."""
-    snapshot = asdict(config)
-    snapshot["exec"] = snapshot.pop("exec_settings")
-    snapshot["parallelism"] = {
-        "tasks": snapshot.pop("task_parallelism"),
-        "per_endpoint": snapshot.pop("per_endpoint_cap"),
-    }
-    return snapshot
+    """JSON-native view of the config, one key per field, stable across runs
+    of the same setup."""
+    return asdict(config)
 
 
 def config_digest(snapshot: dict) -> str:

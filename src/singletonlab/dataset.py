@@ -17,8 +17,6 @@ DEFAULT_FIELD_MAP = {
     "test_code": "test",
 }
 
-_MANDATORY = ("task_id", "description", "declaration", "test_code")
-
 
 class DatasetError(Exception):
     pass
@@ -37,6 +35,7 @@ class Task:
 class TaskSet:
     tasks: tuple[Task, ...]
     source_digest: str
+    warnings: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -45,11 +44,7 @@ class TaskSet:
         return iter(self.tasks)
 
 
-def load_tasks(
-    path: str | Path,
-    field_map: dict[str, str] | None = None,
-    warnings: list[str] | None = None,
-) -> TaskSet:
+def load_tasks(path: str | Path, field_map: dict[str, str] | None = None) -> TaskSet:
     """Read one Task per JSONL line; non-Java tasks are skipped with a warning."""
     mapping = dict(DEFAULT_FIELD_MAP)
     if field_map:
@@ -63,6 +58,7 @@ def load_tasks(
     digest = hashlib.sha256(raw).hexdigest()
 
     tasks: list[Task] = []
+    warnings: list[str] = []
     seen_ids: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -74,7 +70,7 @@ def load_tasks(
         if not isinstance(obj, dict):
             raise DatasetError(f"{path}: line {lineno}: not a JSON object")
         values: dict[str, str] = {}
-        for fieldname in _MANDATORY:
+        for fieldname in DEFAULT_FIELD_MAP:
             key = mapping[fieldname]
             value = obj.get(key)
             if not isinstance(value, str) or not value:
@@ -85,7 +81,7 @@ def load_tasks(
         task_id = values["task_id"]
         lang = task_id.split("/", 1)[0] if "/" in task_id else ""
         if lang and lang.lower() != "java":
-            _warn(warnings, f"line {lineno}: skipped non-Java task {task_id!r}")
+            warnings.append(f"line {lineno}: skipped non-Java task {task_id!r}")
             continue
         if task_id in seen_ids:
             raise DatasetError(f"{path}: line {lineno}: duplicate task_id {task_id!r}")
@@ -93,21 +89,13 @@ def load_tasks(
         classes = parse_compilation_unit(values["declaration"])
         expected = classes[0].class_name if classes else ""
         if not expected:
-            _warn(warnings, f"line {lineno}: no class found in declaration of {task_id!r}")
-        tasks.append(
-            Task(
-                task_id=task_id,
-                description=values["description"],
-                declaration=values["declaration"],
-                expected_class_name=expected,
-                test_code=values["test_code"],
-            )
-        )
+            warnings.append(f"line {lineno}: no class found in declaration of {task_id!r}")
+        tasks.append(Task(expected_class_name=expected, **values))
     if clash := store_name_clash("task_id", [t.task_id for t in tasks]):  # names scratch directories
         raise DatasetError(f"{path}: {clash}")
     if not tasks:
-        _warn(warnings, f"{path}: no tasks loaded")
-    return TaskSet(tuple(tasks), digest)
+        warnings.append(f"{path}: no tasks loaded")
+    return TaskSet(tuple(tasks), digest, tuple(warnings))
 
 
 def _safe_name(value: str) -> str:
@@ -122,8 +110,3 @@ def store_name_clash(label: str, values: list[str]) -> str | None:
         if other != value:
             return f"{label} values {other!r} and {value!r} share the store name {_safe_name(value)!r}"
     return None
-
-
-def _warn(warnings: list[str] | None, message: str) -> None:
-    if warnings is not None:
-        warnings.append(message)

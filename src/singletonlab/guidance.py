@@ -171,28 +171,15 @@ def initial_prompt(strategy: Strategy, task: Task) -> list[ChatMessage]:
 
 
 def extract_code(raw_response: str) -> str:
-    """Interior of the longest fenced code block, else the response unchanged."""
-    blocks: list[str] = []
-    i = 0
-    while True:
-        start = raw_response.find("```", i)
-        if start < 0:
-            break
-        newline = raw_response.find("\n", start + 3)
-        end = raw_response.find("```", start + 3)
-        if end < 0:
-            break
-        if 0 <= newline < end:
-            interior = raw_response[newline + 1 : end]
-        else:
-            interior = raw_response[start + 3 : end]  # single-line fence
-        if interior.endswith("\n"):
-            interior = interior[:-1]
-        blocks.append(interior)
-        i = end + 3
-    if not blocks:
-        return raw_response
-    return max(blocks, key=len)
+    """Interior of the longest fenced code block (the first on ties), else the
+    response unchanged. The odd pieces between fences are interiors, bar a last one
+    no fence closes; each drops the text up to its first newline (the language tag),
+    then one trailing newline."""
+    blocks = [
+        piece[piece.find("\n") + 1 :].removesuffix("\n")  # find is -1 without a newline
+        for piece in raw_response.split("```")[1:-1:2]
+    ]
+    return max(blocks, key=len) if blocks else raw_response
 
 
 def feedback_prompt(

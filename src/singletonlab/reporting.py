@@ -34,8 +34,6 @@ from .stats import (
 )
 from .store import RunStore
 
-FORMATS = ("text", "csv", "json")
-
 MCNEMAR_LEGEND = "McNemar significance: * = p<0.05, ** = p<0.01, *** = p<0.001"
 
 
@@ -120,13 +118,9 @@ def _outcome_breakdown(records: list[RunRecord]) -> dict:
 
 
 def render(summary: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(summary)
-    if fmt == "csv":
-        return render_csv(summary)
-    if fmt == "text":
-        return render_text(summary)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return FORMATS[fmt](summary)
 
 
 def render_json(summary: dict) -> str:
@@ -291,3 +285,6 @@ def render_csv(summary: dict) -> str:
         writer.writerow(headers)
         writer.writerows(rows)
     return out.getvalue()
+
+
+FORMATS = {"text": render_text, "csv": render_csv, "json": render_json}

@@ -35,9 +35,8 @@ def run_experiment(
 ) -> RunStore:
     """Execute the configured run. Tasks with persisted records are skipped,
     so re-invocation after an interruption completes the missing work."""
-    warnings: list[str] = []
-    tasks = load_tasks(config.dataset_path, config.field_map, warnings)
-    for warning in warnings:
+    tasks = load_tasks(config.dataset_path, config.field_map)
+    for warning in tasks.warnings:
         log(f"dataset: {warning}")
 
     snapshot = config_snapshot(config)
@@ -45,7 +44,7 @@ def run_experiment(
     store = RunStore(config.output_dir)
     resumed = store.initialize(snapshot, digest)
 
-    settings = config.exec_settings
+    settings = config.exec
     jdk = settings.mode == "jdk"
     if jdk and not resumed:
         # a new store has every cell pending: probe now, before any arm is read
@@ -67,7 +66,7 @@ def run_experiment(
     # the cell threads stop first
     with (
         ExecPool(settings.workers, settings.javac, log, store.scratch_root(config.run_id)) as exec_pool,
-        ThreadPoolExecutor(config.task_parallelism) as cells,
+        ThreadPoolExecutor(config.parallelism.tasks) as cells,
     ):
         for spec, strategy, done, pending in arms:
             if done:
@@ -102,7 +101,7 @@ def _run_one(
 ) -> RunRecord:
     backend = spec.backend(task.task_id)
     classes: list[ClassModel] = []  # the selected candidate's, parsed once by run_task
-    with endpoint_limiter(spec.endpoint, config.per_endpoint_cap):
+    with endpoint_limiter(spec.endpoint, config.parallelism.per_endpoint):
         record = run_task(
             backend,
             strategy,
@@ -126,7 +125,7 @@ def _evaluate(
     classes: list[ClassModel],
     exec_pool: ExecPool,
 ):
-    settings = config.exec_settings
+    settings = config.exec
     if settings.mode == "mock":  # pure Python: no toolchain slot
         return mock_evaluate(record.selected_candidate, classes)
     scratch = RunStore(config.output_dir).scratch_dir(config.run_id, spec.model_id, strategy.kind, task.task_id)

@@ -40,7 +40,7 @@ def test_load_config_happy_path(tmp_path):
     assert config.run_id == "t1"
     assert [m.model_id for m in config.models] == ["scripted-model"]
     assert [s.kind for s in config.strategies] == ["baseline", "binary_feedback"]
-    assert config.exec_settings.mode == "mock"
+    assert config.exec.mode == "mock"
 
 
 def test_config_requires_models(tmp_path):
@@ -358,8 +358,9 @@ def test_cli_run_rejects_invalid_config(tmp_path, capsys):
     [
         {"model_id": "m", "endpoint": "not a url"},
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "timeout_s": 0},
+        {"model_id": "m", "script": "class A {}"},
     ],
-    ids=["endpoint", "timeout"],
+    ids=["endpoint", "timeout", "script-string"],
 )
 def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model):
     config_path = write_config(tmp_path, models=[model])
@@ -386,8 +387,14 @@ def test_cli_run_rejects_model_ids_that_share_a_records_file(tmp_path, capsys):
         {"parallelism": {"tasks": 0}},
         {"exec": {"mode": "mock", "workers": 0}},
         {"retries": float("inf")},
+        {"exec": {"mode": "mock", "test_adaptation": "false"}},
+        {"exec": {"mode": "mock", "javac": None}},
+        {"exec": {"mode": "mock", "java": ""}},
     ],
-    ids=["retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers", "retries-infinity"],
+    ids=[
+        "retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers", "retries-infinity",
+        "adaptation-string", "javac-null", "java-empty",
+    ],
 )
 def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):
     config_path = write_config(tmp_path, **override)
@@ -566,6 +573,13 @@ def test_a_relative_script_path_is_read_next_to_the_config(tmp_path, monkeypatch
     assert main(["run", "--config", config_path]) == 0
     assert load_config(config_path).models[0].script == json.loads(MOCK_SCRIPT.read_text("utf-8"))
     assert sum(len(v) for v in RunStore(tmp_path / "store").load_all().values()) == 10
+
+
+def test_a_tool_path_with_a_slash_is_read_next_to_the_config(tmp_path):
+    config_path = write_config(tmp_path, exec={"mode": "mock", "javac": "bin/javac", "java": "java"})
+    settings = load_config(config_path).exec
+    assert settings.javac == str(tmp_path / "bin" / "javac")
+    assert settings.java == "java"  # a bare name stays a PATH lookup
 
 
 def test_cli_run_rejects_task_ids_that_share_a_scratch_directory(tmp_path, capsys):

@@ -65,10 +65,9 @@ def test_determinism_same_bytes_same_taskset(tmp_path):
 
 def test_empty_file_warns(tmp_path):
     path = write_jsonl(tmp_path, [])
-    warnings: list[str] = []
-    taskset = load_tasks(path, warnings=warnings)
+    taskset = load_tasks(path)
     assert len(taskset) == 0
-    assert any("no tasks" in w for w in warnings)
+    assert any("no tasks" in w for w in taskset.warnings)
 
 
 def test_malformed_line_names_line_number(tmp_path):
@@ -105,11 +104,10 @@ def test_unreadable_file(tmp_path):
 def test_non_java_tasks_skipped_with_warning(tmp_path):
     rows = [make_row(0), make_row(1, task_id="Python/1"), make_row(2, task_id="CPP/2")]
     path = write_jsonl(tmp_path, rows)
-    warnings: list[str] = []
-    taskset = load_tasks(path, warnings=warnings)
+    taskset = load_tasks(path)
     assert [t.task_id for t in taskset] == ["Java/0"]
-    assert len(warnings) == 2
-    assert "Python/1" in warnings[0]
+    assert len(taskset.warnings) == 2
+    assert "Python/1" in taskset.warnings[0]
 
 
 def test_duplicate_task_id_rejected(tmp_path):

@@ -38,6 +38,7 @@ from singletonlab.exec_harness import (
     mock_evaluate,
 )
 from singletonlab.runner import run_experiment
+from singletonlab.store import RunStore
 
 from conftest import JDK_TASKS, find_jdk, requires_jdk
 
@@ -580,6 +581,22 @@ def test_resuming_a_finished_jdk_store_starts_no_process(tmp_path, monkeypatch):
     assert launched == []
 
 
+@requires_jdk
+def test_relative_tool_paths_are_read_next_to_the_config(tmp_path, monkeypatch):
+    config = jdk_run_config(tmp_path)
+    (tmp_path / "bin").mkdir()
+    for name, tool in zip(("javac", "java"), find_jdk()):
+        (tmp_path / "bin" / name).symlink_to(tool)
+    config["exec"].update(javac="bin/javac", java="bin/java")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["run", "--config", str(path)]) == 0
+    records = RunStore(tmp_path / "store").load_records("scripted", "baseline")
+    assert [r.functional_outcome.kind for r in records] == [PASS, PASS]
+
+
 @pytest.mark.parametrize("store", ["new", "resumed"])
 def test_pending_jdk_cells_without_javac_exit_2_before_any_cell(tmp_path, capsys, store):
     config = jdk_run_config(tmp_path)
@@ -683,7 +700,7 @@ def test_each_distinct_candidate_is_evaluated_once_per_run(tmp_path, monkeypatch
     monkeypatch.setattr(runner, "evaluate_functionality", counted)
     store = run_experiment(config, log=lambda message: None)
     assert sorted(calls) == sorted(t.task_id for t in load_tasks(config.dataset_path))
-    settings = config.exec_settings
+    settings = config.exec
     for strategy in ("baseline", "instruct"):
         for record in store.load_records("scripted", strategy):
             task = next(t for t in load_tasks(config.dataset_path) if t.task_id == record.task_id)

@@ -53,9 +53,8 @@ from conftest import GOLDEN
 
 def run_golden(output_dir: Path, task_parallelism: int) -> RunStore:
     config = load_config(GOLDEN / "config.json")
-    config = dataclasses.replace(
-        config, output_dir=str(output_dir), task_parallelism=task_parallelism
-    )
+    parallelism = dataclasses.replace(config.parallelism, tasks=task_parallelism)
+    config = dataclasses.replace(config, output_dir=str(output_dir), parallelism=parallelism)
     return run_experiment(config, log=lambda message: None)
 
 

@@ -225,6 +225,33 @@ def test_extract_unclosed_fence_returns_whole_response():
     assert extract_code(raw) == raw
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        pytest.param("Here: ```class A {}``` done", "class A {}", id="single-line-fence"),
+        pytest.param(
+            "```java\nclass A {}\n```\nthen ```java\nclass Longer { int x; }\n",
+            "class A {}",
+            id="closed-then-unclosed",
+        ),
+        pytest.param(
+            "```java\nclass A {}\n```\n```java\nclass B {}\n```", "class A {}", id="tie-first-wins"
+        ),
+        pytest.param("```java\nclass A {}\n\n```", "class A {}\n", id="one-newline-stripped"),
+        pytest.param("````java\nclass A {}\n````", "class A {}", id="four-backticks"),
+        pytest.param("``````", "", id="empty-block"),
+        pytest.param("```java\n```", "", id="tag-only-block"),
+        pytest.param(
+            "Intro.\n```java\nclass A {}\n```\nBetween.\n```\nclass Bb {}\n```\nAfter.",
+            "class Bb {}",
+            id="text-around-fences",
+        ),
+    ],
+)
+def test_extract_code_cases(raw, expected):
+    assert extract_code(raw) == expected
+
+
 @given(raw=st.text(max_size=300))
 def test_extract_code_is_total(raw):
     assert isinstance(extract_code(raw), str)
