@@ -8,7 +8,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from .gateway import ScriptedModel
 from .guidance import PROTOCOLS, STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
@@ -41,11 +41,19 @@ class ModelSpec:
     script: object | None = None  # list[str] or {task_id: list[str]} (+ "default")
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.temperature):  # json.dumps refuses NaN and infinities
+            raise ValueError(f"model {self.model_id!r}: temperature must be a finite number")
         if self.script is not None:
             return
-        parsed = urlparse(self.endpoint or "")
-        if not parsed.scheme or not parsed.netloc:
-            raise ValueError(f"model {self.model_id!r}: invalid endpoint URL {self.endpoint!r}")
+        parsed = urlsplit(self.endpoint or "")
+        try:
+            valid = parsed.scheme in ("http", "https") and bool(parsed.hostname) and parsed.port != 0
+        except ValueError:  # a port that is not a number in 0-65535
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"model {self.model_id!r}: invalid endpoint URL {self.endpoint!r} (http or https only)"
+            )
         if self.timeout_s <= 0:
             raise ValueError(f"model {self.model_id!r}: timeout_s must be positive")
 
@@ -57,18 +65,15 @@ class ModelSpec:
 
 
 def script_responses(script: object, task_id: str) -> list[str]:
-    """Resolve a script spec to the response list for one task."""
+    """Resolve a script spec, as `_script` checked it, to one task's response list."""
     if isinstance(script, list):
-        return [str(s) for s in script]
-    if isinstance(script, dict):
-        table = script.get("tasks", script)
-        if task_id in table:
-            return [str(s) for s in table[task_id]]
-        default = script.get("default")
-        if isinstance(default, list):
-            return [str(s) for s in default]
-        raise ConfigError(f"script has no responses for task {task_id!r}")
-    raise ConfigError("script must be a list or an object")
+        return list(script)
+    table = script.get("tasks", script)
+    if task_id in table:
+        return list(table[task_id])
+    if "default" in script:
+        return list(script["default"])
+    raise ConfigError(f"script has no responses for task {task_id!r}")
 
 
 @dataclass(frozen=True)
@@ -222,10 +227,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
 
 def _at_least(value: object, minimum: int, name: str) -> int:
-    number = int(value)
-    if number < minimum:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer")
+    if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
-    return number
+    return value
 
 
 def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
@@ -243,13 +249,14 @@ def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
     if script is None and not endpoint:
         raise ConfigError(f"model {model_id!r} needs an endpoint or a script")
     seed = raw.get("seed", default_seed)
+    name = f"model {model_id!r}:"
     return ModelSpec(
         model_id=model_id,
         endpoint=endpoint if isinstance(endpoint, str) else None,
         auth_ref=raw.get("auth_ref") or None,
         temperature=float(raw.get("temperature", 0.2)),
-        max_tokens=int(raw.get("max_tokens", 4096)),
-        timeout_s=int(raw.get("timeout_s", 60)),
+        max_tokens=_at_least(raw.get("max_tokens", 4096), 1, f"{name} max_tokens"),
+        timeout_s=_at_least(raw.get("timeout_s", 60), 1, f"{name} timeout_s"),
         seed=seed if isinstance(seed, int) else None,
         script=script,
     )
@@ -265,8 +272,21 @@ def load_script_file(path: str) -> object:
 
 
 def _script(script: object, name: str) -> object:
-    if not isinstance(script, (list, dict)):
+    """A list of responses, or an object of them keyed by task id (under
+    "tasks", or at the top level) with an optional "default" list."""
+    if isinstance(script, dict):
+        table = script.get("tasks", script)
+        if not isinstance(table, dict):
+            raise ConfigError(f"{name}: tasks must be an object")
+        lists = {**table, "default": script.get("default", [])}
+    elif isinstance(script, list):
+        lists = {None: script}
+    else:
         raise ConfigError(f"{name} must be a list or an object")
+    for key, responses in lists.items():
+        if not (isinstance(responses, list) and all(isinstance(r, str) for r in responses)):
+            where = name if key is None else f"{name} entry {key!r}"
+            raise ConfigError(f"{where} must be a list of strings")
     return script
 
 
@@ -278,7 +298,9 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
     kind = raw.get("kind")
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}, got {kind!r}")
-    max_iterations = int(raw.get("max_iterations", iteration_cap))
+    max_iterations = _at_least(
+        raw.get("max_iterations", iteration_cap), 1, f"strategy {kind!r}: max_iterations"
+    )
     exemplars: tuple[str, ...] = ()
     if PROTOCOLS[kind].exemplars:
         paths = raw.get("exemplar_paths")

@@ -8,14 +8,19 @@ the transcript a caller records is exactly what went over the wire.
 
 from __future__ import annotations
 
+import functools
+import http.client
+import json as _json
 import os
+import ssl
 import threading
 import time
+import urllib.request
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
-
-import requests
+from urllib.parse import urlsplit
 
 if TYPE_CHECKING:
     from .config import ModelSpec
@@ -31,6 +36,63 @@ RETRY_AFTER_STATUSES = (429, 503)
 
 class GatewayError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class HttpReply:
+    status: int
+    headers: http.client.HTTPMessage
+    body: bytes
+
+
+def _post(url: str, *, json: object, headers: dict[str, str], timeout: float) -> HttpReply:
+    """POST `json` to `url` over one fresh connection, closed on every path.
+
+    The body is `json.dumps(json, allow_nan=False)` in UTF-8. `http_proxy`,
+    `https_proxy` and `no_proxy` come from the environment: an HTTP target
+    goes to the proxy with its absolute URL, an HTTPS target through a
+    CONNECT tunnel. A redirect is returned like any other status. Transport
+    failures raise OSError or http.client.HTTPException.
+    """
+    body = _json.dumps(json, allow_nan=False).encode("utf-8")
+    parts = urlsplit(url)
+    host, port = parts.hostname, parts.port
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and urllib.request.proxy_bypass(parts.netloc):
+        proxy = None
+    if proxy:
+        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        address = (proxy_parts.hostname, proxy_parts.port)
+    else:
+        address = (host, port)
+    connection: http.client.HTTPConnection
+    if parts.scheme == "https":
+        connection = http.client.HTTPSConnection(*address, timeout=timeout, context=_tls_context())
+        if proxy:
+            connection.set_tunnel(host, port)
+    else:
+        connection = http.client.HTTPConnection(*address, timeout=timeout)
+        if proxy:
+            target = f"{parts.scheme}://{parts.netloc}{target}"
+    try:
+        connection.request("POST", target, body=body, headers={**headers, "Connection": "close"})
+        response = connection.getresponse()
+        return HttpReply(response.status, response.headers, response.read())
+    finally:
+        connection.close()
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """One context per process: building one loads the system CA store."""
+    return ssl.create_default_context()
+
+
+# perfbench/tracer.py times every attempt by swapping `gateway.requests` for
+# a proxy of its `post`, so each attempt looks the sender up here. The name
+# stays for that tracer until ROADMAP item 1 moves it to the send function.
+requests = SimpleNamespace(post=_post)
 
 
 @dataclass(frozen=True)
@@ -110,20 +172,22 @@ def _http_complete(
     for attempt in range(1, attempts + 1):
         status, retry_after = 0, 0
         try:
-            response = requests.post(
+            reply = requests.post(
                 spec.endpoint, json=payload, headers=headers, timeout=spec.timeout_s
             )
-            status = response.status_code
+            status = reply.status
             if status in RETRY_AFTER_STATUSES:
-                retry_after = min(_delay_seconds(response.headers.get("Retry-After", "")), spec.timeout_s)
+                retry_after = min(_delay_seconds(reply.headers.get("Retry-After", "")), spec.timeout_s)
             if status // 100 != 2:
-                raise GatewayError(f"HTTP {status}: {response.text[:200]}")
-            body = response.json()
-            content = body["choices"][0]["message"]["content"]
+                raise GatewayError(f"HTTP {status}: {reply.body.decode('utf-8', 'replace')[:200]}")
+            document = _json.loads(reply.body)
+            content = document["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise GatewayError("response content is not a string")
             return ChatMessage("assistant", content)
-        except (requests.RequestException, GatewayError, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (
+            OSError, http.client.HTTPException, GatewayError, KeyError, IndexError, TypeError, ValueError
+        ) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             if status // 100 == 4 and status not in RETRIED_CLIENT_ERRORS:
                 break

@@ -359,8 +359,22 @@ def test_cli_run_rejects_invalid_config(tmp_path, capsys):
         {"model_id": "m", "endpoint": "not a url"},
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "timeout_s": 0},
         {"model_id": "m", "script": "class A {}"},
+        {"model_id": "m", "endpoint": "ftp://127.0.0.1/v1/chat"},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:port/v1/chat"},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "temperature": "nan"},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "temperature": "-inf"},
+        {"model_id": "m", "script": {"tasks": {"Java/0": "class A {}"}}},
+        {"model_id": "m", "script": {"Java/0": ["class A {}"], "default": "class A {}"}},
+        {"model_id": "m", "script": {"tasks": ["class A {}"]}},
+        {"model_id": "m", "script": ["class A {}", 1]},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "max_tokens": True},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "timeout_s": 2.5},
     ],
-    ids=["endpoint", "timeout", "script-string"],
+    ids=[
+        "endpoint", "timeout", "script-string", "endpoint-ftp", "endpoint-port", "temperature-nan",
+        "temperature-infinity", "script-task-string", "script-default-string", "script-tasks-list",
+        "script-number", "max-tokens-bool", "timeout-float",
+    ],
 )
 def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model):
     config_path = write_config(tmp_path, models=[model])
@@ -390,10 +404,17 @@ def test_cli_run_rejects_model_ids_that_share_a_records_file(tmp_path, capsys):
         {"exec": {"mode": "mock", "test_adaptation": "false"}},
         {"exec": {"mode": "mock", "javac": None}},
         {"exec": {"mode": "mock", "java": ""}},
+        {"exec": {"mode": "mock", "budget_s": True}},
+        {"exec": {"mode": "mock", "workers": 2.9}},
+        {"iteration_cap": 1.5},
+        {"retries": True},
+        {"parallelism": {"tasks": "2"}},
+        {"strategies": [{"kind": "instruct", "max_iterations": 2.0}]},
     ],
     ids=[
         "retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers", "retries-infinity",
-        "adaptation-string", "javac-null", "java-empty",
+        "adaptation-string", "javac-null", "java-empty", "budget-bool", "workers-float",
+        "iteration-cap-float", "retries-bool", "tasks-string", "max-iterations-float",
     ],
 )
 def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):

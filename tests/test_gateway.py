@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import json
+import os
+import socket
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import singletonlab
 
 from singletonlab.config import ModelSpec
 from singletonlab.gateway import (
@@ -239,3 +246,173 @@ def test_http_reply_of_the_wrong_shape_is_retried_then_a_gateway_error(stub_serv
     with pytest.raises(GatewayError, match="test-model.*after 2 attempts: TypeError"):
         complete(handle(stub_server), HISTORY, retries=1, backoff_s=0.01)
     assert len(StubHandler.requests) == 2
+
+
+# --- the stdlib sender, against a raw socket server ----------------------------
+
+
+class RawServer:
+    """Serves one canned reply per connection, in order, and keeps each
+    request's head and body. A reply is bytes, sent before the server
+    closes, or None: say nothing until the client hangs up."""
+
+    def __init__(self, replies: list[bytes | None]):
+        self.replies = replies
+        self.requests: list[tuple[str, bytes]] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = "127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        for reply in self.replies:
+            connection, _ = self.listener.accept()
+            with connection:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += connection.recv(65536)
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = next(
+                    (int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                     if line.lower().startswith(b"content-length:")),
+                    0,
+                )
+                while len(body) < length:
+                    body += connection.recv(65536)
+                self.requests.append((head.decode("latin-1"), body))
+                if reply is None:
+                    while connection.recv(65536):
+                        pass
+                else:
+                    connection.sendall(reply)
+
+    def close(self) -> None:
+        self.thread.join(timeout=10)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture()
+def raw_server():
+    servers: list[RawServer] = []
+
+    def start(*replies: bytes | None) -> RawServer:
+        servers.append(RawServer(list(replies)))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def chat_reply(content: str, **headers: str) -> bytes:
+    body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
+    head = "".join(f"{name.replace('_', '-')}: {value}\r\n" for name, value in headers.items())
+    return f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n{head}\r\n".encode() + body
+
+
+def test_sender_writes_the_json_body_and_headers(raw_server, monkeypatch):
+    server = raw_server(chat_reply("class A {}"))
+    monkeypatch.setenv("STUB_GATEWAY_KEY", "sekret")
+    history = [ChatMessage("system", "s\u00e9"), ChatMessage("user", "\u00fc \"q\" \U0001f600")]
+    spec = handle(f"http://{server.address}/v1/chat?x=1", auth_ref="STUB_GATEWAY_KEY", seed=7)
+    assert complete(spec, history).content == "class A {}"
+    [(head, body)] = server.requests
+    payload = {
+        "model": "test-model",
+        "messages": [{"role": m.role, "content": m.content} for m in history],
+        "temperature": 0.2,
+        "max_tokens": 4096,
+        "seed": 7,
+    }
+    assert body == json.dumps(payload, allow_nan=False).encode()
+    request_line, *lines = head.split("\r\n")
+    assert request_line == "POST /v1/chat?x=1 HTTP/1.1"
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert headers == {
+        "Host": server.address,
+        "Accept-Encoding": "identity",
+        "Content-Length": str(len(body)),
+        "Content-Type": "application/json",
+        "Authorization": "Bearer sekret",
+        "Connection": "close",
+    }
+
+
+def test_sender_reads_a_chunked_reply(raw_server):
+    body = json.dumps({"choices": [{"message": {"role": "assistant", "content": "class B {}"}}]}).encode()
+    chunks = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:10], body[10:]))
+    server = raw_server(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\n\r\n")
+    assert complete(handle(f"http://{server.address}/v1"), HISTORY).content == "class B {}"
+
+
+def test_a_reply_cut_off_mid_body_is_retried(raw_server):
+    server = raw_server(
+        b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"choices": [',
+        chat_reply("class C {}"),
+    )
+    reply = complete(handle(f"http://{server.address}/v1"), HISTORY, retries=1, backoff_s=0.01)
+    assert reply.content == "class C {}"
+    assert len(server.requests) == 2
+
+
+def test_a_read_timeout_is_retried_then_a_gateway_error(raw_server):
+    server = raw_server(None, None)
+    with pytest.raises(GatewayError, match="test-model.*after 2 attempts: TimeoutError"):
+        complete(handle(f"http://{server.address}/v1", timeout_s=0.3), HISTORY, retries=1, backoff_s=0.01)
+    assert len(server.requests) == 2
+
+
+def test_an_error_body_that_is_not_utf8_is_decoded_with_replacements(raw_server):
+    server = raw_server(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 9\r\n\r\nbad \xff\xfe ok")
+    with pytest.raises(GatewayError, match="after 1 attempts: GatewayError: HTTP 400: bad \ufffd\ufffd ok$"):
+        complete(handle(f"http://{server.address}/v1"), HISTORY, retries=3, backoff_s=0.01)
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch.setenv
+
+
+def test_an_http_proxy_gets_the_absolute_url(raw_server, proxy_env):
+    proxy = raw_server(chat_reply("class D {}"))
+    proxy_env("http_proxy", f"http://{proxy.address}")
+    reply = complete(handle("http://chat.example.test:8080/v1/chat?x=1"), HISTORY, retries=0)
+    assert reply.content == "class D {}"
+    [(head, _)] = proxy.requests
+    request_line, host = head.split("\r\n")[:2]
+    assert request_line == "POST http://chat.example.test:8080/v1/chat?x=1 HTTP/1.1"
+    assert host == "Host: chat.example.test:8080"
+
+
+def test_no_proxy_bypasses_the_proxy(raw_server, proxy_env):
+    server = raw_server(chat_reply("class E {}"))
+    proxy_env("http_proxy", "http://127.0.0.1:1")  # nothing listens there
+    proxy_env("no_proxy", "localhost,127.0.0.1")
+    assert complete(handle(f"http://{server.address}/v1"), HISTORY, retries=0).content == "class E {}"
+    assert server.requests[0][0].startswith("POST /v1 HTTP/1.1\r\n")
+
+
+def test_an_https_target_is_tunnelled_through_the_proxy(raw_server, proxy_env):
+    proxy = raw_server(b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n")
+    proxy_env("https_proxy", f"http://{proxy.address}")
+    with pytest.raises(GatewayError, match="after 1 attempts: OSError: Tunnel connection failed: 403"):
+        complete(handle("https://chat.example.test/v1"), HISTORY, retries=0)
+    assert proxy.requests[0][0].startswith("CONNECT chat.example.test:443 HTTP/1.")
+
+
+def test_importing_the_package_loads_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import singletonlab; "
+        "print('\\n'.join(sorted({name.split('.')[0] for name in set(sys.modules) - before})))"
+    )
+    src = str(Path(singletonlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "singletonlab" in loaded
+    assert loaded - {"singletonlab"} <= sys.stdlib_module_names
