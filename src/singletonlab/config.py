@@ -155,7 +155,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     models_raw = raw.get("models")
     if not isinstance(models_raw, list) or not models_raw:
         raise ConfigError("models must be a non-empty list")
-    seed = raw.get("seed")
+    seed = _seed(raw.get("seed"), "seed")
     models = tuple(_parse_model(m, seed, _resolve) for m in models_raw)
     if len({m.model_id for m in models}) != len(models):
         raise ConfigError("model_id values must be unique")
@@ -206,8 +206,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         per_endpoint=_at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint"),
     )
     retries = _at_least(raw.get("retries", 3), 0, "retries")
-    backoff_s = float(raw.get("backoff_s", 1.0))
-    if not (math.isfinite(backoff_s) and backoff_s >= 0):
+    backoff_s = _finite(raw.get("backoff_s", 1.0), "backoff_s")
+    if backoff_s < 0:
         raise ConfigError("backoff_s must be a finite number >= 0")
 
     return RunConfig(
@@ -219,7 +219,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         iteration_cap=iteration_cap,
         exec=exec_settings,
         parallelism=parallelism,
-        seed=seed if isinstance(seed, int) else None,
+        seed=seed,
         field_map=field_map,
         retries=retries,
         backoff_s=backoff_s,
@@ -234,7 +234,20 @@ def _at_least(value: object, minimum: int, name: str) -> int:
     return value
 
 
-def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
+def _seed(value: object, name: str) -> int | None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{name} must be an integer or null")
+    return value
+
+
+def _finite(value: object, name: str) -> float:
+    """A JSON number that is finite, as a float; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
+        raise ConfigError(f"{name} must be a finite number")
+    return float(value)
+
+
+def _parse_model(raw: object, default_seed: int | None, resolve) -> ModelSpec:
     if not isinstance(raw, dict):
         raise ConfigError("each model entry must be an object")
     model_id = raw.get("model_id")
@@ -248,16 +261,18 @@ def _parse_model(raw: object, default_seed: object, resolve) -> ModelSpec:
     endpoint = raw.get("endpoint")
     if script is None and not endpoint:
         raise ConfigError(f"model {model_id!r} needs an endpoint or a script")
-    seed = raw.get("seed", default_seed)
     name = f"model {model_id!r}:"
+    auth_ref = raw.get("auth_ref")
+    if auth_ref is not None and not isinstance(auth_ref, str):
+        raise ConfigError(f"{name} auth_ref must be a string or null")
     return ModelSpec(
         model_id=model_id,
         endpoint=endpoint if isinstance(endpoint, str) else None,
-        auth_ref=raw.get("auth_ref") or None,
-        temperature=float(raw.get("temperature", 0.2)),
+        auth_ref=auth_ref or None,  # "" names no credential
+        temperature=_finite(raw.get("temperature", 0.2), f"{name} temperature"),
         max_tokens=_at_least(raw.get("max_tokens", 4096), 1, f"{name} max_tokens"),
         timeout_s=_at_least(raw.get("timeout_s", 60), 1, f"{name} timeout_s"),
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed(raw.get("seed", default_seed), f"{name} seed"),
         script=script,
     )
 

@@ -26,6 +26,8 @@ GLOBAL_ACCESS_POINT_FAILURE = (
 )
 
 PREDICATE_NAMES = ("private_constructor", "instance_field", "global_access_point")
+# the failure text of each predicate, in PREDICATE_NAMES order
+_FAILURES = (PRIVATE_CONSTRUCTOR_FAILURE, INSTANCE_FIELD_FAILURE, GLOBAL_ACCESS_POINT_FAILURE)
 
 
 @dataclass(frozen=True)
@@ -36,27 +38,18 @@ class PredicateReport:
     failed_checks: tuple[str, ...]
 
     def is_singleton(self) -> bool:
-        return self.private_constructor and self.instance_field and self.global_access_point
+        return all(getattr(self, name) for name in PREDICATE_NAMES)
 
     def fulfilled(self) -> int:
-        return sum(
-            (self.private_constructor, self.instance_field, self.global_access_point)
-        )
+        return sum(getattr(self, name) for name in PREDICATE_NAMES)
 
 
 def make_report(
     private_constructor: bool, instance_field: bool, global_access_point: bool
 ) -> PredicateReport:
-    failed = []
-    if not private_constructor:
-        failed.append(PRIVATE_CONSTRUCTOR_FAILURE)
-    if not instance_field:
-        failed.append(INSTANCE_FIELD_FAILURE)
-    if not global_access_point:
-        failed.append(GLOBAL_ACCESS_POINT_FAILURE)
-    return PredicateReport(
-        private_constructor, instance_field, global_access_point, tuple(failed)
-    )
+    verdicts = (private_constructor, instance_field, global_access_point)
+    failed = tuple(text for ok, text in zip(verdicts, _FAILURES) if not ok)
+    return PredicateReport(*verdicts, failed)
 
 
 def no_class_report() -> PredicateReport:

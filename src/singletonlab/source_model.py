@@ -223,17 +223,10 @@ def _parse_class(text: str, pos: int) -> tuple[ClassModel | None, int]:
                 members.append(member)
             buffer = []
             continue
-        if punct == ";":
-            if buffer:
-                members.extend(_fields_from_header(buffer))
+        if punct in ";=":
+            members.extend(_fields_from_header(buffer))
             buffer = []
-            pos = end
-            continue
-        if punct == "=":
-            if buffer:
-                members.extend(_fields_from_header(buffer))
-            buffer = []
-            pos = _skip_initializer(text, end)
+            pos = end if punct == ";" else _skip_initializer(text, end)
             continue
         buffer.append(tok)
         pos = end
@@ -331,10 +324,8 @@ def _parse_callable(
     if name_tok.kind != "identifier":
         return None, pos
     head = _strip_annotations(buffer[:-1])
-    modifiers = frozenset(
-        t.text for t in head if t.kind == "keyword" and t.text in TRACKED_MODIFIERS
-    )
-    type_tokens = _strip_type_parameters(
+    modifiers = _modifiers(head)
+    declared_type = _simple_type(
         [
             t
             for t in head
@@ -342,7 +333,6 @@ def _parse_callable(
             and t.text not in ("native", "strictfp", "default")
         ]
     )
-    declared_type = _simple_type(type_tokens)
     if not declared_type and name_tok.text == class_name:
         return MemberModel(CONSTRUCTOR, name_tok.text, "", modifiers), pos
     return MemberModel(METHOD, name_tok.text, declared_type, modifiers), pos
@@ -351,9 +341,7 @@ def _parse_callable(
 def _fields_from_header(buffer: list[Token]) -> list[MemberModel]:
     """Turn a `mods type name[, name...]` header into field members."""
     head = _strip_annotations(buffer)
-    modifiers = frozenset(
-        t.text for t in head if t.kind == "keyword" and t.text in TRACKED_MODIFIERS
-    )
+    modifiers = _modifiers(head)
     rest = [
         t
         for t in head
@@ -369,8 +357,7 @@ def _fields_from_header(buffer: list[Token]) -> list[MemberModel]:
     )
     if name_idx <= 0:
         return []
-    base_tokens = first[:name_idx]
-    base_type = _simple_type(base_tokens)
+    base_type = _simple_type(first[:name_idx])
     if not base_type:
         return []
     members = [
@@ -383,6 +370,10 @@ def _fields_from_header(buffer: list[Token]) -> list[MemberModel]:
                 MemberModel(FIELD, names[0].text, base_type + "[]" * _dims(seg), modifiers)
             )
     return members
+
+
+def _modifiers(head: list[Token]) -> frozenset[str]:
+    return frozenset(t.text for t in head if t.kind == "keyword" and t.text in TRACKED_MODIFIERS)
 
 
 def _dims(tokens: list[Token]) -> int:
@@ -422,24 +413,9 @@ def _strip_annotations(tokens: list[Token]) -> list[Token]:
     return out
 
 
-def _strip_type_parameters(tokens: list[Token]) -> list[Token]:
-    """Drop a leading `<...>` type-parameter section from a generic method."""
-    if not tokens or tokens[0].text != "<":
-        return tokens
-    angle = 0
-    for k, t in enumerate(tokens):
-        if t.text == "<":
-            angle += 1
-        elif t.text == ">":
-            angle -= 1
-            if angle == 0:
-                return tokens[k + 1 :]
-    return []
-
-
 def _simple_type(tokens: list[Token]) -> str:
-    """Reduce type tokens to a simple name: generics and qualifiers stripped,
-    array dimensions kept as trailing `[]`."""
+    """Reduce type tokens to a simple name: every `<...>` section and all
+    qualifiers stripped, array dimensions kept as trailing `[]`."""
     parts: list[str] = []
     dims = 0
     angle = 0

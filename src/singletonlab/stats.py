@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .exec_harness import ABORTED, PASS
 from .guidance import RunRecord
-from .pattern_checker import PredicateReport, no_class_report
+from .pattern_checker import PREDICATE_NAMES, PredicateReport, no_class_report
 
 EXACT_METHOD_MAX_DISCORDANT = 25  # exact binomial strictly below this many pairs
 
@@ -124,11 +124,7 @@ def selected_report(record: RunRecord) -> PredicateReport:
 
 def predicate_counts(records: list[RunRecord]) -> PredicateCounts:
     reports = [selected_report(r) for r in records]
-    return PredicateCounts(
-        sum(1 for r in reports if r.private_constructor),
-        sum(1 for r in reports if r.instance_field),
-        sum(1 for r in reports if r.global_access_point),
-    )
+    return PredicateCounts(*(sum(1 for r in reports if getattr(r, name)) for name in PREDICATE_NAMES))
 
 
 def _passed(record: RunRecord) -> bool:

@@ -369,11 +369,18 @@ def test_cli_run_rejects_invalid_config(tmp_path, capsys):
         {"model_id": "m", "script": ["class A {}", 1]},
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "max_tokens": True},
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "timeout_s": 2.5},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "auth_ref": 5},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "seed": True},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "seed": 1.5},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "seed": "7"},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "temperature": "0.5"},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "temperature": True},
     ],
     ids=[
         "endpoint", "timeout", "script-string", "endpoint-ftp", "endpoint-port", "temperature-nan",
         "temperature-infinity", "script-task-string", "script-default-string", "script-tasks-list",
-        "script-number", "max-tokens-bool", "timeout-float",
+        "script-number", "max-tokens-bool", "timeout-float", "auth-ref-number", "seed-bool",
+        "seed-float", "seed-string", "temperature-string", "temperature-bool",
     ],
 )
 def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model):
@@ -410,11 +417,17 @@ def test_cli_run_rejects_model_ids_that_share_a_records_file(tmp_path, capsys):
         {"retries": True},
         {"parallelism": {"tasks": "2"}},
         {"strategies": [{"kind": "instruct", "max_iterations": 2.0}]},
+        {"seed": True},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"backoff_s": "2"},
+        {"backoff_s": True},
     ],
     ids=[
         "retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers", "retries-infinity",
         "adaptation-string", "javac-null", "java-empty", "budget-bool", "workers-float",
         "iteration-cap-float", "retries-bool", "tasks-string", "max-iterations-float",
+        "seed-bool", "seed-float", "seed-string", "backoff-string", "backoff-bool",
     ],
 )
 def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):

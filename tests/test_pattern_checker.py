@@ -181,6 +181,10 @@ def test_failed_checks_count_matches_false_predicates():
     for pc, inst, gap in itertools.product((False, True), repeat=3):
         report = make_report(pc, inst, gap)
         assert len(report.failed_checks) == 3 - report.fulfilled()
+        failures = (PRIVATE_CONSTRUCTOR_FAILURE, INSTANCE_FIELD_FAILURE, GLOBAL_ACCESS_POINT_FAILURE)
+        assert report.failed_checks == tuple(
+            text for ok, text in zip((pc, inst, gap), failures) if not ok
+        )
 
 
 # --- scores ----------------------------------------------------------------

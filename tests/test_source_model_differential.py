@@ -185,6 +185,15 @@ def test_mangled_classes_parse_as_before(text):
 @example("class A { int x = new int[] {1} } class B { private B() {} }")
 @example("class A { void f() throws X } class B { private B() {} }")
 @example("x.class Foo { } } } class . class Bar { int a = 1) ; int b; }")
+# generic headers: a type-parameter section, closed or not, adds nothing to the type
+@example("class A { <T> T f() { return null; } public static <T extends Comparable<T>> A[] g(); <T A() {} }")
+@example("class A { <T>> T h(); <<T> X> List<T> k(); }")
+# annotation arguments followed by parentheses
+@example("class A { @B(2) @A(1) (q) int z; }")
+@example("class A { @A(1)(2) int z; }")
+# the modifier filters of fields and of methods differ
+@example("class A { default x; }")
+@example("class A { volatile A() {} }")
 def test_fragment_soup_parses_as_before(text):
     assert_same(text)
 
