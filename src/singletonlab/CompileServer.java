@@ -37,7 +37,8 @@ import sun.misc.Unsafe;
  * Resident javac and java: compiles scratch Main.java files and runs the
  * compiled Main classes in this JVM, several at once.
  *
- * Once set up, it writes the line "ready"; a request's time starts there.
+ * Once set up, it writes the line "ready <version>", with this JVM's
+ * Runtime.version(); a request's time starts there.
  * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
  * absolute scratch directory. Each request runs on its own thread. Reply: a
  * header line "<id> <exit> <nbytes>", then nbytes of body; replies come in
@@ -90,7 +91,7 @@ public class CompileServer {
             }
         }));
         startup = globals(); // after the hook above, which is part of it
-        REPLIES.write("ready\n".getBytes(StandardCharsets.US_ASCII));
+        REPLIES.write(("ready " + Runtime.version() + "\n").getBytes(StandardCharsets.US_ASCII));
         for (String line; (line = in.readLine()) != null; ) {
             String[] request = line.split(" ", 3);
             String id = request[0];

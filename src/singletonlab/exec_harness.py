@@ -93,9 +93,10 @@ class OutcomeLabel:
     compile_error_category: str | None = None
 
 
-def check_toolchain(javac: str = "javac", java: str = "java") -> None:
-    """Verify both tools launch; called once at startup, not per task."""
-    for tool in (javac, java):
+def check_toolchain(*tools: str) -> None:
+    """Verify each tool launches: `<tool> -version` exits 0. ExecPool runs it
+    once per tool, before the first javac or `java Main` process it starts."""
+    for tool in tools:
         try:
             probe = subprocess.run([tool, "-version"], capture_output=True, timeout=30)
         except (OSError, subprocess.TimeoutExpired) as exc:
@@ -226,6 +227,7 @@ class CompileServer:
             stderr=subprocess.DEVNULL,
         )
         self.started = False  # it has written its "ready" line
+        self.version = ""  # the Runtime.version() its "ready" line names
         self._up = threading.Event()  # set once it is ready, or has exited
         # Why this server is being retired (another request's overrun, a
         # refused reply, or "memory" once the JVM ended on an
@@ -278,9 +280,11 @@ class CompileServer:
 
     def _read(self) -> None:
         out = self.proc.stdout
-        ready = out.readline() == b"ready\n"
+        line = out.readline()  # "ready <version>"; a bare "ready" names none
+        ready = line == b"ready\n" or line.startswith(b"ready ")
         with self._lock:
             self.started = ready
+            self.version = line[6:].strip().decode("ascii", "replace") if ready else ""
         self._up.set()
         while ready:
             try:
@@ -312,23 +316,28 @@ class ExecPool:
     """A run's toolchain slots, its compile server and its outcome memo.
 
     slot() bounds concurrent evaluations to `workers`. compile() and run()
-    send every compile and test run to one lazily started CompileServer, so
-    a run keeps at most one JVM, however many slots are busy at once. Each
+    send every compile and test run to one CompileServer, so a run keeps at
+    most one JVM, however many slots are busy at once. start() launches it
+    at set-up, without waiting for it; else the first request does. Each
     request goes to that JVM at most once, and what it cannot answer goes
     to a javac or `java Main` process, the reference: a request whose reply
     is refused, and every request in flight on a JVM that exits, runs out
     of memory or is killed for another request's overrun. A refused reply
     and an overrun retire the JVM; the next request starts a fresh one. A
     run with a `java` other than the server's, and a scratch path the
-    protocol cannot carry, go to processes too. The server starts in
-    scratch_root, so relative paths a run opens land there, not in the
-    caller's directory (they are not the cell's own directory, as they are
-    for `java Main`). The server runs on the `java` beside the resolved
-    `javac`; if it cannot start (no such `java`, a JDK older than 11, no
-    jdk.compiler module), the pool logs it once and uses javac and `java
-    Main` processes from then on. A pool that is never asked to compile
-    (mock mode) starts no JVM. close() kills and reaps the server, so no
-    JVM outlives the run and its CPU time counts as the run's.
+    protocol cannot carry, go to processes too. Each tool is probed
+    (check_toolchain) once, before its first process, and a failed probe
+    raises ToolchainError; the JVM's "ready" line is its own probe. The
+    server starts in scratch_root, so relative paths a run opens land
+    there, not in the caller's directory (they are not the cell's own
+    directory, as they are for `java Main`). The server runs on the `java`
+    beside the resolved `javac`; if it cannot start (no such `java`, a JDK
+    older than 11, no jdk.compiler module), the pool logs it once and uses
+    javac and `java Main` processes from then on. The first server to
+    answer has its version kept and logged. A pool that is never started
+    or asked to compile (mock mode) starts no JVM. close() kills and reaps
+    the server, so no JVM outlives the run and its CPU time counts as the
+    run's.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -348,12 +357,26 @@ class ExecPool:
         self._server: CompileServer | None = None
         self._outcomes: dict[object, OutcomeLabel] = {}
         self._runs: Counter[str] = Counter()
+        # the first answering server's Runtime.version(), "" if it named none
+        self.version: str | None = None
+        self._probes: dict[str, str | None] = {}  # tool: why its probe failed, or None
 
     def __enter__(self) -> ExecPool:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def start(self, java: str) -> None:
+        """Set-up of a run with pending cells: raise ToolchainError unless
+        javac and `java` resolve, and launch the compile server. If it
+        cannot launch, probe both tools now, before any cell."""
+        for tool in (self._javac, java):
+            if shutil.which(tool) is None:
+                raise ToolchainError(f"cannot run {tool!r}: not found")
+        if self._current() is None:
+            self._probe(self._javac)
+            self._probe(java)
 
     def slot(self) -> threading.Semaphore:
         return self._slots
@@ -375,6 +398,7 @@ class ExecPool:
         directory = os.path.abspath(scratch)
         reply = self._request("compile", directory, budget_s)
         if isinstance(reply, str):
+            self._probe(self._javac)
             return _javac(self._javac, scratch, budget_s)
         if reply is None:
             return None
@@ -392,6 +416,7 @@ class ExecPool:
         if not isinstance(reply, str):
             self._count("resident JVM")
             return _test_outcome(*reply)
+        self._probe(java)
         self._count(reply)
         return _java_main(java, scratch, budget_s)
 
@@ -430,6 +455,7 @@ class ExecPool:
             if server.retired is None and not server.started:
                 self._give_up(str(exc))
             return server.retired or "unavailable"
+        self._note_version(server)
         if reply is None:
             self._retire(server, "overrun")
             return None
@@ -437,6 +463,29 @@ class ExecPool:
             return reply
         self._retire(server)
         return reply[1].decode("ascii", "replace")
+
+    def _note_version(self, server: CompileServer) -> None:
+        with self._lock:
+            first = self.version is None and server.started
+            if first:
+                self.version = server.version
+        if first and self.version:
+            self._log(f"exec: resident JVM {self.version}")
+
+    def _probe(self, tool: str) -> None:
+        """check_toolchain(tool), the first time this pool is about to run
+        it as a process; a failure is kept and raised again on every call.
+        Probed under the lock, so concurrent first processes share one probe."""
+        with self._lock:
+            if tool not in self._probes:
+                try:
+                    check_toolchain(tool)
+                    self._probes[tool] = None
+                except ToolchainError as exc:
+                    self._probes[tool] = str(exc)
+            failure = self._probes[tool]
+        if failure is not None:
+            raise ToolchainError(failure)
 
     def _count(self, where: str) -> None:
         with self._lock:

@@ -13,7 +13,7 @@ from .dataset import Task, load_tasks
 from .exec_harness import (
     TIMEOUT,
     ExecPool,
-    check_toolchain,
+    check_toolchain,  # noqa: F401  the pool's probe; perfbench/tracer.py wraps this name
     evaluate_functionality,
     mock_evaluate,
 )
@@ -46,28 +46,29 @@ def run_experiment(
 
     settings = config.exec
     jdk = settings.mode == "jdk"
-    if jdk and not resumed:
-        # a new store has every cell pending: probe now, before any arm is read
-        check_toolchain(settings.javac, settings.java)
-    arms = []
-    for spec in config.models:
-        if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
-            log(
-                f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
-                "is not set; skipped"
-            )
-            continue
-        for strategy in config.strategies:
-            done = store.completed_task_ids(spec.model_id, strategy.kind)
-            arms.append((spec, strategy, len(done), [t for t in tasks if t.task_id not in done]))
-    if jdk and resumed and any(pending for *_, pending in arms):
-        check_toolchain(settings.javac, settings.java)
-    # closing the pool reaps its compile server, on success and on error;
-    # the cell threads stop first
+    # closing the pool reaps its compile server, on success and on error,
+    # set-up included; the cell threads stop first
     with (
         ExecPool(settings.workers, settings.javac, log, store.scratch_root(config.run_id)) as exec_pool,
         ThreadPoolExecutor(config.parallelism.tasks) as cells,
     ):
+        if jdk and not resumed:
+            # a new store has every cell pending: check the tools and launch
+            # the JVM now, before any arm is read
+            exec_pool.start(settings.java)
+        arms = []
+        for spec in config.models:
+            if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
+                log(
+                    f"model {spec.model_id}: credential env var {spec.auth_ref!r} "
+                    "is not set; skipped"
+                )
+                continue
+            for strategy in config.strategies:
+                done = store.completed_task_ids(spec.model_id, strategy.kind)
+                arms.append((spec, strategy, len(done), [t for t in tasks if t.task_id not in done]))
+        if jdk and resumed and any(pending for *_, pending in arms):
+            exec_pool.start(settings.java)
         for spec, strategy, done, pending in arms:
             if done:
                 log(

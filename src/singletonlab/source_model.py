@@ -431,7 +431,7 @@ def _simple_type(tokens: list[Token]) -> str:
         if t.text == "[":
             dims += 1
             continue
-        if t.text in ("]", ".", "...", "@"):
+        if t.text in ("]", ".", "@"):
             continue
         if t.kind in ("identifier", "keyword"):
             parts.append(t.text)

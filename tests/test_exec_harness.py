@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import locale
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -40,7 +41,7 @@ from singletonlab.exec_harness import (
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore
 
-from conftest import JDK_TASKS, find_jdk, requires_jdk
+from conftest import JDK_TASKS, StubHandler, find_jdk, requires_jdk
 
 PLAIN_CANDIDATE = "class Solution { public int add(int a, int b) { return a + b; } }"
 PROSE_CANDIDATE = "I cannot write this program, here is an explanation instead."
@@ -131,7 +132,7 @@ def test_mock_prose_is_compile_error_non_code():
 
 def test_missing_toolchain_fails_fast():
     with pytest.raises(ToolchainError):
-        check_toolchain(javac="definitely-not-a-javac-binary")
+        check_toolchain("definitely-not-a-javac-binary")
 
 
 # --- real JDK execution (skipped when no JDK on PATH) ---------------------------------
@@ -610,6 +611,118 @@ def test_pending_jdk_cells_without_javac_exit_2_before_any_cell(tmp_path, capsys
     assert list((tmp_path / "store" / "records").glob("*.jsonl")) == []
 
 
+def shell_jdk(tmp_path, javac: str, java: str, java_dir: str = "fake-jdk") -> tuple[str, str]:
+    """A javac and a java that run the given shell lines; java goes in
+    java_dir, which is javac's own directory unless named otherwise."""
+    tools = []
+    for name, body, where in (("javac", javac, "fake-jdk"), ("java", java, java_dir)):
+        tool = tmp_path / where / name
+        tool.parent.mkdir(parents=True, exist_ok=True)
+        tool.write_text(f"#!/bin/sh\n{body}\n")
+        tool.chmod(0o755)
+        tools.append(str(tool))
+    return tools[0], tools[1]
+
+
+class RecordedSubprocess:
+    """`subprocess` as exec_harness sees it, keeping the argv of every run()."""
+
+    def __init__(self):
+        self.argv: list[list[str]] = []
+
+    def run(self, argv, *args, **kwargs):
+        self.argv.append(list(argv))
+        return subprocess.run(argv, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(subprocess, name)
+
+
+@requires_jdk
+def test_a_run_on_a_working_jdk_launches_no_version_probe(tmp_path, monkeypatch):
+    recorded = RecordedSubprocess()
+    monkeypatch.setattr(exec_harness, "subprocess", recorded)
+    logs: list[str] = []
+    store = run_experiment(parse_config(jdk_run_config(tmp_path)), log=logs.append)
+    assert [r.functional_outcome.kind for r in store.load_records("scripted", "baseline")] == [PASS, PASS]
+    assert recorded.argv == []  # no -version probe, and no javac process either
+    versions = [line for line in logs if line.startswith("exec: resident JVM ")]
+    assert len(versions) == 1
+    assert re.fullmatch(r"exec: resident JVM \d+\S*", versions[0]), versions
+
+
+@pytest.mark.parametrize("missing", ["javac", "java"])
+def test_a_missing_tool_exits_2_before_any_chat_request(tmp_path, capsys, stub_server, missing):
+    javac, java = shell_jdk(tmp_path, "exit 0", "exit 0")
+    config = jdk_run_config(tmp_path)
+    config["models"] = [{"model_id": "stub", "endpoint": stub_server}]
+    config["exec"].update(javac=javac, java=java)
+    config["exec"][missing] = str(tmp_path / f"no-such-{missing}")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"no-such-{missing}" in capsys.readouterr().err
+    assert StubHandler.requests == []
+
+
+def test_a_server_that_dies_before_ready_and_a_broken_javac_exit_2(tmp_path, capsys):
+    """The server's java starts, so set-up probes nothing; its JVM is gone
+    before "ready", so the first compile needs a javac process, and javac's
+    probe fails: the run stops instead of storing CompileError records."""
+    javac, java = shell_jdk(tmp_path, "exit 1", "exit 1")
+    config = jdk_run_config(tmp_path)
+    config["exec"].update(javac=javac, java=java)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "compile server unavailable" in err
+    assert f"{javac!r} exited with 1" in err
+    assert RunStore(tmp_path / "store").load_all() == {}
+
+
+def test_the_pool_probes_each_process_tool_once(tmp_path, monkeypatch):
+    probed: list[str] = []
+    monkeypatch.setattr(exec_harness, "check_toolchain", lambda *tools: probed.extend(tools))
+    task = Task("probe/0", "", "", "Solution", "public class Main {}")
+    # the server's java launches and exits before "ready": probes wait for the first processes
+    javac, java = shell_jdk(tmp_path / "late", "exit 0", "exit 0")
+    with ExecPool(2, javac) as pool:
+        pool.start(java)
+        assert probed == []
+        for i in range(3):
+            outcome = evaluate_functionality(
+                PLAIN_CANDIDATE, task, 10, scratch_dir=tmp_path / "late" / str(i),
+                javac=javac, java=java, compiler=pool,
+            )
+            assert outcome == OutcomeLabel(PASS)
+    assert probed == [javac, java]
+    # no java beside javac: the server cannot launch, so set-up probes both tools
+    probed.clear()
+    javac, java = shell_jdk(tmp_path / "early", "exit 0", "exit 0", java_dir="elsewhere")
+    with ExecPool(2, javac) as pool:
+        pool.start(java)
+        assert probed == [javac, java]
+
+
+@requires_jdk
+def test_no_jvm_outlives_a_set_up_that_raises(tmp_path, monkeypatch):
+    """A run stopped at its first arm scan, as a set-up-only benchmark start
+    stops it, has launched its JVM already, and kills and reaps it."""
+    started = record_servers(monkeypatch)
+    at_scan = []
+
+    def stop(self, model_id, strategy_kind):
+        at_scan.extend(started)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(RunStore, "completed_task_ids", stop)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(parse_config(jdk_run_config(tmp_path)), log=lambda message: None)
+    assert len(at_scan) == len(started) == 1  # launched before the arm scan
+    assert started[0].proc.returncode is not None
+
+
 @requires_jdk
 def test_overrun_compile_kills_its_server_and_the_next_compile_respawns(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
@@ -649,7 +762,8 @@ def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
     logs: list[str] = []
     with ExecPool(1, str(bin_dir / "javac"), logs.append) as pool:
         assert pool.compile(scratch, 0.5) == (0, "")
-        assert pool._server is not None and pool._server.started and logs == []
+        assert pool._server is not None and pool._server.started
+        assert logs == [f"exec: resident JVM {pool.version}"]
 
 
 @requires_jdk
@@ -1062,7 +1176,8 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
     assert javac_processes == [tmp_path / "slow"]  # the compile in flight went to a javac process
     # the two runs in flight went to java Main processes; the slow candidate's run to a fresh server
     assert Counter(pool._runs) == Counter({"memory": 2, "resident JVM": 1})
-    assert len(started) == 2 and logs == []  # the server was replaced, not given up
+    # the server was replaced, not given up, and its version is logged once per pool
+    assert len(started) == 2 and logs == [f"exec: resident JVM {pool.version}"]
 
 
 @requires_jdk
@@ -1139,7 +1254,8 @@ def test_a_wrapper_java_gets_java_main_processes(tmp_path, resident_pool):
         for name in ("canonical", "mutant")
     ]
     assert [o.kind for o in outcomes] == [PASS, TEST_FAIL]
-    assert calls.read_text().splitlines() == ["Main", "Main"]
+    # probed once, before its first java Main process
+    assert calls.read_text().splitlines() == ["-version", "Main", "Main"]
     assert Counter(resident_pool._runs) - before == Counter({"other java": 2})
 
 

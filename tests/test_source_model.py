@@ -102,6 +102,17 @@ def test_generics_reduce_to_simple_type():
     ]
 
 
+def test_varargs_lex_as_three_dots_and_leave_member_types_alone():
+    # no token reads "...", so _simple_type has no varargs case to skip
+    texts = [t.text for t in tokenize("void f(int... a)")]
+    assert texts == ["void", "f", "(", "int", ".", ".", ".", "a", ")"]
+    source = "class V { void f(int... a) {} public static V of(Object... parts) { return null; } }"
+    assert members_of(source) == [
+        ("method", "f", "void", frozenset()),
+        ("method", "of", "V", frozenset({"public", "static"})),
+    ]
+
+
 def test_qualified_type_reduces_to_simple_name():
     source = "class F { private static com.example.F instance; }"
     assert members_of(source) == [
