@@ -93,16 +93,15 @@ class OutcomeLabel:
     compile_error_category: str | None = None
 
 
-def check_toolchain(*tools: str) -> None:
-    """Verify each tool launches: `<tool> -version` exits 0. ExecPool runs it
+def check_toolchain(tool: str) -> None:
+    """Verify the tool launches: `<tool> -version` exits 0. ExecPool runs it
     once per tool, before the first javac or `java Main` process it starts."""
-    for tool in tools:
-        try:
-            probe = subprocess.run([tool, "-version"], capture_output=True, timeout=30)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise ToolchainError(f"cannot run {tool!r}: {exc}") from exc
-        if probe.returncode != 0:
-            raise ToolchainError(f"{tool!r} exited with {probe.returncode}")
+    try:
+        probe = subprocess.run([tool, "-version"], capture_output=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise ToolchainError(f"cannot run {tool!r}: {exc}") from exc
+    if probe.returncode != 0:
+        raise ToolchainError(f"{tool!r} exited with {probe.returncode}")
 
 
 def adapt_test_code(test_code: str, class_name: str) -> str:
@@ -123,9 +122,9 @@ def evaluate_functionality(
     compiler: ExecPool | None = None,
     classes: list[ClassModel] | None = None,
 ) -> OutcomeLabel:
-    """Compile and run candidate + tests in scratch_dir. Both steps go to
-    `compiler`'s resident server when given, else to javac and `java Main`
-    processes. `classes` is the candidate's parse, when the caller has it."""
+    """Compile and run candidate + tests in scratch_dir: by `compiler` with
+    its own tools, or else as `javac` and `java Main` processes (the only
+    use of `javac` and `java`). `classes` is the candidate's parse, if any."""
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
     test_code = task.test_code
@@ -154,7 +153,7 @@ def evaluate_functionality(
         )
     if compiler is None:
         return _java_main(java, scratch, budget_s)
-    return compiler.run(scratch, budget_s, java)
+    return compiler.run(scratch, budget_s)
 
 
 def _java_main(java: str, scratch: Path, budget_s: float) -> OutcomeLabel:
@@ -317,27 +316,27 @@ class ExecPool:
 
     slot() bounds concurrent evaluations to `workers`. compile() and run()
     send every compile and test run to one CompileServer, so a run keeps at
-    most one JVM, however many slots are busy at once. start() launches it
-    at set-up, without waiting for it; else the first request does. Each
-    request goes to that JVM at most once, and what it cannot answer goes
-    to a javac or `java Main` process, the reference: a request whose reply
-    is refused, and every request in flight on a JVM that exits, runs out
-    of memory or is killed for another request's overrun. A refused reply
-    and an overrun retire the JVM; the next request starts a fresh one. A
-    run with a `java` other than the server's, and a scratch path the
-    protocol cannot carry, go to processes too. Each tool is probed
+    most one JVM, however many slots are busy at once. It runs on the `java`
+    beside the resolved `javac`; `javac` and `java` are the tools of the
+    processes. start() launches it at set-up, without waiting for it; else
+    the first request does. Each request goes to that JVM at most once, and
+    what it cannot answer goes to a javac or `java Main` process, the
+    reference: a request whose reply is refused, and every request in flight
+    on a JVM that exits, runs out of memory or is killed for another
+    request's overrun. A refused reply and an overrun retire the JVM; the
+    next request starts a fresh one. Every test run goes to a process if
+    `java` resolves to another file than the server's java, as does a
+    scratch path the protocol cannot carry. Each tool is probed
     (check_toolchain) once, before its first process, and a failed probe
     raises ToolchainError; the JVM's "ready" line is its own probe. The
-    server starts in scratch_root, so relative paths a run opens land
-    there, not in the caller's directory (they are not the cell's own
-    directory, as they are for `java Main`). The server runs on the `java`
-    beside the resolved `javac`; if it cannot start (no such `java`, a JDK
-    older than 11, no jdk.compiler module), the pool logs it once and uses
-    javac and `java Main` processes from then on. The first server to
-    answer has its version kept and logged. A pool that is never started
-    or asked to compile (mock mode) starts no JVM. close() kills and reaps
-    the server, so no JVM outlives the run and its CPU time counts as the
-    run's.
+    server starts in scratch_root, so relative paths a run opens land there,
+    not in the caller's directory (they are not the cell's own directory, as
+    they are for `java Main`). If it cannot start (no `java` beside `javac`,
+    a JDK older than 11, no jdk.compiler module), the pool logs it once and
+    uses processes from then on. The first server to answer has its version
+    kept and logged. A pool never started or asked to compile (mock mode)
+    starts no JVM. close() kills and reaps the server, so no JVM outlives
+    the run and its CPU time counts as the run's.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -345,13 +344,19 @@ class ExecPool:
     two calls with one key overlap.)
     """
 
-    def __init__(self, workers: int, javac: str = "javac", log=None, scratch_root: str | Path | None = None):
+    def __init__(
+        self, workers: int, javac: str = "javac", java: str = "java", log=None,
+        scratch_root: str | Path | None = None,
+    ):
         self._slots = threading.Semaphore(max(1, workers))
         self._scratch_root = scratch_root
         self._javac = javac
+        self._java = java
         found = shutil.which(javac)
-        self._java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
-        self._server_java = _resolve(self._java)
+        # the server's java; None once the pool gives the server up, or closes
+        self._server_java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
+        server_java = _resolve(self._server_java)
+        self._other_java = server_java is not None and _resolve(java) != server_java
         self._log = log or (lambda message: None)
         self._lock = threading.Lock()
         self._server: CompileServer | None = None
@@ -367,16 +372,16 @@ class ExecPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def start(self, java: str) -> None:
+    def start(self) -> None:
         """Set-up of a run with pending cells: raise ToolchainError unless
-        javac and `java` resolve, and launch the compile server. If it
-        cannot launch, probe both tools now, before any cell."""
-        for tool in (self._javac, java):
+        javac and java resolve, and launch the compile server. If it cannot
+        launch, probe both tools now, before any cell."""
+        for tool in (self._javac, self._java):
             if shutil.which(tool) is None:
                 raise ToolchainError(f"cannot run {tool!r}: not found")
         if self._current() is None:
             self._probe(self._javac)
-            self._probe(java)
+            self._probe(self._java)
 
     def slot(self) -> threading.Semaphore:
         return self._slots
@@ -405,9 +410,9 @@ class ExecPool:
         code, body, _ = reply
         return code, _text(body).replace(directory + os.sep, "")
 
-    def run(self, scratch: Path, budget_s: float, java: str) -> OutcomeLabel:
+    def run(self, scratch: Path, budget_s: float) -> OutcomeLabel:
         """The outcome of the compiled scratch/Main, as _java_main gives it."""
-        if self._server_java is not None and _resolve(java) != self._server_java:
+        if self._other_java:
             reply = "other java"
         else:
             reply = self._request("run", os.path.abspath(scratch), budget_s)
@@ -416,9 +421,9 @@ class ExecPool:
         if not isinstance(reply, str):
             self._count("resident JVM")
             return _test_outcome(*reply)
-        self._probe(java)
+        self._probe(self._java)
         self._count(reply)
-        return _java_main(java, scratch, budget_s)
+        return _java_main(self._java, scratch, budget_s)
 
     def run_summary(self) -> str | None:
         """Where this pool's test runs went, or None if it ran none."""
@@ -435,7 +440,7 @@ class ExecPool:
 
     def close(self) -> None:
         with self._lock:
-            self._java = None
+            self._server_java = None
             server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -493,16 +498,16 @@ class ExecPool:
 
     def _current(self) -> CompileServer | None:
         with self._lock:
-            if self._server is not None or self._java is None:
+            if self._server is not None or self._server_java is None:
                 return self._server
             try:
                 # started under the lock, so concurrent first requests share one
                 if self._scratch_root is not None:
                     os.makedirs(self._scratch_root, exist_ok=True)
-                self._server = CompileServer(self._java, self._scratch_root)
+                self._server = CompileServer(self._server_java, self._scratch_root)
                 return self._server
             except OSError as exc:
-                reason = f"cannot run {self._java!r}: {exc}"
+                reason = f"cannot run {self._server_java!r}: {exc}"
         self._give_up(reason)
         return None
 
@@ -516,9 +521,9 @@ class ExecPool:
 
     def _give_up(self, reason: str) -> None:
         with self._lock:
-            if self._java is None:
+            if self._server_java is None:
                 return
-            self._java = None
+            self._server_java = None
         self._log(f"exec: compile server unavailable ({reason}); using javac and java Main processes")
 
 

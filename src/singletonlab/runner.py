@@ -42,20 +42,15 @@ def run_experiment(
     snapshot = config_snapshot(config)
     digest = config_digest(snapshot)
     store = RunStore(config.output_dir)
-    resumed = store.initialize(snapshot, digest)
+    store.initialize(snapshot, digest)
 
     settings = config.exec
-    jdk = settings.mode == "jdk"
+    exec_pool = ExecPool(
+        settings.workers, settings.javac, settings.java, log, store.scratch_root(config.run_id)
+    )
     # closing the pool reaps its compile server, on success and on error,
     # set-up included; the cell threads stop first
-    with (
-        ExecPool(settings.workers, settings.javac, log, store.scratch_root(config.run_id)) as exec_pool,
-        ThreadPoolExecutor(config.parallelism.tasks) as cells,
-    ):
-        if jdk and not resumed:
-            # a new store has every cell pending: check the tools and launch
-            # the JVM now, before any arm is read
-            exec_pool.start(settings.java)
+    with exec_pool, ThreadPoolExecutor(config.parallelism.tasks) as cells:
         arms = []
         for spec in config.models:
             if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:
@@ -67,8 +62,9 @@ def run_experiment(
             for strategy in config.strategies:
                 done = store.completed_task_ids(spec.model_id, strategy.kind)
                 arms.append((spec, strategy, len(done), [t for t in tasks if t.task_id not in done]))
-        if jdk and resumed and any(pending for *_, pending in arms):
-            exec_pool.start(settings.java)
+        if settings.mode == "jdk" and any(pending for *_, pending in arms):
+            # check the tools and launch the JVM; it starts up during the first chat turns
+            exec_pool.start()
         for spec, strategy, done, pending in arms:
             if done:
                 log(
@@ -112,23 +108,12 @@ def _run_one(
             config_digest=digest,
             selected_classes=classes,
         )
-    if record.functional_outcome is None:
-        record.functional_outcome = _evaluate(config, spec, strategy, task, record, classes, exec_pool)
-    return record
-
-
-def _evaluate(
-    config: RunConfig,
-    spec: ModelSpec,
-    strategy: Strategy,
-    task: Task,
-    record: RunRecord,
-    classes: list[ClassModel],
-    exec_pool: ExecPool,
-):
+    if record.functional_outcome is not None:
+        return record
     settings = config.exec
     if settings.mode == "mock":  # pure Python: no toolchain slot
-        return mock_evaluate(record.selected_candidate, classes)
+        record.functional_outcome = mock_evaluate(record.selected_candidate, classes)
+        return record
     scratch = RunStore(config.output_dir).scratch_dir(config.run_id, spec.model_id, strategy.kind, task.task_id)
 
     def evaluate():
@@ -138,8 +123,6 @@ def _evaluate(
                 task,
                 settings.budget_s,
                 scratch_dir=scratch,
-                javac=settings.javac,
-                java=settings.java,
                 adapt_tests=settings.test_adaptation,
                 compiler=exec_pool,
                 classes=classes,
@@ -149,4 +132,5 @@ def _evaluate(
         return outcome
 
     # a later arm's byte-identical candidate reuses the JVM verdict, slot-free
-    return exec_pool.once((task.task_id, record.selected_candidate), evaluate)
+    record.functional_outcome = exec_pool.once((task.task_id, record.selected_candidate), evaluate)
+    return record

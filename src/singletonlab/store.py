@@ -78,10 +78,9 @@ class RunStore:
     def records_dir(self) -> Path:
         return self.root / "records"
 
-    def initialize(self, snapshot: dict, digest: str) -> bool:
+    def initialize(self, snapshot: dict, digest: str) -> None:
         """Write the config snapshot, or verify it matches an existing one and
-        cut any torn trailing line off the record files. True when the store
-        already existed."""
+        cut any torn trailing line off the record files."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.records_dir.mkdir(parents=True, exist_ok=True)
         payload = {"config_digest": digest, "config": snapshot}
@@ -94,12 +93,11 @@ class RunStore:
                 )
             for path in self.records_dir.glob("*.jsonl"):
                 _drop_torn_tail(path)
-            return True
+            return
         # a kill mid-write leaves the temp file, never a torn config.json
         partial = self.config_path.with_name(self.config_path.name + ".tmp")
         partial.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(partial, self.config_path)
-        return False
 
     def load_snapshot(self) -> dict:
         try:

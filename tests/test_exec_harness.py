@@ -151,7 +151,8 @@ def jdk_fixture_rows() -> list[dict]:
 @requires_jdk
 def test_toolchain_check_passes_with_real_jdk():
     javac, java = jdk_tools()
-    check_toolchain(javac, java)
+    check_toolchain(javac)
+    check_toolchain(java)
 
 
 @requires_jdk
@@ -583,7 +584,7 @@ def test_resuming_a_finished_jdk_store_starts_no_process(tmp_path, monkeypatch):
 
 
 @requires_jdk
-def test_relative_tool_paths_are_read_next_to_the_config(tmp_path, monkeypatch):
+def test_relative_tool_paths_are_read_next_to_the_config(tmp_path, monkeypatch, capsys):
     config = jdk_run_config(tmp_path)
     (tmp_path / "bin").mkdir()
     for name, tool in zip(("javac", "java"), find_jdk()):
@@ -596,6 +597,9 @@ def test_relative_tool_paths_are_read_next_to_the_config(tmp_path, monkeypatch):
     assert main(["run", "--config", str(path)]) == 0
     records = RunStore(tmp_path / "store").load_records("scripted", "baseline")
     assert [r.functional_outcome.kind for r in records] == [PASS, PASS]
+    # a symlinked java resolves to the server's own java: no "other java" processes
+    err = capsys.readouterr().err.splitlines()
+    assert "exec: 2 test run(s) in the resident JVM, 0 as java Main processes" in err
 
 
 @pytest.mark.parametrize("store", ["new", "resumed"])
@@ -681,45 +685,71 @@ def test_a_server_that_dies_before_ready_and_a_broken_javac_exit_2(tmp_path, cap
     assert RunStore(tmp_path / "store").load_all() == {}
 
 
+def test_a_jdk_run_whose_every_model_is_skipped_starts_no_jvm(tmp_path, monkeypatch):
+    monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
+    started = record_servers(monkeypatch)
+    javac, java = shell_jdk(tmp_path, "exit 0", "exit 0")
+    config = jdk_run_config(tmp_path)
+    config["models"] = [{"model_id": "remote", "endpoint": "http://127.0.0.1:9/v1", "auth_ref": "ABSENT_KEY_VAR"}]
+    config["exec"].update(javac=javac, java=java)
+    logs: list[str] = []
+    store = run_experiment(parse_config(config), log=logs.append)
+    assert logs == ["model remote: credential env var 'ABSENT_KEY_VAR' is not set; skipped"]
+    assert started == []
+    assert store.load_all() == {}
+
+
 def test_the_pool_probes_each_process_tool_once(tmp_path, monkeypatch):
     probed: list[str] = []
-    monkeypatch.setattr(exec_harness, "check_toolchain", lambda *tools: probed.extend(tools))
+    monkeypatch.setattr(exec_harness, "check_toolchain", probed.append)
     task = Task("probe/0", "", "", "Solution", "public class Main {}")
     # the server's java launches and exits before "ready": probes wait for the first processes
     javac, java = shell_jdk(tmp_path / "late", "exit 0", "exit 0")
-    with ExecPool(2, javac) as pool:
-        pool.start(java)
+    with ExecPool(2, javac, java) as pool:
+        pool.start()
         assert probed == []
         for i in range(3):
             outcome = evaluate_functionality(
-                PLAIN_CANDIDATE, task, 10, scratch_dir=tmp_path / "late" / str(i),
-                javac=javac, java=java, compiler=pool,
+                PLAIN_CANDIDATE, task, 10, scratch_dir=tmp_path / "late" / str(i), compiler=pool
             )
             assert outcome == OutcomeLabel(PASS)
     assert probed == [javac, java]
     # no java beside javac: the server cannot launch, so set-up probes both tools
     probed.clear()
     javac, java = shell_jdk(tmp_path / "early", "exit 0", "exit 0", java_dir="elsewhere")
-    with ExecPool(2, javac) as pool:
-        pool.start(java)
+    with ExecPool(2, javac, java) as pool:
+        pool.start()
         assert probed == [javac, java]
 
 
 @requires_jdk
 def test_no_jvm_outlives_a_set_up_that_raises(tmp_path, monkeypatch):
     """A run stopped at its first arm scan, as a set-up-only benchmark start
-    stops it, has launched its JVM already, and kills and reaps it."""
+    stops it, has launched no JVM yet. A new store's JVM is launched before
+    the first cell starts, and a run stopped there kills and reaps it."""
     started = record_servers(monkeypatch)
-    at_scan = []
+    at_scan, at_cell = [], []
+    scan = RunStore.completed_task_ids
 
-    def stop(self, model_id, strategy_kind):
+    def stop_at_scan(self, model_id, strategy_kind):
         at_scan.extend(started)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(RunStore, "completed_task_ids", stop)
+    def stop_at_cell(*args):
+        at_cell.append(list(started))
+        raise KeyboardInterrupt
+
+    for where in ("scan", "cell"):
+        (tmp_path / where).mkdir()
+    monkeypatch.setattr(RunStore, "completed_task_ids", stop_at_scan)
     with pytest.raises(KeyboardInterrupt):
-        run_experiment(parse_config(jdk_run_config(tmp_path)), log=lambda message: None)
-    assert len(at_scan) == len(started) == 1  # launched before the arm scan
+        run_experiment(parse_config(jdk_run_config(tmp_path / "scan")), log=lambda message: None)
+    assert at_scan == started == []  # the JVM launches after the arm scan
+    monkeypatch.setattr(RunStore, "completed_task_ids", scan)
+    monkeypatch.setattr(runner, "_run_one", stop_at_cell)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(parse_config(jdk_run_config(tmp_path / "cell")), log=lambda message: None)
+    assert at_cell[0] == started and len(started) == 1  # launched before the first cell
     assert started[0].proc.returncode is not None
 
 
@@ -760,7 +790,7 @@ def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
     (scratch / "Main.java").write_text(canonical + "\n\n" + task.test_code, encoding="utf-8")
     logs: list[str] = []
-    with ExecPool(1, str(bin_dir / "javac"), logs.append) as pool:
+    with ExecPool(1, str(bin_dir / "javac"), log=logs.append) as pool:
         assert pool.compile(scratch, 0.5) == (0, "")
         assert pool._server is not None and pool._server.started
         assert logs == [f"exec: resident JVM {pool.version}"]
@@ -910,7 +940,7 @@ def test_javac_without_sibling_java_falls_back_to_javac_processes(
     served = evaluate("server", compile_server)
     started = record_servers(monkeypatch)
     logs: list[str] = []
-    with ExecPool(1, str(wrapper), logs.append) as pool:
+    with ExecPool(1, str(wrapper), log=logs.append) as pool:
         assert evaluate("fallback", pool) == served
     assert started == []
     assert len(logs) == 1 and "compile server unavailable" in logs[0]
@@ -1145,7 +1175,7 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
         f"class Pad{i} {{ int f(int x) {{ return x * {i} + {i}; }} }}\n" for i in range(400)
     )
     logs: list[str] = []
-    with ExecPool(3, javac, logs.append) as pool, ThreadPoolExecutor(max_workers=2) as other:
+    with ExecPool(3, javac, log=logs.append) as pool, ThreadPoolExecutor(max_workers=2) as other:
 
         def compiled(name: str, body: str) -> Path:
             directory = tmp_path / name
@@ -1161,13 +1191,13 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
                 evaluate_functionality, slow, task, 30, scratch_dir=tmp_path / "slow", javac=javac,
                 java=java, compiler=pool,
             ),
-            other.submit(pool.run, sleeping, 30, java),
+            other.submit(pool.run, sleeping, 30),
         ]
         deadline = time.monotonic() + 30
         while len(started[0]._waiting) < 2 and time.monotonic() < deadline:
             time.sleep(0.001)
         assert len(started[0]._waiting) == 2, "the slow compile and the sleeping run never met in the server"
-        served = pool.run(greedy, 30, java)
+        served = pool.run(greedy, 30)
         assert [future.result(timeout=120) for future in in_flight] == [OutcomeLabel(PASS, "")] * 2
     process = exec_harness._java_main(java, greedy, 30)
     assert process.kind == PASS  # the case does exercise what it names
@@ -1225,7 +1255,7 @@ def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, m
         while not started[0]._waiting and time.monotonic() < deadline:
             time.sleep(0.001)
         assert started[0]._waiting, "the slow compile never reached the server"
-        assert pool.run(loop_dir, 0.2, java) == OutcomeLabel(TIMEOUT, "test run exceeded 0.2s")
+        assert pool.run(loop_dir, 0.2) == OutcomeLabel(TIMEOUT, "test run exceeded 0.2s")
         assert in_flight.result(timeout=120) == OutcomeLabel(PASS, "")
     assert javac_processes.count(tmp_path / "in-flight") == 1  # the compile in flight, not resent
     assert len(started) == 2  # the killed server and the fresh one the slow candidate's run started
@@ -1233,7 +1263,7 @@ def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, m
 
 
 @requires_jdk
-def test_a_wrapper_java_gets_java_main_processes(tmp_path, resident_pool):
+def test_a_wrapper_java_gets_java_main_processes(tmp_path):
     javac, java = jdk_tools()
     calls = tmp_path / "calls.log"
     wrapper = tmp_path / "bin" / "java"
@@ -1245,18 +1275,15 @@ def test_a_wrapper_java_gets_java_main_processes(tmp_path, resident_pool):
     wrapper.chmod(0o755)
     task = load_tasks(JDK_TASKS).tasks[0]
     variants = candidate_variants(task, jdk_fixture_rows()[0])
-    before = Counter(resident_pool._runs)
-    outcomes = [
-        evaluate_functionality(
-            variants[name], task, 30, scratch_dir=tmp_path / name, javac=javac, java=str(wrapper),
-            compiler=resident_pool,
-        )
-        for name in ("canonical", "mutant")
-    ]
+    with ExecPool(2, javac, str(wrapper)) as pool:
+        outcomes = [
+            evaluate_functionality(variants[name], task, 30, scratch_dir=tmp_path / name, compiler=pool)
+            for name in ("canonical", "mutant")
+        ]
     assert [o.kind for o in outcomes] == [PASS, TEST_FAIL]
     # probed once, before its first java Main process
     assert calls.read_text().splitlines() == ["-version", "Main", "Main"]
-    assert Counter(resident_pool._runs) - before == Counter({"other java": 2})
+    assert pool._runs == Counter({"other java": 2})
 
 
 @requires_jdk

@@ -2,7 +2,8 @@
 
 The selected candidate's classes travel from `run_task` to its evaluation
 (`mock_evaluate`, test adaptation, `classify_compile_error`), so nothing
-under `runner._evaluate` parses again.
+under the runner's `mock_evaluate` or `evaluate_functionality` call parses
+again.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class Solution {
 
 @pytest.fixture
 def parses(monkeypatch) -> list[bool]:
-    """One entry per parse made for a cell: whether `runner._evaluate` made it."""
+    """One entry per parse made for a cell: whether the runner's evaluation
+    (`mock_evaluate` or `evaluate_functionality`) made it."""
     calls: list[bool] = []
     evaluating = threading.local()
     parse = source_model.parse_compilation_unit
@@ -44,18 +46,20 @@ def parses(monkeypatch) -> list[bool]:
         calls.append(getattr(evaluating, "active", False))
         return parse(*args, **kwargs)
 
-    evaluate = runner._evaluate
+    def traced(evaluate):
+        def traced_evaluate(*args, **kwargs):
+            evaluating.active = True
+            try:
+                return evaluate(*args, **kwargs)
+            finally:
+                evaluating.active = False
 
-    def traced_evaluate(*args, **kwargs):
-        evaluating.active = True
-        try:
-            return evaluate(*args, **kwargs)
-        finally:
-            evaluating.active = False
+        return traced_evaluate
 
     for module in (guidance, exec_harness):
         monkeypatch.setattr(module, "parse_compilation_unit", counted)
-    monkeypatch.setattr(runner, "_evaluate", traced_evaluate)
+    for name in ("mock_evaluate", "evaluate_functionality"):
+        monkeypatch.setattr(runner, name, traced(getattr(runner, name)))
     return calls
 
 
