@@ -60,7 +60,10 @@ def load_tasks(path: str | Path, field_map: dict[str, str] | None = None) -> Tas
     tasks: list[Task] = []
     warnings: list[str] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # JSON allows U+0085, U+2028 and U+2029 raw inside strings, so only "\n"
+    # ends a line (str.splitlines() would also break at those); a trailing
+    # "\r" is JSON whitespace.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

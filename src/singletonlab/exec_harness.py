@@ -2,15 +2,16 @@
 
 Candidate and test code are written to an isolated scratch directory as one
 compilation unit, compiled with javac and run with java; the test run's exit
-code is the verdict. During a run both steps go to a resident CompileServer
-JVM (see ExecPool) rather than fresh javac and `java Main` processes; those
-processes stay the reference and answer whatever the JVM cannot. A
-marker-driven mock backend stands in when no JDK is wanted (demos, offline
-tests).
+code is the verdict. During a run both steps are requests to an ExecPool,
+which sends them to a resident CompileServer JVM rather than fresh javac and
+`java Main` processes; those processes (_process) stay the reference and
+answer whatever the JVM cannot. A marker-driven mock backend stands in when
+no JDK is wanted (demos, offline tests).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import locale
 import os
@@ -73,6 +74,10 @@ _FALLBACKS = (
     "unavailable", "unsupported",
 )
 _Popen = subprocess.Popen
+# The arguments of the process each request kind stands for, run in the
+# scratch directory with the kind's tool: javac reads Main.java as UTF-8, as
+# it was written.
+_ARGS = {"compile": ("-encoding", "UTF-8", "Main.java"), "run": ("Main",)}
 
 # Diagnostics that point at a library absent from the scratch classpath.
 _MISSING_LIBRARY_PATTERNS = (
@@ -94,14 +99,15 @@ class OutcomeLabel:
 
 
 def check_toolchain(tool: str) -> None:
-    """Verify the tool launches: `<tool> -version` exits 0. ExecPool runs it
-    once per tool, before the first javac or `java Main` process it starts."""
+    """Verify the tool launches: `<tool> -version` exits 0 within 30 s.
+    ExecPool runs it once per tool, before the first javac or `java Main`
+    process it starts."""
     try:
-        probe = subprocess.run([tool, "-version"], capture_output=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired) as exc:
+        probe = _process([tool, "-version"], None, 30)
+    except OSError as exc:
         raise ToolchainError(f"cannot run {tool!r}: {exc}") from exc
-    if probe.returncode != 0:
-        raise ToolchainError(f"{tool!r} exited with {probe.returncode}")
+    if probe is None or probe[0] != 0:
+        raise ToolchainError(f"{tool!r} " + (f"exited with {probe[0]}" if probe else "ran past 30s"))
 
 
 def adapt_test_code(test_code: str, class_name: str) -> str:
@@ -122,9 +128,10 @@ def evaluate_functionality(
     compiler: ExecPool | None = None,
     classes: list[ClassModel] | None = None,
 ) -> OutcomeLabel:
-    """Compile and run candidate + tests in scratch_dir: by `compiler` with
-    its own tools, or else as `javac` and `java Main` processes (the only
-    use of `javac` and `java`). `classes` is the candidate's parse, if any."""
+    """Compile and run candidate + tests in scratch_dir: as requests to
+    `compiler`, with its own tools, or else as `javac` and `java Main`
+    processes (the only use of `javac` and `java`). `classes` is the
+    candidate's parse, if any."""
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
     test_code = task.test_code
@@ -139,43 +146,21 @@ def evaluate_functionality(
     except OSError as exc:
         return OutcomeLabel(ABORTED, f"scratch dir write failed: {exc}")
 
-    if compiler is None:
-        compiled = _javac(javac, scratch, budget_s)
-    else:
-        compiled = compiler.compile(scratch, budget_s)
+    tools = {"compile": javac, "run": java}
+    request = compiler.request if compiler is not None else (
+        lambda kind, *at: _process([tools[kind], *_ARGS[kind]], *at))
+    compiled = request("compile", scratch, budget_s)
     if compiled is None:
         return OutcomeLabel(TIMEOUT, f"compilation exceeded {budget_s}s")
-    returncode, stderr = compiled
-    if returncode != 0:
-        diagnostics = stderr[:_DETAIL_LIMIT]
+    if compiled[0] != 0:
+        diagnostics = _text(compiled[1])[:_DETAIL_LIMIT]
         return OutcomeLabel(
             COMPILE_ERROR, diagnostics, classify_compile_error(diagnostics, candidate, classes)
         )
-    if compiler is None:
-        return _java_main(java, scratch, budget_s)
-    return compiler.run(scratch, budget_s)
-
-
-def _java_main(java: str, scratch: Path, budget_s: float) -> OutcomeLabel:
-    """The test run as a `java Main` process in scratch: the reference that
-    a run in the server must match."""
-    try:
-        proc = subprocess.Popen(
-            [java, "Main"],
-            cwd=scratch,
-            stdin=subprocess.DEVNULL,  # the verdict must not hang on, or eat, our stdin
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-    except FileNotFoundError as exc:
-        raise ToolchainError(f"cannot run {java!r}: {exc}") from exc
-    try:
-        stdout, stderr = proc.communicate(timeout=budget_s)
-    except subprocess.TimeoutExpired:
-        _kill_process_group(proc)
+    ran = request("run", scratch, budget_s)
+    if ran is None:
         return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
-    return _test_outcome(proc.returncode, stderr, stdout)
+    return _test_outcome(*ran)
 
 
 def _test_outcome(returncode: int, stderr: bytes, stdout: bytes) -> OutcomeLabel:
@@ -191,21 +176,34 @@ def _text(output: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _javac(javac: str, scratch: Path, budget_s: float) -> tuple[int, str] | None:
-    """A javac process on scratch/Main.java, read as UTF-8 as it was
-    written: (exit code, stderr), or None when it overran budget_s."""
+def _process(argv: list[str], cwd: str | Path | None, budget_s: float) -> tuple[int, bytes, bytes] | None:
+    """argv as a process in cwd, with an empty stdin (the verdict must not
+    hang on, or eat, ours) and in its own session: (exit, stderr, stdout),
+    or None once budget_s is passed. Then its whole process group is killed
+    and what it wrote is collected for at most 5 s. It is reaped on every
+    path. This is the reference that a reply from the resident JVM must match."""
     try:
-        compiled = subprocess.run(
-            [javac, "-encoding", "UTF-8", "Main.java"],
-            cwd=scratch,
-            capture_output=True,
-            timeout=budget_s,
+        proc = subprocess.Popen(
+            argv, cwd=cwd, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, start_new_session=True,
         )
     except FileNotFoundError as exc:
-        raise ToolchainError(f"cannot run {javac!r}: {exc}") from exc
-    except subprocess.TimeoutExpired:
-        return None
-    return compiled.returncode, _text(compiled.stderr)
+        raise ToolchainError(f"cannot run {argv[0]!r}: {exc}") from exc
+    with proc:  # closes the pipes
+        try:
+            stdout, stderr = proc.communicate(timeout=budget_s)
+            return proc.returncode, stderr, stdout
+        except subprocess.TimeoutExpired:
+            return None
+        finally:
+            if proc.returncode is None:  # past its budget, or interrupted
+                with contextlib.suppress(ProcessLookupError, PermissionError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                try:
+                    proc.communicate(timeout=5)
+                except subprocess.TimeoutExpired:  # a process outside its group holds the pipes
+                    proc.kill()
+                    proc.wait()
 
 
 class CompileServer:
@@ -314,19 +312,20 @@ class CompileServer:
 class ExecPool:
     """A run's toolchain slots, its compile server and its outcome memo.
 
-    slot() bounds concurrent evaluations to `workers`. compile() and run()
-    send every compile and test run to one CompileServer, so a run keeps at
-    most one JVM, however many slots are busy at once. It runs on the `java`
-    beside the resolved `javac`; `javac` and `java` are the tools of the
-    processes. start() launches it at set-up, without waiting for it; else
-    the first request does. Each request goes to that JVM at most once, and
-    what it cannot answer goes to a javac or `java Main` process, the
-    reference: a request whose reply is refused, and every request in flight
-    on a JVM that exits, runs out of memory or is killed for another
-    request's overrun. A refused reply and an overrun retire the JVM; the
-    next request starts a fresh one. Every test run goes to a process if
-    `java` resolves to another file than the server's java, as does a
-    scratch path the protocol cannot carry. Each tool is probed
+    slot() bounds concurrent evaluations to `workers`. request() is the one
+    way to compile (`compile`) or test-run (`run`) a scratch directory: it
+    gives what that kind's process would give, javac on `javac` and
+    `java Main` on `java`. Each request goes at most once to one
+    CompileServer, so a run keeps at most one JVM however many slots are
+    busy; it runs on the `java` beside the resolved `javac`. start()
+    launches it at set-up, without waiting for it; else the first request
+    does. Whatever the JVM cannot answer goes to the kind's process
+    (_process), the reference, under a reason (_FALLBACKS): a request whose
+    reply is refused, every request in flight on a JVM that exits, runs out
+    of memory or is killed for another request's overrun, every test run
+    when `java` resolves to another file than the server's java, and a
+    scratch path the protocol cannot carry. A refused reply and an overrun
+    retire the JVM; the next request starts a fresh one. Each tool is probed
     (check_toolchain) once, before its first process, and a failed probe
     raises ToolchainError; the JVM's "ready" line is its own probe. The
     server starts in scratch_root, so relative paths a run opens land there,
@@ -334,7 +333,7 @@ class ExecPool:
     they are for `java Main`). If it cannot start (no `java` beside `javac`,
     a JDK older than 11, no jdk.compiler module), the pool logs it once and
     uses processes from then on. The first server to answer has its version
-    kept and logged. A pool never started or asked to compile (mock mode)
+    kept and logged. A pool never started or sent a request (mock mode)
     starts no JVM. close() kills and reaps the server, so no JVM outlives
     the run and its CPU time counts as the run's.
 
@@ -350,8 +349,7 @@ class ExecPool:
     ):
         self._slots = threading.Semaphore(max(1, workers))
         self._scratch_root = scratch_root
-        self._javac = javac
-        self._java = java
+        self._tools = {"compile": javac, "run": java}
         found = shutil.which(javac)
         # the server's java; None once the pool gives the server up, or closes
         self._server_java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
@@ -376,12 +374,12 @@ class ExecPool:
         """Set-up of a run with pending cells: raise ToolchainError unless
         javac and java resolve, and launch the compile server. If it cannot
         launch, probe both tools now, before any cell."""
-        for tool in (self._javac, self._java):
+        for tool in self._tools.values():
             if shutil.which(tool) is None:
                 raise ToolchainError(f"cannot run {tool!r}: not found")
         if self._current() is None:
-            self._probe(self._javac)
-            self._probe(self._java)
+            for tool in self._tools.values():
+                self._probe(tool)
 
     def slot(self) -> threading.Semaphore:
         return self._slots
@@ -397,33 +395,21 @@ class ExecPool:
                 self._outcomes[key] = outcome
         return outcome
 
-    def compile(self, scratch: Path, budget_s: float) -> tuple[int, str] | None:
-        """Like _javac for scratch/Main.java, with the diagnostics' paths
-        made relative as a javac run in scratch prints them."""
+    def request(self, kind: str, scratch: Path, budget_s: float) -> tuple[int, bytes, bytes] | None:
+        """What the `kind` process would give if run in scratch: (exit,
+        stderr, stdout), or None once budget_s is passed."""
         directory = os.path.abspath(scratch)
-        reply = self._request("compile", directory, budget_s)
+        reply = self._ask(kind, directory, budget_s)
+        if kind == "run" and reply is not None:
+            self._count(reply if isinstance(reply, str) else "resident JVM")
         if isinstance(reply, str):
-            self._probe(self._javac)
-            return _javac(self._javac, scratch, budget_s)
-        if reply is None:
-            return None
-        code, body, _ = reply
-        return code, _text(body).replace(directory + os.sep, "")
-
-    def run(self, scratch: Path, budget_s: float) -> OutcomeLabel:
-        """The outcome of the compiled scratch/Main, as _java_main gives it."""
-        if self._other_java:
-            reply = "other java"
-        else:
-            reply = self._request("run", os.path.abspath(scratch), budget_s)
-        if reply is None:
-            return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
-        if not isinstance(reply, str):
-            self._count("resident JVM")
-            return _test_outcome(*reply)
-        self._probe(self._java)
-        self._count(reply)
-        return _java_main(self._java, scratch, budget_s)
+            self._probe(self._tools[kind])
+            return _process([self._tools[kind], *_ARGS[kind]], scratch, budget_s)
+        if kind == "run" or reply is None:
+            return reply
+        # the server names scratch/Main.java by its absolute path; javac run in scratch does not
+        code, stderr, stdout = reply
+        return code, stderr.replace(f"{directory}{os.sep}".encode(), b""), stdout
 
     def run_summary(self) -> str | None:
         """Where this pool's test runs went, or None if it ran none."""
@@ -445,9 +431,11 @@ class ExecPool:
         if server is not None:
             server.close()
 
-    def _request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | str | None:
+    def _ask(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | str | None:
         """The server's (exit, stderr, stdout) reply, None when the request overran
         budget_s, or why it must go to a process instead (_FALLBACKS)."""
+        if kind == "run" and self._other_java:
+            return "other java"
         if not _SERVABLE_PATH.fullmatch(directory):
             return "path"
         server = self._current()
@@ -574,13 +562,3 @@ def _has_private_constructor(candidate: str, task: Task, classes: list[ClassMode
 def _parsed(candidate: str, classes: list[ClassModel] | None) -> list[ClassModel]:
     return parse_compilation_unit(candidate) if classes is None else classes
 
-
-def _kill_process_group(proc: subprocess.Popen) -> None:
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-    try:
-        proc.communicate(timeout=5)
-    except subprocess.TimeoutExpired:
-        proc.kill()

@@ -30,7 +30,6 @@ def _log(message: str) -> None:
 def run_experiment(
     config: RunConfig,
     *,
-    on_record=None,
     log=_log,
 ) -> RunStore:
     """Execute the configured run. Tasks with persisted records are skipped,
@@ -79,8 +78,6 @@ def run_experiment(
             run_one = lambda task: _run_one(config, spec, strategy, task, digest, exec_pool)  # noqa: E731
             for record in cells.map(run_one, pending):
                 store.append(record)
-                if on_record:
-                    on_record(record)
             log(f"{spec.model_id}/{strategy.kind}: completed {len(pending)} task(s)")
     runs = exec_pool.run_summary()
     if runs:

@@ -463,23 +463,26 @@ def normalized_store_lines(store: RunStore) -> dict[str, list[dict]]:
     return out
 
 
-def test_criterion_8_resume_idempotence(tmp_path):
+def test_criterion_8_resume_idempotence(tmp_path, monkeypatch):
     with criterion(8, "interrupted run resumes to an identical store"):
         uninterrupted = run_experiment(
             mock_config(tmp_path / "full", run_id="acceptance8"), log=lambda m: None
         )
 
         seen = 0
+        append = RunStore.append
 
-        def interrupt_after_first(record):
+        def interrupt_after_first(self, record):
             nonlocal seen
+            append(self, record)
             seen += 1
             if seen == 1:
                 raise KeyboardInterrupt
 
         resumed_config = mock_config(tmp_path / "resumed", run_id="acceptance8")
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(resumed_config, on_record=interrupt_after_first, log=lambda m: None)
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(RunStore, "append", interrupt_after_first)
+            run_experiment(resumed_config, log=lambda m: None)
         partial_store = RunStore(resumed_config.output_dir)
         assert sum(len(v) for v in partial_store.load_all().values()) >= 1
         resumed = run_experiment(resumed_config, log=lambda m: None)

@@ -144,17 +144,20 @@ def test_rerun_is_idempotent(tmp_path):
     assert before == after  # no new records, byte-identical files
 
 
-def test_interrupt_and_resume_completes_the_store(tmp_path):
+def test_interrupt_and_resume_completes_the_store(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path))
     seen: list[str] = []
+    append = RunStore.append
 
-    def interrupt_after_two(record):
+    def interrupt_after_two(self, record):
+        append(self, record)
         seen.append(record.task_id)
         if len(seen) == 2:
             raise KeyboardInterrupt
 
-    with pytest.raises(KeyboardInterrupt):
-        run_experiment(config, on_record=interrupt_after_two, log=lambda m: None)
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(RunStore, "append", interrupt_after_two)
+        run_experiment(config, log=lambda m: None)
     store = RunStore(config.output_dir)
     partial = sum(len(v) for v in store.load_all().values())
     assert partial == 2

@@ -146,3 +146,24 @@ def test_blank_lines_are_tolerated(tmp_path):
         encoding="utf-8",
     )
     assert len(load_tasks(path)) == 2
+
+
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_unicode_line_separators_inside_strings_stay_in_their_line(tmp_path, separator):
+    row = make_row(0, prompt=f"Do thing{separator}0.\n")
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(
+        json.dumps(row, ensure_ascii=False) + "\r\n"
+        + json.dumps(make_row(1), ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+    assert [t.description for t in load_tasks(path)] == [row["prompt"], make_row(1)["prompt"]]
+    # later errors still name the file's own line numbers
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(make_row(0), ensure_ascii=False) + "\n")
+    with pytest.raises(DatasetError, match=r": line 3: duplicate task_id 'Java/0'"):
+        load_tasks(path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(row, ensure_ascii=False) + "\n" + "{not json\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r": line 2: not valid JSON"):
+        load_tasks(bad)

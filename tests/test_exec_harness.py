@@ -5,6 +5,7 @@ import locale
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -427,11 +428,25 @@ def record_servers(monkeypatch) -> list:
 def record_javac_processes(monkeypatch) -> list[Path]:
     """The scratch directories compiled by javac processes from now on."""
     compiled: list[Path] = []
-    javac_process = exec_harness._javac
-    monkeypatch.setattr(
-        exec_harness, "_javac", lambda *args: compiled.append(args[1]) or javac_process(*args)
-    )
+    process = exec_harness._process
+
+    def recorded(argv, cwd, budget_s):
+        if argv[1:] == ["-encoding", "UTF-8", "Main.java"]:
+            compiled.append(cwd)
+        return process(argv, cwd, budget_s)
+
+    monkeypatch.setattr(exec_harness, "_process", recorded)
     return compiled
+
+
+def as_outcome(reply: tuple[int, bytes, bytes]) -> OutcomeLabel:
+    """A test run's (exit, stderr, stdout), read as evaluate_functionality reads it."""
+    return exec_harness._test_outcome(*reply)
+
+
+def java_main(java: str, scratch: Path) -> OutcomeLabel:
+    """The outcome of a `java Main` process on the classes compiled in scratch."""
+    return as_outcome(exec_harness._process([java, "Main"], scratch, 30))
 
 
 # A stand-in for `java CompileServer.java` that speaks the same protocol: it
@@ -498,10 +513,10 @@ def test_exec_pool_multiplexes_one_server_across_slots(tmp_path, monkeypatch):
                 with count:
                     in_flight += 1
                     peak = max(peak, in_flight)
-                result = pool.compile(scratch, 30)
+                result = pool.request("compile", scratch, 30)
                 with count:
                     in_flight -= 1
-            assert result == (i, f"Main.java: {scratch}")
+            assert result == (i, f"Main.java: {scratch}".encode(), b"")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -556,13 +571,15 @@ def test_run_experiment_reaps_its_compile_servers(tmp_path, monkeypatch):
 def test_run_experiment_reaps_its_compile_servers_when_it_raises(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
 
-    def on_record(record):
+    append = RunStore.append
+
+    def stop(self, record):
+        append(self, record)
         raise RuntimeError("stop")
 
+    monkeypatch.setattr(RunStore, "append", stop)
     with pytest.raises(RuntimeError, match="stop"):
-        run_experiment(
-            parse_config(jdk_run_config(tmp_path)), on_record=on_record, log=lambda message: None
-        )
+        run_experiment(parse_config(jdk_run_config(tmp_path)), log=lambda message: None)
     assert started
     assert all(server.proc.returncode is not None for server in started)
 
@@ -629,14 +646,19 @@ def shell_jdk(tmp_path, javac: str, java: str, java_dir: str = "fake-jdk") -> tu
 
 
 class RecordedSubprocess:
-    """`subprocess` as exec_harness sees it, keeping the argv of every run()."""
+    """`subprocess` as exec_harness sees it, keeping the argv of every process
+    it starts (the compile server starts through the real Popen)."""
 
     def __init__(self):
         self.argv: list[list[str]] = []
+        argvs = self.argv
 
-    def run(self, argv, *args, **kwargs):
-        self.argv.append(list(argv))
-        return subprocess.run(argv, *args, **kwargs)
+        class Popen(subprocess.Popen):
+            def __init__(self, argv, *args, **kwargs):
+                argvs.append(list(argv))
+                super().__init__(argv, *args, **kwargs)
+
+        self.Popen = Popen
 
     def __getattr__(self, name):
         return getattr(subprocess, name)
@@ -722,6 +744,46 @@ def test_the_pool_probes_each_process_tool_once(tmp_path, monkeypatch):
         assert probed == [javac, java]
 
 
+def running(pid: int) -> bool:
+    """Whether pid is alive; a zombie waiting for its reaper is not."""
+    try:
+        os.kill(pid, 0)
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+@pytest.mark.parametrize("tool, step", [("javac", "compilation"), ("java", "test run")])
+def test_an_overrunning_process_leaves_no_process_behind(tmp_path, tool, step):
+    """A javac or `java Main` past its budget is killed with its whole
+    process group: as a process of its own (compiler=None) and as the
+    pool's fallback (no java beside javac, so no JVM)."""
+    children = tmp_path / "children.log"
+    bodies = {"javac": "exit 0", "java": "exit 0"}
+    bodies[tool] = f'[ "$1" = -version ] && exit 0\nsleep 8 &\necho $! >> {shlex.quote(str(children))}\nwait'
+    javac, java = shell_jdk(tmp_path, bodies["javac"], bodies["java"], java_dir="elsewhere")
+    task = Task("overrun/0", "", "", "Solution", "public class Main {}")
+    started = time.monotonic()
+    with ExecPool(1, javac, java, log=lambda message: None) as pool:
+        outcomes = [
+            evaluate_functionality(
+                PLAIN_CANDIDATE, task, 1, scratch_dir=tmp_path / name, javac=javac, java=java,
+                compiler=compiler,
+            )
+            for name, compiler in (("process", None), ("fallback", pool))
+        ]
+    elapsed = time.monotonic() - started
+    pids = [int(pid) for pid in children.read_text().split()]
+    try:
+        assert outcomes == [OutcomeLabel(TIMEOUT, f"{step} exceeded 1s")] * 2
+        assert elapsed < 6  # neither waited for the sleep to end
+        assert len(pids) == 2 and not [pid for pid in pids if running(pid)]
+    finally:
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 @requires_jdk
 def test_no_jvm_outlives_a_set_up_that_raises(tmp_path, monkeypatch):
     """A run stopped at its first arm scan, as a set-up-only benchmark start
@@ -791,7 +853,7 @@ def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
     (scratch / "Main.java").write_text(canonical + "\n\n" + task.test_code, encoding="utf-8")
     logs: list[str] = []
     with ExecPool(1, str(bin_dir / "javac"), log=logs.append) as pool:
-        assert pool.compile(scratch, 0.5) == (0, "")
+        assert pool.request("compile", scratch, 0.5) == (0, b"", b"")
         assert pool._server is not None and pool._server.started
         assert logs == [f"exec: resident JVM {pool.version}"]
 
@@ -1125,7 +1187,7 @@ def run_both(pool: ExecPool, candidate: str, test_code: str, scratch: Path) -> t
     )
     went = Counter(pool._runs) - before
     assert served.kind != COMPILE_ERROR, served.detail
-    return served, exec_harness._java_main(java, scratch, 30), went
+    return served, java_main(java, scratch), went
 
 
 @requires_jdk
@@ -1181,7 +1243,7 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
             directory = tmp_path / name
             directory.mkdir()
             (directory / "Main.java").write_text("class Solution {}\n\n" + main_class(body), encoding="utf-8")
-            assert pool.compile(directory, 30) == (0, "")
+            assert pool.request("compile", directory, 30) == (0, b"", b"")
             return directory
 
         sleeping = compiled("sleeping", "        Thread.sleep(2000);\n")
@@ -1191,15 +1253,15 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
                 evaluate_functionality, slow, task, 30, scratch_dir=tmp_path / "slow", javac=javac,
                 java=java, compiler=pool,
             ),
-            other.submit(pool.run, sleeping, 30),
+            other.submit(lambda: as_outcome(pool.request("run", sleeping, 30))),
         ]
         deadline = time.monotonic() + 30
         while len(started[0]._waiting) < 2 and time.monotonic() < deadline:
             time.sleep(0.001)
         assert len(started[0]._waiting) == 2, "the slow compile and the sleeping run never met in the server"
-        served = pool.run(greedy, 30)
+        served = as_outcome(pool.request("run", greedy, 30))
         assert [future.result(timeout=120) for future in in_flight] == [OutcomeLabel(PASS, "")] * 2
-    process = exec_harness._java_main(java, greedy, 30)
+    process = java_main(java, greedy)
     assert process.kind == PASS  # the case does exercise what it names
     assert served == process
     assert started[0].proc.returncode == exec_harness._OUT_OF_MEMORY
@@ -1249,13 +1311,13 @@ def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, m
         loop_dir = tmp_path / "loop"
         loop_dir.mkdir()
         (loop_dir / "Main.java").write_text(looping + "\n\n" + task.test_code, encoding="utf-8")
-        assert pool.compile(loop_dir, 30) == (0, "")
+        assert pool.request("compile", loop_dir, 30) == (0, b"", b"")
         in_flight = other.submit(evaluate, pool, slow, "in-flight")
         deadline = time.monotonic() + 30
         while not started[0]._waiting and time.monotonic() < deadline:
             time.sleep(0.001)
         assert started[0]._waiting, "the slow compile never reached the server"
-        assert pool.run(loop_dir, 0.2) == OutcomeLabel(TIMEOUT, "test run exceeded 0.2s")
+        assert pool.request("run", loop_dir, 0.2) is None  # evaluate_functionality: Timeout
         assert in_flight.result(timeout=120) == OutcomeLabel(PASS, "")
     assert javac_processes.count(tmp_path / "in-flight") == 1  # the compile in flight, not resent
     assert len(started) == 2  # the killed server and the fresh one the slow candidate's run started
