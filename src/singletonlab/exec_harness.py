@@ -12,6 +12,7 @@ no JDK is wanted (demos, offline tests).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import locale
 import os
@@ -58,11 +59,18 @@ _REFUSED = -1
 # _OUT_OF_MEMORY before any thread can reply (the heap is shared by every
 # compile and run in flight), and the VM's own message goes to stderr, not
 # into the replies on stdout. A test's Runtime.halt(3) ends it the same way
-# and is handled the same way.
+# and is handled the same way. Unified logging goes to stderr too, whatever
+# JAVA_TOOL_OPTIONS asks for (it is read before the command line). The
+# serial collector starts no collector threads of its own to compete with
+# the compiles and runs on a host with few CPUs.
 _SERVER_FLAGS = (
-    "-XX:TieredStopAtLevel=1", "-XX:+ExitOnOutOfMemoryError", "-XX:+DisplayVMOutputToStderr",
+    "-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError",
+    "-XX:+DisplayVMOutputToStderr", "-Xlog:disable", "-Xlog:all=warning:stderr",
 )
 _OUT_OF_MEMORY = 3
+# The first JDK whose JVM can write a class-data-sharing archive of the
+# classes it loaded (-XX:ArchiveClassesAtExit); see ExecPool.close.
+_ARCHIVE_JDK = 13
 # How long a request waits for a new server's "ready" line (its start-up
 # compiles CompileServer.java) before the pool gives the server up. The
 # request's own budget starts after it.
@@ -206,18 +214,61 @@ def _process(argv: list[str], cwd: str | Path | None, budget_s: float) -> tuple[
                     proc.wait()
 
 
+def _server_argv(java: str, *flags: str) -> list[str]:
+    return [java, *_SERVER_FLAGS, *flags, os.path.abspath(COMPILE_SERVER)]
+
+
+def _archive_path(java: str) -> Path | None:
+    """Where the class-data-sharing archive of a server on `java` lives: in
+    the user's cache directory, named by what the archived classes depend
+    on (the resolved java binary, the server source and the JVM flags), or
+    None if java cannot be read."""
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
+    key = hashlib.sha256()
+    try:
+        real = os.path.realpath(java)
+        stat = os.stat(real)
+        key.update(COMPILE_SERVER.read_bytes())
+    except OSError:
+        return None
+    key.update(repr((real, stat.st_size, stat.st_mtime_ns, _SERVER_FLAGS)).encode())
+    return Path(cache, "singletonlab", f"CompileServer-{key.hexdigest()[:32]}.jsa")
+
+
+def _write_archive(java: str, archive: Path) -> None:
+    """Write `archive` from a server JVM that starts, says ready, reads the
+    end of its empty input and exits, so it ran no candidate code. It is
+    written under a temporary name and then renamed, so no server maps a
+    partial archive. A failure leaves no archive."""
+    temp = f"{archive}.{os.getpid()}.tmp"
+    try:
+        archive.parent.mkdir(parents=True, exist_ok=True)
+        dumped = _process(_server_argv(java, f"-XX:ArchiveClassesAtExit={temp}"), archive.parent, _START_S)
+        if dumped is not None and dumped[0] == 0:
+            os.replace(temp, archive)
+    except (OSError, ToolchainError):
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+
+
 class CompileServer:
-    """One resident JVM running CompileServer.java (protocol in that file).
+    """One resident JVM running CompileServer.java (protocol in that file),
+    mapping the JDK classes it needs from `archive` if one is given.
     Any number of threads may send requests on it at once: requests are
     written under a lock and one reader thread hands each reply to the
     caller that waits on its id."""
 
-    def __init__(self, java: str, cwd: str | Path | None = None):
+    def __init__(self, java: str, cwd: str | Path | None = None, archive: Path | None = None):
+        self.archive = archive
         # The real Popen, not this module's `subprocess` name, which stands
         # for the per-cell javac/java launches (perfbench/tracer.py times
         # each of those until communicate()); the server lives for the run.
         self.proc = _Popen(
-            [java, *_SERVER_FLAGS, os.path.abspath(COMPILE_SERVER)],
+            _server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
             cwd=cwd,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
@@ -337,6 +388,15 @@ class ExecPool:
     starts no JVM. close() kills and reaps the server, so no JVM outlives
     the run and its CPU time counts as the run's.
 
+    A server maps the JDK classes it loads at start-up (javac's, mostly)
+    from a class-data-sharing archive when the user's cache holds one for
+    its java, CompileServer.java and _SERVER_FLAGS (_archive_path); else
+    close() writes one after a normal run, for the next. A server on the
+    archive that ends before "ready" (a damaged archive crashes the JVM)
+    is not given up: the archive is deleted, the requests in flight go to
+    processes (`unavailable`), and the next request starts a server
+    without it.
+
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
     one after another, and the cells of one arm are distinct tasks, so no
@@ -355,6 +415,8 @@ class ExecPool:
         self._server_java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
         server_java = _resolve(self._server_java)
         self._other_java = server_java is not None and _resolve(java) != server_java
+        # the server's class-data-sharing archive, used if the file exists
+        self._archive = _archive_path(self._server_java) if self._server_java else None
         self._log = log or (lambda message: None)
         self._lock = threading.Lock()
         self._server: CompileServer | None = None
@@ -367,8 +429,8 @@ class ExecPool:
     def __enter__(self) -> ExecPool:
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(archive=exc_type is None)
 
     def start(self) -> None:
         """Set-up of a run with pending cells: raise ToolchainError unless
@@ -424,12 +486,19 @@ class ExecPool:
             f"{sum(runs.values())} as java Main processes" + (f" ({reasons})" if reasons else "")
         )
 
-    def close(self) -> None:
+    def close(self, archive: bool = True) -> None:
+        """Kill and reap the server. Then write the server's archive if
+        there is none yet, a server of this pool answered on a JDK that can
+        write one, and `archive` holds (no exception is in flight)."""
         with self._lock:
-            self._server_java = None
+            java, self._server_java = self._server_java, None
             server, self._server = self._server, None
         if server is not None:
             server.close()
+        major = re.match(r"\d+", self.version or "")
+        if archive and java and major and int(major.group()) >= _ARCHIVE_JDK:
+            if self._archive and not self._archive.exists():
+                _write_archive(java, self._archive)
 
     def _ask(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | str | None:
         """The server's (exit, stderr, stdout) reply, None when the request overran
@@ -446,7 +515,11 @@ class ExecPool:
         except EOFError as exc:
             self._retire(server)
             if server.retired is None and not server.started:
-                self._give_up(str(exc))
+                if server.archive is None:
+                    self._give_up(str(exc))
+                else:  # a damaged archive crashes the JVM: the next server starts without it
+                    with contextlib.suppress(OSError):
+                        os.unlink(server.archive)
             return server.retired or "unavailable"
         self._note_version(server)
         if reply is None:
@@ -492,7 +565,8 @@ class ExecPool:
                 # started under the lock, so concurrent first requests share one
                 if self._scratch_root is not None:
                     os.makedirs(self._scratch_root, exist_ok=True)
-                self._server = CompileServer(self._server_java, self._scratch_root)
+                archive = self._archive if self._archive and self._archive.is_file() else None
+                self._server = CompileServer(self._server_java, self._scratch_root, archive)
                 return self._server
             except OSError as exc:
                 reason = f"cannot run {self._server_java!r}: {exc}"

@@ -32,6 +32,24 @@ requires_jdk = pytest.mark.skipif(
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def archive_cache(tmp_path_factory):
+    """The session's own cache directory (XDG_CACHE_HOME), which already
+    holds the compile server's class-data-sharing archive when the first
+    test starts: it is written once here, by a pool's close, so no later
+    pool writes one unless its test points XDG_CACHE_HOME elsewhere."""
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(cache))
+        tools = find_jdk()
+        if tools is not None:
+            scratch = tmp_path_factory.mktemp("archive")
+            (scratch / "Main.java").write_text("public class Main {}\n", encoding="utf-8")
+            with ExecPool(1, tools[0], scratch_root=scratch) as pool:
+                assert pool.request("compile", scratch, 60) == (0, b"", b"")
+        yield
+
+
 @pytest.fixture(scope="session")
 def compile_server():
     """One warm compile server for the JDK tests; a javac process costs ~1 s

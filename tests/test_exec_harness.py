@@ -408,6 +408,7 @@ def test_one_shared_server_matches_javac_processes_under_concurrency(
         assert outcome == javac_process_outcomes[(task.task_id, name)], (task.task_id, name)
     assert len(started) == 1
     assert started[0].proc.returncode is not None
+    assert archive_backed(started[0])
     # every candidate that compiled ran its test in that JVM: no java Main process
     compiled = sum(1 for _, name, _ in cases if EXPECTED[name][0] != COMPILE_ERROR)
     assert pool.run_summary() == f"exec: {compiled} test run(s) in the resident JVM, 0 as java Main processes"
@@ -1187,6 +1188,8 @@ def run_both(pool: ExecPool, candidate: str, test_code: str, scratch: Path) -> t
     )
     went = Counter(pool._runs) - before
     assert served.kind != COMPILE_ERROR, served.detail
+    if went["resident JVM"]:
+        assert archive_backed(pool._server)
     return served, java_main(java, scratch), went
 
 
@@ -1394,3 +1397,122 @@ def test_jdk_run_keeps_only_timeout_scratch_and_logs_where_runs_went(tmp_path):
     left = sorted(path.parent for path in (tmp_path / "store" / "scratch").rglob("Main.java"))
     assert left == [tmp_path / "store/scratch/servers/scripted/baseline/Java-1"]  # task Java/1
     assert "exec: 1 test run(s) in the resident JVM, 0 as java Main processes" in logs
+
+
+# --- the server's class-data-sharing archive -------------------------------------------
+
+
+def archive_backed(server) -> bool:
+    """Whether a server was launched on the serial collector, mapping the archive."""
+    args = server.proc.args
+    return server.archive is not None and "-XX:+UseSerialGC" in args and (
+        f"-XX:SharedArchiveFile={server.archive}" in args
+    )
+
+
+def cached_files(cache: Path) -> list[str]:
+    folder = cache / "singletonlab"
+    return sorted(path.name for path in folder.iterdir()) if folder.is_dir() else []
+
+
+@requires_jdk
+def test_jvm_logging_asked_for_in_java_tool_options_stays_off_the_reply_stream(tmp_path, monkeypatch):
+    monkeypatch.setenv("JAVA_TOOL_OPTIONS", "-Xlog:gc")
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    variants = candidate_variants(task, jdk_fixture_rows()[0])
+    with ExecPool(1, javac, log=lambda message: None) as pool:
+        outcomes = [
+            evaluate_functionality(variants[name], task, 30, scratch_dir=tmp_path / str(i), compiler=pool)
+            for i, name in enumerate(("canonical", "mutant", "canonical"))
+        ]
+    assert [outcome.kind for outcome in outcomes] == [PASS, TEST_FAIL, PASS]
+    assert pool.run_summary() == "exec: 3 test run(s) in the resident JVM, 0 as java Main processes"
+
+
+@requires_jdk
+def test_the_first_pool_writes_the_archive_and_the_next_server_maps_it(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    started = record_servers(monkeypatch)
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    written = []
+    for name in ("first", "second"):
+        with ExecPool(1, javac, scratch_root=tmp_path / name) as pool:
+            outcome = evaluate_functionality(
+                canonical, task, 30, scratch_dir=tmp_path / name / "cell", compiler=pool
+            )
+        assert outcome == OutcomeLabel(PASS, "")
+        files = cached_files(cache)
+        assert len(files) == 1 and files[0].endswith(".jsa"), files
+        written.append((cache / "singletonlab" / files[0]).stat().st_mtime_ns)
+    assert written[0] == written[1]  # the second pool found it and wrote none
+    archive = cache / "singletonlab" / files[0]
+    assert [server.archive for server in started] == [None, archive]
+    assert archive_backed(started[1])
+    assert "-XX:+UseSerialGC" in started[0].proc.args
+
+
+@requires_jdk
+def test_no_archive_is_written_after_an_exception_or_by_a_pool_whose_jvm_never_answered(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    started = record_servers(monkeypatch)
+    javac, java = jdk_tools()
+    (tmp_path / "Main.java").write_text("public class Main {}\n", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt), ExecPool(1, javac, scratch_root=tmp_path) as pool:
+        assert pool.request("compile", tmp_path, 30) == (0, b"", b"")
+        raise KeyboardInterrupt
+    assert pool.version and cached_files(cache) == []
+    with ExecPool(1, javac, scratch_root=tmp_path) as pool:
+        pool.start()  # launched, then closed before it said ready
+    assert pool.version is None and cached_files(cache) == []
+    assert len(started) == 2 and all(server.proc.returncode is not None for server in started)
+    # a cache directory that cannot be made means no archive, and no error
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "Main.java"))
+    with ExecPool(1, javac, scratch_root=tmp_path) as pool:
+        assert pool.request("compile", tmp_path, 30) == (0, b"", b"")
+    assert pool.version and (tmp_path / "Main.java").is_file()
+
+
+@requires_jdk
+def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
+    tmp_path, monkeypatch, javac_process_outcomes
+):
+    javac, java = jdk_tools()
+    valid = ExecPool(1, javac)._archive  # the session's, written before the first test
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    damaged = ExecPool(1, javac)._archive
+    assert damaged == cache / "singletonlab" / valid.name
+    damaged.parent.mkdir(parents=True)
+    whole = valid.read_bytes()
+    damaged.write_bytes(whole[: len(whole) // 2])
+    started = record_servers(monkeypatch)
+    task = load_tasks(JDK_TASKS).tasks[0]
+    variants = candidate_variants(task, jdk_fixture_rows()[0])
+    logs: list[str] = []
+    with ExecPool(1, javac, log=logs.append, scratch_root=tmp_path / "root") as pool:
+        outcomes = {
+            name: evaluate_functionality(
+                candidate, task, 30, scratch_dir=tmp_path / "root" / name, javac=javac, java=java, compiler=pool
+            )
+            for name, candidate in variants.items()
+        }
+        assert not damaged.exists()
+    assert outcomes == {name: javac_process_outcomes[(task.task_id, name)] for name in variants}
+    # the first compile crashed the JVM on the archive: not given up, the next server starts without it
+    assert [server.archive for server in started] == [damaged, None]
+    assert not started[0].started and started[0].proc.returncode != 0
+    assert logs == [f"exec: resident JVM {pool.version}"]
+    assert pool.run_summary() == "exec: 2 test run(s) in the resident JVM, 0 as java Main processes"
+    # the run ended normally, so the close wrote a sound archive in its place
+    assert cached_files(cache) == [valid.name]
+    with ExecPool(1, javac, scratch_root=tmp_path / "root") as pool:
+        outcome = evaluate_functionality(
+            variants["canonical"], task, 30, scratch_dir=tmp_path / "again", compiler=pool
+        )
+    assert outcome == OutcomeLabel(PASS, "")
+    assert archive_backed(started[2]) and started[2].started
