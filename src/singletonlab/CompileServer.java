@@ -37,16 +37,18 @@ import sun.misc.Unsafe;
  * Resident javac and java: compiles scratch Main.java files and runs the
  * compiled Main classes in this JVM, several at once.
  *
+ * Its one channel is its stdin, a socket: requests come in and all it writes
+ * below goes out on it. Its stdout and stderr, which runs can reach, go nowhere.
  * Once set up, it writes the line "ready <version>", with this JVM's
  * Runtime.version(); a request's time starts there.
  * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
  * absolute scratch directory. Each request runs on its own thread. Reply: a
- * header line "<id> <exit> <nbytes>", then nbytes of body; replies come in
- * the order requests finish and never interleave. A compile reads Main.java
- * as UTF-8 and answers javac's exit code and diagnostics. A run answers what
- * `java Main` in dir would: exit 0, or 1 after an uncaught throwable, and its
- * stderr then its stdout, with the header "<id> <exit> <nbytes> <nerr>",
- * nerr the stderr's length.
+ * header line "<id> <exit> <nbytes> <nerr>", then nbytes of body, of which
+ * the first nerr are stderr and the rest stdout; replies come in the order
+ * requests finish and never interleave. A compile reads Main.java as UTF-8
+ * and answers javac's exit code and diagnostics (all stderr). A run answers
+ * what `java Main` in dir would: exit 0, or 1 after an uncaught throwable,
+ * and its stderr then its stdout.
  * Exit REFUSED means this JVM cannot vouch for the reply; the body names why.
  * The sender then compiles elsewhere or runs a java Main process, and retires
  * this JVM. A run is refused when a thread of it outlives main, when it
@@ -61,7 +63,7 @@ import sun.misc.Unsafe;
  */
 public class CompileServer {
     static final int REFUSED = -1;
-    static final OutputStream REPLIES = new FileOutputStream(FileDescriptor.out);
+    static final OutputStream REPLIES = new FileOutputStream(FileDescriptor.in);
     static final Set<String> IN_FLIGHT = ConcurrentHashMap.newKeySet();
     /** The current run's output; threads the run starts inherit it. */
     static final InheritableThreadLocal<Output> OUTPUT = new InheritableThreadLocal<>();
@@ -82,16 +84,11 @@ public class CompileServer {
         System.setOut(new Stdio(0, "stdout"));
         System.setErr(new Stdio(1, "stderr"));
         Runtime.getRuntime().addShutdownHook(new Thread(() -> {
-            refusal = "exit";
-            synchronized (REPLIES) {
-                for (String id : IN_FLIGHT) {
-                    write(id, REFUSED, refusal.getBytes(StandardCharsets.US_ASCII), -1);
-                }
-                IN_FLIGHT.clear();
-            }
+            refusal = "exit"; // from here on every reply is this refusal
+            IN_FLIGHT.forEach(id -> refuse(id, refusal));
         }));
         startup = globals(); // after the hook above, which is part of it
-        REPLIES.write(("ready " + Runtime.version() + "\n").getBytes(StandardCharsets.US_ASCII));
+        send("ready " + Runtime.version(), new byte[0]);
         for (String line; (line = in.readLine()) != null; ) {
             String[] request = line.split(" ", 3);
             String id = request[0];
@@ -105,7 +102,7 @@ public class CompileServer {
                         String dir = request[2];
                         int exit = javac.run(null, null, err, "-encoding", "UTF-8", "-d", dir, "-cp", dir,
                                 dir + File.separator + "Main.java");
-                        reply(id, exit, err.toByteArray(), -1);
+                        reply(id, exit, err.toByteArray(), err.size());
                     }
                 } catch (Throwable e) {
                     refuse(id, "unsupported");
@@ -198,10 +195,11 @@ public class CompileServer {
     }
 
     static void refuse(String id, String reason) {
-        reply(id, REFUSED, reason.getBytes(StandardCharsets.US_ASCII), -1);
+        byte[] body = reason.getBytes(StandardCharsets.US_ASCII);
+        reply(id, REFUSED, body, body.length);
     }
 
-    /** Writes a reply; nerr is a run's stderr length, -1 for any other reply. */
+    /** Writes a reply whose body is nerr bytes of stderr, then stdout. */
     static void reply(String id, int exit, byte[] body, int nerr) {
         synchronized (REPLIES) {
             if (refusal == null && !globals().equals(startup)) {
@@ -210,22 +208,22 @@ public class CompileServer {
             if (refusal != null) {
                 exit = REFUSED;
                 body = refusal.getBytes(StandardCharsets.US_ASCII);
-                nerr = -1;
+                nerr = body.length;
             }
             if (IN_FLIGHT.remove(id)) {
-                write(id, exit, body, nerr);
+                send(id + " " + exit + " " + body.length + " " + nerr, body);
             }
         }
     }
 
-    static void write(String id, int exit, byte[] body, int nerr) {
-        String split = nerr < 0 ? "" : " " + nerr;
+    /** Writes a line, then body, to the sender, if any: an archive dump's stdin may be unwritable. */
+    static void send(String line, byte[] body) {
         try {
-            REPLIES.write((id + " " + exit + " " + body.length + split + "\n").getBytes(StandardCharsets.US_ASCII));
+            REPLIES.write((line + "\n").getBytes(StandardCharsets.US_ASCII));
             REPLIES.write(body);
             REPLIES.flush();
         } catch (IOException e) {
-            // the sender has gone; nobody waits for this reply
+            // nobody waits for this line: the sender has gone, or never listened
         }
     }
 

@@ -19,6 +19,7 @@ import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import threading
 from collections import Counter
@@ -57,16 +58,11 @@ _SERVABLE_PATH = re.compile(r"[ -~]+")
 _REFUSED = -1
 # The server's JVM flags. An OutOfMemoryError anywhere ends the JVM with
 # _OUT_OF_MEMORY before any thread can reply (the heap is shared by every
-# compile and run in flight), and the VM's own message goes to stderr, not
-# into the replies on stdout. A test's Runtime.halt(3) ends it the same way
-# and is handled the same way. Unified logging goes to stderr too, whatever
-# JAVA_TOOL_OPTIONS asks for (it is read before the command line). The
-# serial collector starts no collector threads of its own to compete with
-# the compiles and runs on a host with few CPUs.
-_SERVER_FLAGS = (
-    "-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError",
-    "-XX:+DisplayVMOutputToStderr", "-Xlog:disable", "-Xlog:all=warning:stderr",
-)
+# compile and run in flight); a test's Runtime.halt(3) ends it the same way
+# and is handled the same way. The serial collector starts no collector
+# threads of its own to compete with the compiles and runs on a host with
+# few CPUs.
+_SERVER_FLAGS = ("-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError")
 _OUT_OF_MEMORY = 3
 # The first JDK whose JVM can write a class-data-sharing archive of the
 # classes it loaded (-XX:ArchiveClassesAtExit); see ExecPool.close.
@@ -257,23 +253,29 @@ def _write_archive(java: str, archive: Path) -> None:
 
 class CompileServer:
     """One resident JVM running CompileServer.java (protocol in that file),
-    mapping the JDK classes it needs from `archive` if one is given.
+    mapping the JDK classes it needs from `archive` if one is given. Its
+    stdin is one end of a socket pair, its only channel: its stdout and
+    stderr, which the JVM and the candidates' code share, go nowhere.
     Any number of threads may send requests on it at once: requests are
     written under a lock and one reader thread hands each reply to the
     caller that waits on its id."""
 
     def __init__(self, java: str, cwd: str | Path | None = None, archive: Path | None = None):
         self.archive = archive
-        # The real Popen, not this module's `subprocess` name, which stands
-        # for the per-cell javac/java launches (perfbench/tracer.py times
-        # each of those until communicate()); the server lives for the run.
-        self.proc = _Popen(
-            _server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
-            cwd=cwd,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
+        self._channel, theirs = socket.socketpair()
+        try:
+            # The real Popen, not this module's `subprocess` name, which stands
+            # for the per-cell javac/java launches (perfbench/tracer.py times
+            # each of those until communicate()); the server lives for the run.
+            self.proc = _Popen(
+                _server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
+                cwd=cwd, stdin=theirs, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+        except OSError:
+            self._channel.close()
+            raise
+        finally:
+            theirs.close()  # the JVM has its own copy
         self.started = False  # it has written its "ready" line
         self.version = ""  # the Runtime.version() its "ready" line names
         self._up = threading.Event()  # set once it is ready, or has exited
@@ -300,8 +302,7 @@ class CompileServer:
             key = next(self._ids)
             self._waiting[key] = reply
             try:
-                self.proc.stdin.write(f"{key} {kind} {directory}\n".encode("utf-8"))
-                self.proc.stdin.flush()
+                self._channel.sendall(f"{key} {kind} {directory}\n".encode("utf-8"))
             except OSError as exc:
                 del self._waiting[key]
                 raise EOFError(f"compile server stopped reading: {exc}") from exc
@@ -320,35 +321,32 @@ class CompileServer:
         """Kill the JVM and collect its exit status."""
         self.proc.kill()
         self._reader.join()
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            try:
-                pipe.close()
-            except OSError:
-                pass  # a request line the dead JVM never read
+        self._channel.close()
 
     def _read(self) -> None:
-        out = self.proc.stdout
-        line = out.readline()  # "ready <version>"; a bare "ready" names none
-        ready = line == b"ready\n" or line.startswith(b"ready ")
-        with self._lock:
-            self.started = ready
-            self.version = line[6:].strip().decode("ascii", "replace") if ready else ""
-        self._up.set()
-        while ready:
-            try:
-                key, code, size, *split = map(int, out.readline().split())
-            except ValueError:  # end of output, or a line that is no reply
-                break
-            body = out.read(size)
-            if len(body) < size:
-                break
-            err = split[0] if split else size  # a run's body is its stderr, then its stdout
+        # a JVM that ends with a request unread resets the channel: that is its end too
+        with self._channel.makefile("rb") as out, contextlib.suppress(ConnectionResetError):
+            line = out.readline()  # "ready <version>"; a bare "ready" names none
+            ready = line == b"ready\n" or line.startswith(b"ready ")
             with self._lock:
-                waiter = self._waiting.pop(key, None)
-                if code == _REFUSED and self.retired is None:
-                    self.retired = body.decode("ascii", "replace")
-            if waiter is not None:
-                waiter.set_result((code, body[:err], body[err:]))
+                self.started = ready
+                self.version = line[6:].strip().decode("ascii", "replace") if ready else ""
+            self._up.set()
+            while ready:
+                try:
+                    key, code, size, err = map(int, out.readline().split())
+                except ValueError:  # end of input, or a line that is no reply
+                    break
+                body = out.read(size)
+                if len(body) < size:
+                    break
+                with self._lock:
+                    waiter = self._waiting.pop(key, None)
+                    if code == _REFUSED and self.retired is None:
+                        self.retired = body.decode("ascii", "replace")
+                if waiter is not None:
+                    waiter.set_result((code, body[:err], body[err:]))  # stderr, then stdout
+        self._up.set()  # also when it ended before "ready"
         self.proc.kill()  # no-op once it has exited; the waiters must not wait on it
         status = self.proc.wait()
         with self._lock:
@@ -392,10 +390,10 @@ class ExecPool:
     from a class-data-sharing archive when the user's cache holds one for
     its java, CompileServer.java and _SERVER_FLAGS (_archive_path); else
     close() writes one after a normal run, for the next. A server on the
-    archive that ends before "ready" (a damaged archive crashes the JVM)
-    is not given up: the archive is deleted, the requests in flight go to
-    processes (`unavailable`), and the next request starts a server
-    without it.
+    archive that ends before "ready" (it could not start: a damaged
+    archive crashes the JVM) is not given up: the archive is deleted, the
+    requests in flight go to processes (`unavailable`), and the next
+    request starts a server without it.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run

@@ -314,6 +314,13 @@ def test_compile_server_source_ships_as_package_data():
     assert any(fnmatch(COMPILE_SERVER.name, p) for p in patterns["singletonlab"])
 
 
+def test_the_readme_quotes_the_server_jvm_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    quoted = re.search(r"`java\s+(-[^`]*?)\s+\[-XX:SharedArchiveFile=<archive>\]\s+CompileServer\.java`", readme)
+    assert quoted is not None
+    assert tuple(quoted.group(1).split()) == exec_harness._SERVER_FLAGS
+
+
 def candidate_variants(task, row: dict) -> dict[str, str]:
     """One task's differential cases, named by the outcome each must reach."""
     canonical = task.declaration + row["canonical_solution"]
@@ -450,13 +457,15 @@ def java_main(java: str, scratch: Path) -> OutcomeLabel:
     return as_outcome(exec_harness._process([java, "Main"], scratch, 30))
 
 
-# A stand-in for `java CompileServer.java` that speaks the same protocol: it
-# batches the requests of each 5 ms and answers every batch last-in first-out,
-# with exit code and diagnostics derived from the request's directory.
+# A stand-in for `java CompileServer.java` that speaks the same protocol on
+# its stdin: it batches the requests of each 5 ms and answers every batch
+# last-in first-out, with exit code and diagnostics derived from the
+# request's directory.
 FAKE_SERVER = """\
-import os, sys, threading, time
+import os, socket, sys, threading, time
 pending, lock = [], threading.Lock()
 order = open(sys.argv[1], "a")
+channel = socket.socket(fileno=0)
 
 def answer():
     while True:
@@ -467,16 +476,14 @@ def answer():
         for key, directory in reversed(batch):
             body = (directory + os.sep + "Main.java: " + directory).encode()
             code = int(directory.rsplit("-", 1)[1])
-            sys.stdout.buffer.write(b"%s %d %d\\n" % (key.encode(), code, len(body)) + body)
-            sys.stdout.buffer.flush()
+            channel.sendall(b"%s %d %d %d\\n" % (key.encode(), code, len(body), len(body)) + body)
             order.write(key + "\\n")
             order.flush()
 
 threading.Thread(target=answer, daemon=True).start()
-sys.stdout.buffer.write(b"ready\\n")
-sys.stdout.buffer.flush()
-for line in sys.stdin:
-    key, kind, directory = line.rstrip("\\n").split(" ", 2)
+channel.sendall(b"ready\\n")
+for line in channel.makefile("rb"):
+    key, kind, directory = line.decode().rstrip("\\n").split(" ", 2)
     with lock:
         pending.append((key, directory))
 """
@@ -708,6 +715,18 @@ def test_a_server_that_dies_before_ready_and_a_broken_javac_exit_2(tmp_path, cap
     assert RunStore(tmp_path / "store").load_all() == {}
 
 
+def test_a_server_that_ends_with_a_request_unread_sends_it_to_a_process_at_once(tmp_path):
+    """A JVM that exits without reading the request sent to it resets the
+    channel; the request goes to a javac process without waiting for the
+    "ready" that never comes."""
+    javac, java = shell_jdk(tmp_path, "exit 0", "sleep 1")
+    (tmp_path / "Main.java").write_text("public class Main {}\n", encoding="utf-8")
+    started = time.monotonic()
+    with ExecPool(1, javac, java, log=lambda message: None) as pool:
+        assert pool.request("compile", tmp_path, 10) == (0, b"", b"")
+    assert time.monotonic() - started < 10
+
+
 def test_a_jdk_run_whose_every_model_is_skipped_starts_no_jvm(tmp_path, monkeypatch):
     monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
     started = record_servers(monkeypatch)
@@ -775,6 +794,10 @@ def test_an_overrunning_process_leaves_no_process_behind(tmp_path, tool, step):
         ]
     elapsed = time.monotonic() - started
     pids = [int(pid) for pid in children.read_text().split()]
+    # a SIGKILLed grandchild may still be on its way out: give it up to 2 s to end
+    deadline = time.monotonic() + 2
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
     try:
         assert outcomes == [OutcomeLabel(TIMEOUT, f"{step} exceeded 1s")] * 2
         assert elapsed < 6  # neither waited for the sleep to end
@@ -1166,6 +1189,19 @@ ADVERSARIAL = {
         "resident JVM",
         lambda outcome: outcome == OutcomeLabel(TEST_FAIL, 'Exception in thread "main" failed\n\nout'),
     ),
+    # bytes written straight to fd 1 reach no reply: the JVM's stdout goes nowhere
+    "spoofed-reply": (
+        "class Solution {}",
+        main_class(
+            "        java.io.OutputStream out = new java.io.FileOutputStream(java.io.FileDescriptor.out);\n"
+            "        for (int k = 0; k < 10000; k++) {\n"
+            '            out.write((k + " 1 5 5\\nboom!").getBytes("US-ASCII"));\n'
+            "        }\n"
+            "        out.flush();\n"
+        ),
+        "resident JVM",
+        lambda outcome: outcome == OutcomeLabel(PASS, ""),
+    ),
 }
 
 
@@ -1416,9 +1452,14 @@ def cached_files(cache: Path) -> list[str]:
 
 
 @requires_jdk
-def test_jvm_logging_asked_for_in_java_tool_options_stays_off_the_reply_stream(tmp_path, monkeypatch):
-    monkeypatch.setenv("JAVA_TOOL_OPTIONS", "-Xlog:gc")
+@pytest.mark.parametrize("variable", ["JAVA_TOOL_OPTIONS", "_JAVA_OPTIONS"])
+def test_jvm_logging_asked_for_in_java_tool_options_stays_off_the_reply_stream(tmp_path, monkeypatch, variable):
+    """The JVM reads JAVA_TOOL_OPTIONS before its command line and
+    _JAVA_OPTIONS after it; its log lines reach no reply either way."""
+    monkeypatch.setenv(variable, "-Xlog:gc")
+    started = record_servers(monkeypatch)
     javac, java = jdk_tools()
+    archive = ExecPool(1, javac)._archive  # the session's, written before the first test
     task = load_tasks(JDK_TASKS).tasks[0]
     variants = candidate_variants(task, jdk_fixture_rows()[0])
     with ExecPool(1, javac, log=lambda message: None) as pool:
@@ -1428,6 +1469,8 @@ def test_jvm_logging_asked_for_in_java_tool_options_stays_off_the_reply_stream(t
         ]
     assert [outcome.kind for outcome in outcomes] == [PASS, TEST_FAIL, PASS]
     assert pool.run_summary() == "exec: 3 test run(s) in the resident JVM, 0 as java Main processes"
+    assert archive.is_file()
+    assert len(started) == 1 and archive_backed(started[0]) and started[0].archive == archive
 
 
 @requires_jdk
