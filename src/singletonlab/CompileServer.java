@@ -8,6 +8,7 @@ import java.io.IOException;
 import java.io.InputStreamReader;
 import java.io.OutputStream;
 import java.io.PrintStream;
+import java.io.PrintWriter;
 import java.lang.invoke.MethodHandle;
 import java.lang.invoke.MethodHandles;
 import java.lang.reflect.Field;
@@ -25,12 +26,26 @@ import java.util.IdentityHashMap;
 import java.util.List;
 import java.util.Locale;
 import java.util.Map;
+import java.util.Queue;
 import java.util.Set;
 import java.util.TimeZone;
 import java.util.concurrent.ConcurrentHashMap;
+import java.util.concurrent.ConcurrentLinkedQueue;
 import java.util.function.Supplier;
-import javax.tools.JavaCompiler;
+import javax.tools.Diagnostic;
+import javax.tools.DiagnosticListener;
+import javax.tools.JavaFileObject;
+import javax.tools.StandardJavaFileManager;
+import javax.tools.StandardLocation;
 import javax.tools.ToolProvider;
+import com.sun.tools.javac.api.ClientCodeWrapper.DiagnosticSourceUnwrapper;
+import com.sun.tools.javac.api.JavacTaskImpl;
+import com.sun.tools.javac.api.JavacTaskPool;
+import com.sun.tools.javac.main.JavaCompiler;
+import com.sun.tools.javac.util.Context;
+import com.sun.tools.javac.util.JCDiagnostic;
+import com.sun.tools.javac.util.JavacMessages;
+import com.sun.tools.javac.util.Log;
 import sun.misc.Unsafe;
 
 /**
@@ -45,18 +60,21 @@ import sun.misc.Unsafe;
  * absolute scratch directory. Each request runs on its own thread. Reply: a
  * header line "<id> <exit> <nbytes> <nerr>", then nbytes of body, of which
  * the first nerr are stderr and the rest stdout; replies come in the order
- * requests finish and never interleave. A compile reads Main.java as UTF-8
- * and answers javac's exit code and diagnostics (all stderr). A run answers
- * what `java Main` in dir would: exit 0, or 1 after an uncaught throwable,
- * and its stderr then its stdout.
+ * requests finish and never interleave. A compile answers what
+ * `javac -encoding UTF-8 Main.java` in dir would: javac's exit code and
+ * diagnostics (all stderr), with the class files beside Main.java. It runs
+ * in a javac context that earlier compiles used (see Compiler). A run
+ * answers what `java Main` in dir would: exit 0, or 1 after an uncaught
+ * throwable, and its stderr then its stdout.
  * Exit REFUSED means this JVM cannot vouch for the reply; the body names why.
  * The sender then compiles elsewhere or runs a java Main process, and retires
- * this JVM. A run is refused when a thread of it outlives main, when it
- * calls System.exit (every request in flight is refused as the JVM ends),
- * when it closes System.in, System.out or System.err, and when the launcher
- * would do something this class does not reproduce. Once the JVM-global
- * state differs from its startup snapshot, this and every later reply is
- * refused.
+ * this JVM. A compile is refused when dir holds anything besides Main.java
+ * and when javac fails (exit 2 or more: say, a crash). A run is refused when
+ * a thread of it outlives main, when it calls System.exit (every request in
+ * flight is refused as the JVM ends), when it closes System.in, System.out
+ * or System.err, and when the launcher would do something this class does
+ * not reproduce. Once the JVM-global state differs from its startup
+ * snapshot, this and every later reply is refused.
  * At end of input the JVM exits once the requests in flight have answered.
  * Launched in source-file mode with -XX:+ExitOnOutOfMemoryError, so a run
  * that fills the shared heap ends the JVM before any reply it could spoil.
@@ -67,13 +85,15 @@ public class CompileServer {
     static final Set<String> IN_FLIGHT = ConcurrentHashMap.newKeySet();
     /** The current run's output; threads the run starts inherit it. */
     static final InheritableThreadLocal<Output> OUTPUT = new InheritableThreadLocal<>();
+    static final Unsafe UNSAFE = theUnsafe();
     /** The application's shutdown hooks: a java Main process runs them at exit, this JVM never does. */
     static final Supplier<Object> HOOKS = hooksReader();
+    /** The compilers no compile holds; a compile takes one, or makes one when there is none. */
+    static final Queue<Compiler> COMPILERS = new ConcurrentLinkedQueue<>();
     static List<Object> startup;
     static volatile String refusal;
 
     public static void main(String[] args) throws IOException {
-        JavaCompiler javac = ToolProvider.getSystemJavaCompiler();
         BufferedReader in = new BufferedReader(new InputStreamReader(System.in, StandardCharsets.UTF_8));
         System.setIn(new ByteArrayInputStream(new byte[0]) {
             @Override
@@ -88,6 +108,7 @@ public class CompileServer {
             IN_FLIGHT.forEach(id -> refuse(id, refusal));
         }));
         startup = globals(); // after the hook above, which is part of it
+        COMPILERS.add(new Compiler()); // a javac whose internals it cannot reach ends this JVM here
         send("ready " + Runtime.version(), new byte[0]);
         for (String line; (line = in.readLine()) != null; ) {
             String[] request = line.split(" ", 3);
@@ -98,17 +119,33 @@ public class CompileServer {
                     if (request[1].equals("run")) {
                         run(id, request[2]);
                     } else {
-                        ByteArrayOutputStream err = new ByteArrayOutputStream();
-                        String dir = request[2];
-                        int exit = javac.run(null, null, err, "-encoding", "UTF-8", "-d", dir, "-cp", dir,
-                                dir + File.separator + "Main.java");
-                        reply(id, exit, err.toByteArray(), err.size());
+                        compile(id, request[2]);
                     }
                 } catch (Throwable e) {
                     refuse(id, "unsupported");
                 }
             }).start();
         }
+    }
+
+    /**
+     * Compiles dir/Main.java on a free compiler. Refused when dir holds
+     * anything else: javac's class path "." would show it, the compiler's
+     * empty one does not.
+     */
+    static void compile(String id, String dir) throws IOException {
+        if (!Arrays.equals(new File(dir).list(), new String[] {"Main.java"})) {
+            refuse(id, "unsupported");
+            return;
+        }
+        Compiler compiler = COMPILERS.poll();
+        if (compiler == null) {
+            compiler = new Compiler();
+        }
+        ByteArrayOutputStream err = new ByteArrayOutputStream();
+        int exit = compiler.compile(new File(dir, "Main.java"), new PrintWriter(err, true));
+        COMPILERS.add(compiler); // not after a throw: its context may be half-way through a task
+        reply(id, exit, err.toByteArray(), err.size());
     }
 
     /** Runs dir/Main as the java launcher would, on a thread named main. */
@@ -237,27 +274,35 @@ public class CompileServer {
     }
 
     /**
-     * Reads the application's shutdown hooks through sun.misc.Unsafe, as
-     * java.lang is not open to this class; where this JDK does not allow
-     * that, a constant, and hooks go unseen.
+     * Reads the application's shutdown hooks, as java.lang is not open to
+     * this class; where this JDK does not allow that, a constant, and hooks
+     * go unseen.
      */
     static Supplier<Object> hooksReader() {
         try {
-            Field theUnsafe = Unsafe.class.getDeclaredField("theUnsafe");
-            theUnsafe.setAccessible(true);
-            Unsafe unsafe = (Unsafe) theUnsafe.get(null);
             Class<?> owner = Class.forName("java.lang.ApplicationShutdownHooks");
             Field field = owner.getDeclaredField("hooks");
-            Object base = unsafe.staticFieldBase(field);
-            long offset = unsafe.staticFieldOffset(field);
+            Object base = UNSAFE.staticFieldBase(field);
+            long offset = UNSAFE.staticFieldOffset(field);
             return () -> {
                 synchronized (owner) { // its add and remove hold this lock
-                    Map<?, ?> hooks = (Map<?, ?>) unsafe.getObject(base, offset);
+                    Map<?, ?> hooks = (Map<?, ?>) UNSAFE.getObject(base, offset);
                     return hooks == null ? null : new HashSet<>(hooks.keySet()); // null once shutdown began
                 }
             };
         } catch (ReflectiveOperationException | RuntimeException e) {
             return () -> "unreadable";
+        }
+    }
+
+    /** sun.misc.Unsafe, which reads fields of classes whose packages are not open to this one. */
+    static Unsafe theUnsafe() {
+        try {
+            Field field = Unsafe.class.getDeclaredField("theUnsafe");
+            field.setAccessible(true);
+            return (Unsafe) field.get(null);
+        } catch (ReflectiveOperationException e) {
+            throw new IllegalStateException(e);
         }
     }
 
@@ -273,6 +318,75 @@ public class CompileServer {
     static Charset launcherCharset(String stream) {
         String name = System.getProperty(stream + ".encoding", System.getProperty("sun." + stream + ".encoding"));
         return name == null ? Charset.defaultCharset() : Charset.forName(name);
+    }
+
+    /**
+     * One javac context, reused compile after compile (JavacTaskPool, as
+     * jshell uses it): its symbol table keeps the JDK classes earlier compiles
+     * read and drops the classes they declared; a context in which a compile
+     * declared a class of a java.* package is not reused. A reused context
+     * writes class files through the file manager of its first task, so each
+     * compiler keeps one, whose class path is empty.
+     */
+    static final class Compiler implements DiagnosticListener<JavaFileObject> {
+        /** Where a Log keeps the "not supported" errors it reported, to report each once per file. */
+        static final long SOURCE_LEVEL_ERRORS = sourceLevelErrors();
+        final JavacTaskPool contexts = new JavacTaskPool(1);
+        final StandardJavaFileManager files = ToolProvider.getSystemJavaCompiler().getStandardFileManager(null, null, null);
+        PrintWriter err;
+        Log log;
+        Locale locale;
+
+        Compiler() throws IOException {
+            files.setLocation(StandardLocation.CLASS_PATH, List.of());
+        }
+
+        /** javac's exit code; err gets what javac prints, diagnostics and counts. */
+        int compile(File source, PrintWriter err) {
+            this.err = err;
+            List<String> options = List.of("-encoding", "UTF-8");
+            return contexts.getTask(err, files, this, options, null, files.getJavaFileObjects(source), task -> {
+                Context context = ((JavacTaskImpl) task).getContext();
+                log = Log.instance(context);
+                locale = JavacMessages.instance(context).getCurrentLocale();
+                // a reused Log keeps these from the last compile
+                log.nsuppressederrors = log.nsuppressedwarns = 0;
+                log.compressedOutput = false;
+                ((Set<?>) UNSAFE.getObject(log, SOURCE_LEVEL_ERRORS)).clear();
+                int exit = ((JavacTaskImpl) task).doCall().exitCode;
+                if (exit > 1) { // javac could not compile: a crash, or a file it could not read or write
+                    throw new IllegalStateException("javac exit " + exit);
+                }
+                // what javac prints after the diagnostics, unless a listener takes them
+                JavaCompiler javac = JavaCompiler.instance(context);
+                javac.printCount("error", javac.errorCount());
+                javac.printCount("warn", javac.warningCount());
+                printSuppressed(javac.errorCount(), log.nsuppressederrors, "count.error.recompile");
+                printSuppressed(javac.warningCount(), log.nsuppressedwarns, "count.warn.recompile");
+                return exit;
+            });
+        }
+
+        static long sourceLevelErrors() {
+            try {
+                return UNSAFE.objectFieldOffset(Log.class.getDeclaredField("recordedSourceLevelErrors"));
+            } catch (NoSuchFieldException e) {
+                throw new IllegalStateException(e);
+            }
+        }
+
+        void printSuppressed(int shown, int suppressed, String key) {
+            if (suppressed > 0) {
+                log.printLines(Log.WriterKind.ERROR, key, String.valueOf(shown), String.valueOf(shown + suppressed));
+            }
+        }
+
+        /** Prints a diagnostic as javac's Log does when no listener is set. */
+        @Override
+        public void report(Diagnostic<? extends JavaFileObject> diagnostic) {
+            JCDiagnostic d = ((DiagnosticSourceUnwrapper) diagnostic).d;
+            Log.printRawLines(err, log.getDiagnosticFormatter().format(d, locale));
+        }
     }
 
     /** One run's {stdout, stderr}, and whether it closed a standard stream. */

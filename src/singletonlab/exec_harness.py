@@ -61,8 +61,14 @@ _REFUSED = -1
 # compile and run in flight); a test's Runtime.halt(3) ends it the same way
 # and is handled the same way. The serial collector starts no collector
 # threads of its own to compete with the compiles and runs on a host with
-# few CPUs.
-_SERVER_FLAGS = ("-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError")
+# few CPUs. The exports open the javac internals through which the server
+# reuses javac's contexts (JavacTaskPool).
+_SERVER_FLAGS = (
+    "-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError",
+    "--add-exports=jdk.compiler/com.sun.tools.javac.api=ALL-UNNAMED",
+    "--add-exports=jdk.compiler/com.sun.tools.javac.util=ALL-UNNAMED",
+    "--add-exports=jdk.compiler/com.sun.tools.javac.main=ALL-UNNAMED",
+)
 _OUT_OF_MEMORY = 3
 # The first JDK whose JVM can write a class-data-sharing archive of the
 # classes it loaded (-XX:ArchiveClassesAtExit); see ExecPool.close.
@@ -137,7 +143,6 @@ def evaluate_functionality(
     processes (the only use of `javac` and `java`). `classes` is the
     candidate's parse, if any."""
     scratch = Path(scratch_dir)
-    scratch.mkdir(parents=True, exist_ok=True)
     test_code = task.test_code
     if adapt_tests and task.expected_class_name and _has_private_constructor(candidate, task, classes):
         test_code = adapt_test_code(test_code, task.expected_class_name)
@@ -146,6 +151,10 @@ def evaluate_functionality(
     # so the file must carry that name; candidate imports stay at the top.
     source = candidate.rstrip() + "\n\n" + test_code
     try:
+        # Main.java alone: javac's class path "." would show anything an
+        # earlier run left there (a killed one, say) to the compile
+        shutil.rmtree(scratch, ignore_errors=True)
+        scratch.mkdir(parents=True)
         (scratch / "Main.java").write_text(source, encoding="utf-8")
     except OSError as exc:
         return OutcomeLabel(ABORTED, f"scratch dir write failed: {exc}")
@@ -189,7 +198,7 @@ def _process(argv: list[str], cwd: str | Path | None, budget_s: float) -> tuple[
     try:
         proc = subprocess.Popen(
             argv, cwd=cwd, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, start_new_session=True,
+            stderr=subprocess.PIPE, start_new_session=True, env=_tool_env(),
         )
     except FileNotFoundError as exc:
         raise ToolchainError(f"cannot run {argv[0]!r}: {exc}") from exc
@@ -208,6 +217,13 @@ def _process(argv: list[str], cwd: str | Path | None, budget_s: float) -> tuple[
                 except subprocess.TimeoutExpired:  # a process outside its group holds the pipes
                     proc.kill()
                     proc.wait()
+
+
+def _tool_env() -> dict[str, str]:
+    """The environment of a javac, java or server JVM: ours without
+    CLASSPATH, so that javac and java Main read the class path ".", the
+    scratch directory, whatever the user's shell sets."""
+    return {name: value for name, value in os.environ.items() if name != "CLASSPATH"}
 
 
 def _server_argv(java: str, *flags: str) -> list[str]:
@@ -269,7 +285,7 @@ class CompileServer:
             # each of those until communicate()); the server lives for the run.
             self.proc = _Popen(
                 _server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
-                cwd=cwd, stdin=theirs, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                cwd=cwd, stdin=theirs, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_tool_env(),
             )
         except OSError:
             self._channel.close()
@@ -366,7 +382,10 @@ class ExecPool:
     gives what that kind's process would give, javac on `javac` and
     `java Main` on `java`. Each request goes at most once to one
     CompileServer, so a run keeps at most one JVM however many slots are
-    busy; it runs on the `java` beside the resolved `javac`. start()
+    busy; it runs on the `java` beside the resolved `javac`. Its compiles
+    reuse javac's contexts, so a JDK class is read once per context, not
+    once per compile. It refuses a directory holding more than Main.java:
+    its class path is empty, where a javac process reads ".". start()
     launches it at set-up, without waiting for it; else the first request
     does. Whatever the JVM cannot answer goes to the kind's process
     (_process), the reference, under a reason (_FALLBACKS): a request whose
@@ -380,11 +399,11 @@ class ExecPool:
     server starts in scratch_root, so relative paths a run opens land there,
     not in the caller's directory (they are not the cell's own directory, as
     they are for `java Main`). If it cannot start (no `java` beside `javac`,
-    a JDK older than 11, no jdk.compiler module), the pool logs it once and
-    uses processes from then on. The first server to answer has its version
-    kept and logged. A pool never started or sent a request (mock mode)
-    starts no JVM. close() kills and reaps the server, so no JVM outlives
-    the run and its CPU time counts as the run's.
+    a JDK older than 11, no jdk.compiler module or no JavacTaskPool in it),
+    the pool logs it once and uses processes from then on. The first server
+    to answer has its version kept and logged. A pool never started or sent
+    a request (mock mode) starts no JVM. close() kills and reaps the
+    server, so no JVM outlives the run and its CPU time counts as the run's.
 
     A server maps the JDK classes it loads at start-up (javac's, mostly)
     from a class-data-sharing archive when the user's cache holds one for

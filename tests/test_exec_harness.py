@@ -5,6 +5,7 @@ import locale
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -445,6 +446,93 @@ def record_javac_processes(monkeypatch) -> list[Path]:
 
     monkeypatch.setattr(exec_harness, "_process", recorded)
     return compiled
+
+
+# Compiles that one reused javac context must answer as fresh javac processes
+# do, in this order: each can show what an earlier one left in the context.
+HELPER = "class Helper {\n    static int f() { return 1; }\n}\n"
+USES_HELPER = "public class Main {\n    public static void main(String[] args) { System.out.println(Helper.f()); }\n}\n"
+PREVIEW_SWITCH = (  # a preview feature on JDK 17 to 20: javac reports it once per file
+    "public class Main {\n"
+    "    static String f(Object o) { return switch (o) { case Integer i -> \"int\"; default -> \"other\"; }; }\n"
+    "}\n"
+)
+REUSE_CASES = [
+    ("helper-declared", HELPER + USES_HELPER),
+    ("helper-undeclared", USES_HELPER),
+    ("package-helper-declared", "package foo;\n" + HELPER + USES_HELPER),
+    ("package-helper-undeclared", "package foo;\n" + USES_HELPER),
+    ("150-errors", "public class Main {\n    void m() {\n" + "".join(
+        f'        int x{i} = "s";\n' for i in range(150)) + "    }\n}\n"),
+    ("one-error", 'public class Main {\n    int x = "s";\n}\n'),
+    ("one-warning", "public class Main {\n    Integer i = new Integer(5);\n}\n"),
+    ("150-warnings", "public class Main {\n" + "".join(
+        f"    Integer i{i} = new Integer({i});\n" for i in range(150)) + "}\n"),
+    ("notes", "import java.util.*;\n\npublic class Main {\n    void m() {\n"
+        "        List list = new ArrayList();\n        list.add(new Date(1, 2, 3));\n    }\n}\n"),
+    ("simplified-message", "public class Main {\n    void m(String s) { }\n    void n() { m(1); }\n}\n"),
+    ("java-package", "package java.util;\n\npublic class Main { }\n"),
+    ("after-java-package", "import java.util.*;\n\npublic class Main {\n    List<String> list = new ArrayList<>();\n}\n"),
+    ("preview", PREVIEW_SWITCH),
+    ("preview", PREVIEW_SWITCH),  # the same file again
+    ("one-error-again", 'public class Main {\n    int x = "s";\n}\n'),
+]
+
+
+@requires_jdk
+def test_one_reused_compiler_answers_each_compile_as_a_javac_process(tmp_path, monkeypatch):
+    javac_process = exec_harness._process
+    started = record_servers(monkeypatch)
+    compiled = record_javac_processes(monkeypatch)
+    javac, _ = jdk_tools()
+    with ExecPool(1, javac) as pool:
+        for i, (name, source) in enumerate(REUSE_CASES):
+            served, process = tmp_path / "served" / name, tmp_path / "process" / f"{i}-{name}"
+            shutil.rmtree(served, ignore_errors=True)  # a name seen before: the same path, Main.java alone
+            for scratch in (served, process):
+                scratch.mkdir(parents=True)
+                (scratch / "Main.java").write_text(source, encoding="utf-8")
+            reply = pool.request("compile", served, 30)
+            assert reply == javac_process([javac, "-encoding", "UTF-8", "Main.java"], process, 30), name
+            assert sorted(os.listdir(served)) == sorted(os.listdir(process)), name
+        assert compiled == [] and len(started) == 1
+        # a class file beside Main.java is on the class path of a javac process,
+        # and on none of the server's: the server refuses, and a process compiles
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        (stale / "Main.java").write_text(USES_HELPER, encoding="utf-8")
+        (stale / "Helper.class").write_bytes((tmp_path / "served/helper-declared/Helper.class").read_bytes())
+        assert pool.request("compile", stale, 30) == (0, b"", b"")
+        assert compiled == [stale]
+    assert started[0].retired == "unsupported"
+
+
+@requires_jdk
+def test_a_class_file_left_in_a_scratch_directory_is_not_on_the_next_compile(tmp_path, compile_server):
+    """A cell's scratch directory can hold an earlier run's classes (a run
+    killed after its compile, then resumed): they are gone before the compile."""
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]  # add(a, b)
+    calls_helper = task.declaration + "        return Helper.f(a, b);\n    }\n}\n"
+    declares_helper = "class Helper {\n    static int f(int a, int b) { return a + b; }\n}\n" + calls_helper
+    outcomes = [
+        evaluate_functionality(
+            candidate, task, 30, scratch_dir=tmp_path, javac=javac, java=java, compiler=compile_server
+        )
+        for candidate in (declares_helper, calls_helper)
+    ]
+    assert [outcome.kind for outcome in outcomes] == [PASS, COMPILE_ERROR]
+    assert os.listdir(tmp_path) == ["Main.java"]
+
+
+@requires_jdk
+def test_javac_and_java_main_processes_ignore_the_users_classpath(tmp_path, monkeypatch):
+    monkeypatch.setenv("CLASSPATH", str(tmp_path / "nonexistent.jar"))
+    javac, java = jdk_tools()
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    outcome = evaluate_functionality(canonical, task, 30, scratch_dir=tmp_path / "scratch", javac=javac, java=java)
+    assert outcome == OutcomeLabel(PASS, "")
 
 
 def as_outcome(reply: tuple[int, bytes, bytes]) -> OutcomeLabel:
