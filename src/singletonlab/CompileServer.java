@@ -3,6 +3,7 @@ import java.io.ByteArrayInputStream;
 import java.io.ByteArrayOutputStream;
 import java.io.File;
 import java.io.FileDescriptor;
+import java.io.FileInputStream;
 import java.io.FileOutputStream;
 import java.io.IOException;
 import java.io.InputStreamReader;
@@ -52,10 +53,12 @@ import sun.misc.Unsafe;
  * Resident javac and java: compiles scratch Main.java files and runs the
  * compiled Main classes in this JVM, several at once.
  *
- * Its one channel is its stdin, a socket: requests come in and all it writes
- * below goes out on it. Its stdout and stderr, which runs can reach, go nowhere.
- * Once set up, it writes the line "ready <version>", with this JVM's
- * Runtime.version(); a request's time starts there.
+ * Its one channel is a socket, whose fd is its one argument: requests come in
+ * and all it writes below goes out on it. Its stdin is empty, as a java Main
+ * process's is, and its stdout and stderr go nowhere, so no run reaches the
+ * channel through FileDescriptor.in, out or err. Once set up, it writes the
+ * line "ready <version>", with this JVM's Runtime.version(); a request's time
+ * starts there. With no argument (an archive dump) it exits once set up.
  * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
  * absolute scratch directory. Each request runs on its own thread. Reply: a
  * header line "<id> <exit> <nbytes> <nerr>", then nbytes of body, of which
@@ -81,7 +84,9 @@ import sun.misc.Unsafe;
  */
 public class CompileServer {
     static final int REFUSED = -1;
-    static final OutputStream REPLIES = new FileOutputStream(FileDescriptor.in);
+    /** The channel; its fd is set once main has its argument. */
+    static final FileDescriptor CHANNEL = new FileDescriptor();
+    static final OutputStream REPLIES = new FileOutputStream(CHANNEL);
     static final Set<String> IN_FLIGHT = ConcurrentHashMap.newKeySet();
     /** The current run's output; threads the run starts inherit it. */
     static final InheritableThreadLocal<Output> OUTPUT = new InheritableThreadLocal<>();
@@ -93,8 +98,7 @@ public class CompileServer {
     static List<Object> startup;
     static volatile String refusal;
 
-    public static void main(String[] args) throws IOException {
-        BufferedReader in = new BufferedReader(new InputStreamReader(System.in, StandardCharsets.UTF_8));
+    public static void main(String[] args) throws Exception {
         System.setIn(new ByteArrayInputStream(new byte[0]) {
             @Override
             public void close() {
@@ -109,6 +113,14 @@ public class CompileServer {
         }));
         startup = globals(); // after the hook above, which is part of it
         COMPILERS.add(new Compiler()); // a javac whose internals it cannot reach ends this JVM here
+        if (args.length == 0) {
+            return;
+        }
+        // FileDescriptor has no public way to name an fd; UNSAFE sets its field
+        UNSAFE.putInt(CHANNEL, UNSAFE.objectFieldOffset(FileDescriptor.class.getDeclaredField("fd")),
+            Integer.parseInt(args[0]));
+        BufferedReader in = new BufferedReader(
+            new InputStreamReader(new FileInputStream(CHANNEL), StandardCharsets.UTF_8));
         send("ready " + Runtime.version(), new byte[0]);
         for (String line; (line = in.readLine()) != null; ) {
             String[] request = line.split(" ", 3);
@@ -253,7 +265,7 @@ public class CompileServer {
         }
     }
 
-    /** Writes a line, then body, to the sender, if any: an archive dump's stdin may be unwritable. */
+    /** Writes a line, then body, to the sender, if it is still there. */
     static void send(String line, byte[] body) {
         try {
             REPLIES.write((line + "\n").getBytes(StandardCharsets.US_ASCII));
@@ -295,7 +307,7 @@ public class CompileServer {
         }
     }
 
-    /** sun.misc.Unsafe, which reads fields of classes whose packages are not open to this one. */
+    /** sun.misc.Unsafe, which reaches fields of classes whose packages are not open to this one. */
     static Unsafe theUnsafe() {
         try {
             Field field = Unsafe.class.getDeclaredField("theUnsafe");

@@ -136,6 +136,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     run_id = raw.get("run_id")
     if not isinstance(run_id, str) or not run_id:
         raise ConfigError("run_id must be a non-empty string")
+    if clash := store_name_clash("run_id", [run_id]):  # names the scratch root
+        raise ConfigError(clash)
 
     dataset = raw.get("dataset")
     if isinstance(dataset, str):

@@ -106,10 +106,14 @@ def _safe_name(value: str) -> str:
 
 
 def store_name_clash(label: str, values: list[str]) -> str | None:
-    """The error for the first two values that share a name in a run store, or None."""
+    """The error for the first value whose name in a run store is "." or "..",
+    or for the first two values that share a name; or None."""
     named: dict[str, str] = {}
     for value in values:
-        other = named.setdefault(_safe_name(value), value)
+        name = _safe_name(value)
+        if name in (".", ".."):
+            return f"{label} {value!r} has the store name {name!r}, which names no directory of its own"
+        other = named.setdefault(name, value)
         if other != value:
-            return f"{label} values {other!r} and {value!r} share the store name {_safe_name(value)!r}"
+            return f"{label} values {other!r} and {value!r} share the store name {name!r}"
     return None

@@ -250,10 +250,10 @@ def _archive_path(java: str) -> Path | None:
 
 
 def _write_archive(java: str, archive: Path) -> None:
-    """Write `archive` from a server JVM that starts, says ready, reads the
-    end of its empty input and exits, so it ran no candidate code. It is
-    written under a temporary name and then renamed, so no server maps a
-    partial archive. A failure leaves no archive."""
+    """Write `archive` from a server JVM given no channel, which sets up and
+    exits, so it ran no candidate code. It is written under a temporary name
+    and then renamed, so no server maps a partial archive. A failure leaves
+    no archive."""
     temp = f"{archive}.{os.getpid()}.tmp"
     try:
         archive.parent.mkdir(parents=True, exist_ok=True)
@@ -269,12 +269,15 @@ def _write_archive(java: str, archive: Path) -> None:
 
 class CompileServer:
     """One resident JVM running CompileServer.java (protocol in that file),
-    mapping the JDK classes it needs from `archive` if one is given. Its
-    stdin is one end of a socket pair, its only channel: its stdout and
-    stderr, which the JVM and the candidates' code share, go nowhere.
-    Any number of threads may send requests on it at once: requests are
-    written under a lock and one reader thread hands each reply to the
-    caller that waits on its id."""
+    mapping the JDK classes it needs from `archive` if one is given. Its one
+    channel is its end of a socket pair, whose fd follows CompileServer.java
+    on its command line; its stdin is /dev/null, as a `java Main` process's
+    is, and its stdout and stderr go nowhere. Any number of threads may send
+    requests at once: requests are written under a lock and one reader
+    thread hands each reply to the caller that waits on its id. A request
+    gives the (exit, stderr, stdout) reply, None when it overran its budget,
+    or the reason it must go to a process (_FALLBACKS): the JVM's refusal,
+    or, once the JVM has ended, why it was retired (else `unavailable`)."""
 
     def __init__(self, java: str, cwd: str | Path | None = None, archive: Path | None = None):
         self.archive = archive
@@ -284,54 +287,62 @@ class CompileServer:
             # for the per-cell javac/java launches (perfbench/tracer.py times
             # each of those until communicate()); the server lives for the run.
             self.proc = _Popen(
-                _server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
-                cwd=cwd, stdin=theirs, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_tool_env(),
+                [*_server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
+                 str(theirs.fileno())],
+                cwd=cwd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                pass_fds=(theirs.fileno(),), env=_tool_env(),
             )
         except OSError:
             self._channel.close()
             raise
         finally:
             theirs.close()  # the JVM has its own copy
-        self.started = False  # it has written its "ready" line
-        self.version = ""  # the Runtime.version() its "ready" line names
+        self.version: str | None = None  # the Runtime.version() its "ready" line names, "" if none
         self._up = threading.Event()  # set once it is ready, or has exited
-        # Why this server is being retired (another request's overrun, a
-        # refused reply, or "memory" once the JVM ended on an
-        # OutOfMemoryError), set before the waiters are woken: the other
-        # requests in flight go to processes under this reason.
+        # Why this server is being retired (a refused reply, an overrun, or
+        # "memory" once the JVM ended on an OutOfMemoryError), set before the
+        # waiters are woken: the other requests in flight go to processes
+        # under this reason.
         self.retired: str | None = None
+        # How the JVM was found gone, in the words of the pool's give-up log
+        # line: it exited, was not ready in time, or stopped reading.
+        self.ended: str | None = None
         self._lock = threading.Lock()
         self._ids = itertools.count()
         self._waiting: dict[int, futures.Future] = {}
-        self._lost: str | None = None
         self._reader = threading.Thread(target=self._read, daemon=True)
         self._reader.start()
 
-    def request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | None:
-        """The (exit, stderr, stdout) reply to a `compile` or `run` request
-        on directory, or None when it overran budget_s. Raises EOFError if
-        the JVM has exited."""
+    def request(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | str | None:
+        """The reply to a `compile` or `run` request on directory, None when
+        it overran budget_s, or why it must go to a process instead."""
         reply: futures.Future = futures.Future()
         with self._lock:
-            if self._lost is not None:
-                raise EOFError(self._lost)
             key = next(self._ids)
-            self._waiting[key] = reply
-            try:
+            try:  # fails once the JVM has gone
                 self._channel.sendall(f"{key} {kind} {directory}\n".encode("utf-8"))
             except OSError as exc:
-                del self._waiting[key]
-                raise EOFError(f"compile server stopped reading: {exc}") from exc
+                self.ended = self.ended or f"compile server stopped reading: {exc}"
+                return self.retired or "unavailable"
+            self._waiting[key] = reply
         if not self._up.wait(_START_S):
             with self._lock:
                 self._waiting.pop(key, None)
-            raise EOFError(f"compile server not ready after {_START_S}s")
+                self.ended = self.ended or f"compile server not ready after {_START_S}s"
+                return self.retired or "unavailable"
         try:
-            return reply.result(budget_s)
+            code, stderr, stdout = reply.result(budget_s)
         except futures.TimeoutError:
             with self._lock:
                 self._waiting.pop(key, None)
+            self._retire_for("overrun")
             return None
+        return stderr.decode("ascii", "replace") if code == _REFUSED else (code, stderr, stdout)
+
+    def _retire_for(self, reason: str) -> None:
+        """Record why this server is being retired, unless it has a reason."""
+        with self._lock:
+            self.retired = self.retired or reason
 
     def close(self) -> None:
         """Kill the JVM and collect its exit status."""
@@ -343,12 +354,10 @@ class CompileServer:
         # a JVM that ends with a request unread resets the channel: that is its end too
         with self._channel.makefile("rb") as out, contextlib.suppress(ConnectionResetError):
             line = out.readline()  # "ready <version>"; a bare "ready" names none
-            ready = line == b"ready\n" or line.startswith(b"ready ")
-            with self._lock:
-                self.started = ready
-                self.version = line[6:].strip().decode("ascii", "replace") if ready else ""
+            if line == b"ready\n" or line.startswith(b"ready "):
+                self.version = line[6:].strip().decode("ascii", "replace")
             self._up.set()
-            while ready:
+            while self.version is not None:
                 try:
                     key, code, size, err = map(int, out.readline().split())
                 except ValueError:  # end of input, or a line that is no reply
@@ -356,22 +365,23 @@ class CompileServer:
                 body = out.read(size)
                 if len(body) < size:
                     break
+                if code == _REFUSED:
+                    self._retire_for(body.decode("ascii", "replace"))
                 with self._lock:
                     waiter = self._waiting.pop(key, None)
-                    if code == _REFUSED and self.retired is None:
-                        self.retired = body.decode("ascii", "replace")
                 if waiter is not None:
                     waiter.set_result((code, body[:err], body[err:]))  # stderr, then stdout
         self._up.set()  # also when it ended before "ready"
         self.proc.kill()  # no-op once it has exited; the waiters must not wait on it
         status = self.proc.wait()
+        if status == _OUT_OF_MEMORY:
+            self._retire_for("memory")
         with self._lock:
-            if status == _OUT_OF_MEMORY and self.retired is None:
-                self.retired = "memory"
-            self._lost = f"compile server exited with {status}"
+            self.ended = self.ended or f"compile server exited with {status}"
+            refusal = (_REFUSED, (self.retired or "unavailable").encode("ascii"), b"")
             waiting, self._waiting = self._waiting, {}
         for waiter in waiting.values():
-            waiter.set_exception(EOFError(self._lost))
+            waiter.set_result(refusal)
 
 
 class ExecPool:
@@ -380,39 +390,36 @@ class ExecPool:
     slot() bounds concurrent evaluations to `workers`. request() is the one
     way to compile (`compile`) or test-run (`run`) a scratch directory: it
     gives what that kind's process would give, javac on `javac` and
-    `java Main` on `java`. Each request goes at most once to one
-    CompileServer, so a run keeps at most one JVM however many slots are
-    busy; it runs on the `java` beside the resolved `javac`. Its compiles
-    reuse javac's contexts, so a JDK class is read once per context, not
-    once per compile. It refuses a directory holding more than Main.java:
-    its class path is empty, where a javac process reads ".". start()
-    launches it at set-up, without waiting for it; else the first request
-    does. Whatever the JVM cannot answer goes to the kind's process
-    (_process), the reference, under a reason (_FALLBACKS): a request whose
-    reply is refused, every request in flight on a JVM that exits, runs out
-    of memory or is killed for another request's overrun, every test run
-    when `java` resolves to another file than the server's java, and a
-    scratch path the protocol cannot carry. A refused reply and an overrun
-    retire the JVM; the next request starts a fresh one. Each tool is probed
-    (check_toolchain) once, before its first process, and a failed probe
-    raises ToolchainError; the JVM's "ready" line is its own probe. The
-    server starts in scratch_root, so relative paths a run opens land there,
-    not in the caller's directory (they are not the cell's own directory, as
-    they are for `java Main`). If it cannot start (no `java` beside `javac`,
-    a JDK older than 11, no jdk.compiler module or no JavacTaskPool in it),
-    the pool logs it once and uses processes from then on. The first server
-    to answer has its version kept and logged. A pool never started or sent
-    a request (mock mode) starts no JVM. close() kills and reaps the
-    server, so no JVM outlives the run and its CPU time counts as the run's.
+    `java Main` on `java`. A test run when `java` resolves to another file
+    than the server's java (`other java`), a scratch path the protocol
+    cannot carry (`path`) and any request while the pool has no server
+    (`unavailable`) go to the kind's process (_process), the reference.
+    Every other request goes once to one CompileServer, so a run keeps at
+    most one JVM however many slots are busy. Its reply is the request's
+    answer. An overrun (None) and a reason (_FALLBACKS) retire the server,
+    and a reason sends the request to the kind's process; the next request
+    starts a fresh server. It runs on the `java` beside the resolved
+    `javac`, and its compiles reuse javac's contexts, so a JDK class is read
+    once per context, not once per compile. start() launches it at set-up,
+    without waiting for it; else the first request does. Each tool is
+    probed (check_toolchain) once, before its first process, and a failed
+    probe raises ToolchainError; the JVM's "ready" line is its own probe.
+    The server starts in scratch_root, so relative paths a run opens land
+    there, not in the caller's directory (they are not the cell's own
+    directory, as they are for `java Main`). If it cannot start (no `java`
+    beside `javac`, a JDK older than 11, no jdk.compiler module or no
+    JavacTaskPool in it), the pool logs it once and uses processes from
+    then on. The first server to say ready has its version kept and
+    logged. A pool with no start() and no request (mock mode) launches no
+    JVM. close() kills and reaps the server, so no JVM outlives the run and
+    its CPU time counts as the run's.
 
     A server maps the JDK classes it loads at start-up (javac's, mostly)
     from a class-data-sharing archive when the user's cache holds one for
     its java, CompileServer.java and _SERVER_FLAGS (_archive_path); else
     close() writes one after a normal run, for the next. A server on the
-    archive that ends before "ready" (it could not start: a damaged
-    archive crashes the JVM) is not given up: the archive is deleted, the
-    requests in flight go to processes (`unavailable`), and the next
-    request starts a server without it.
+    archive that ends before "ready" is not given up: the archive is
+    deleted, and the next server starts without it.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -478,9 +485,20 @@ class ExecPool:
         """What the `kind` process would give if run in scratch: (exit,
         stderr, stdout), or None once budget_s is passed."""
         directory = os.path.abspath(scratch)
-        reply = self._ask(kind, directory, budget_s)
+        if kind == "run" and self._other_java:
+            reply = "other java"
+        elif not _SERVABLE_PATH.fullmatch(directory):
+            reply = "path"
+        elif (server := self._current()) is None:
+            reply = "unavailable"
+        else:
+            reply = server.request(kind, directory, budget_s)
+            self._note_version(server)
+            if not isinstance(reply, tuple):
+                self._retire(server)
         if kind == "run" and reply is not None:
-            self._count(reply if isinstance(reply, str) else "resident JVM")
+            with self._lock:
+                self._runs[reply if isinstance(reply, str) else "resident JVM"] += 1
         if isinstance(reply, str):
             self._probe(self._tools[kind])
             return _process([self._tools[kind], *_ARGS[kind]], scratch, budget_s)
@@ -517,39 +535,9 @@ class ExecPool:
             if self._archive and not self._archive.exists():
                 _write_archive(java, self._archive)
 
-    def _ask(self, kind: str, directory: str, budget_s: float) -> tuple[int, bytes, bytes] | str | None:
-        """The server's (exit, stderr, stdout) reply, None when the request overran
-        budget_s, or why it must go to a process instead (_FALLBACKS)."""
-        if kind == "run" and self._other_java:
-            return "other java"
-        if not _SERVABLE_PATH.fullmatch(directory):
-            return "path"
-        server = self._current()
-        if server is None:
-            return "unavailable"
-        try:
-            reply = server.request(kind, directory, budget_s)
-        except EOFError as exc:
-            self._retire(server)
-            if server.retired is None and not server.started:
-                if server.archive is None:
-                    self._give_up(str(exc))
-                else:  # a damaged archive crashes the JVM: the next server starts without it
-                    with contextlib.suppress(OSError):
-                        os.unlink(server.archive)
-            return server.retired or "unavailable"
-        self._note_version(server)
-        if reply is None:
-            self._retire(server, "overrun")
-            return None
-        if reply[0] != _REFUSED:
-            return reply
-        self._retire(server)
-        return reply[1].decode("ascii", "replace")
-
     def _note_version(self, server: CompileServer) -> None:
         with self._lock:
-            first = self.version is None and server.started
+            first = self.version is None and server.version is not None
             if first:
                 self.version = server.version
         if first and self.version:
@@ -570,16 +558,12 @@ class ExecPool:
         if failure is not None:
             raise ToolchainError(failure)
 
-    def _count(self, where: str) -> None:
-        with self._lock:
-            self._runs[where] += 1
-
     def _current(self) -> CompileServer | None:
         with self._lock:
             if self._server is not None or self._server_java is None:
                 return self._server
             try:
-                # started under the lock, so concurrent first requests share one
+                # launched under the lock, so concurrent first requests share one
                 if self._scratch_root is not None:
                     os.makedirs(self._scratch_root, exist_ok=True)
                 archive = self._archive if self._archive and self._archive.is_file() else None
@@ -590,13 +574,18 @@ class ExecPool:
         self._give_up(reason)
         return None
 
-    def _retire(self, server: CompileServer, reason: str | None = None) -> None:
+    def _retire(self, server: CompileServer) -> None:
+        """Drop and kill `server`; the next request starts a fresh one."""
         with self._lock:
             if self._server is server:
                 self._server = None
-        if reason is not None and server.retired is None:
-            server.retired = reason
         server.close()
+        if server.retired is None and server.version is None:  # it could not start
+            if server.archive is None:
+                self._give_up(server.ended)
+            else:  # a damaged archive crashes the JVM: the next server starts without it
+                with contextlib.suppress(OSError):
+                    os.unlink(server.archive)
 
     def _give_up(self, reason: str) -> None:
         with self._lock:

@@ -115,7 +115,7 @@ class RunStore:
 
     def scratch_root(self, run_id: str) -> Path:
         """The run's scratch directory: one subdirectory per cell below it."""
-        return self.root / "scratch" / run_id
+        return self.root / "scratch" / _safe_name(run_id)
 
     def scratch_dir(self, run_id: str, model_id: str, strategy_kind: str, task_id: str) -> Path:
         return self.scratch_root(run_id) / _safe_name(model_id) / strategy_kind / _safe_name(task_id)

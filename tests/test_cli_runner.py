@@ -631,6 +631,33 @@ def test_cli_run_rejects_task_ids_that_share_a_scratch_directory(tmp_path, capsy
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("task_id", [".", ".."])
+def test_cli_run_rejects_a_task_id_that_names_no_scratch_directory_of_its_own(tmp_path, capsys, task_id):
+    # a jdk cell of task "." would empty the arm's own scratch directory, and ".." its parent
+    rows = [json.loads(line) for line in MOCK_TASKS.read_text("utf-8").splitlines()[:2]]
+    rows[1]["task_id"] = task_id
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert main(["run", "--config", write_config(tmp_path, dataset={"path": str(dataset)})]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {dataset}: task_id {task_id!r} has the store name {task_id!r}, which names no directory" in err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("run_id", [".", ".."])
+def test_cli_run_rejects_a_run_id_that_names_no_scratch_root_of_its_own(tmp_path, capsys, run_id):
+    assert main(["run", "--config", write_config(tmp_path, run_id=run_id)]) == 2
+    err = capsys.readouterr().err
+    assert f"run_id {run_id!r} has the store name {run_id!r}, which names no directory" in err
+    assert not (tmp_path / "store").exists()
+
+
+def test_a_run_ids_scratch_root_stays_inside_the_store(tmp_path):
+    store = RunStore(tmp_path / "store")
+    for run_id, name in (("../..", "..-.."), ("/tmp/x", "-tmp-x"), ("bench-jdk-grid", "bench-jdk-grid")):
+        assert store.scratch_root(run_id) == tmp_path / "store" / "scratch" / name
+
+
 def _not_utf8(tmp_path, name):
     """A command that meets byte 0xff in one of its input files, and that file."""
     store = tmp_path / "store"

@@ -545,15 +545,15 @@ def java_main(java: str, scratch: Path) -> OutcomeLabel:
     return as_outcome(exec_harness._process([java, "Main"], scratch, 30))
 
 
-# A stand-in for `java CompileServer.java` that speaks the same protocol on
-# its stdin: it batches the requests of each 5 ms and answers every batch
+# A stand-in for `java CompileServer.java <fd>` that speaks the same protocol
+# on the socket whose fd is its last argument: it batches the requests of each 5 ms and answers every batch
 # last-in first-out, with exit code and diagnostics derived from the
 # request's directory.
 FAKE_SERVER = """\
 import os, socket, sys, threading, time
 pending, lock = [], threading.Lock()
 order = open(sys.argv[1], "a")
-channel = socket.socket(fileno=0)
+channel = socket.socket(fileno=int(sys.argv[-1]))
 
 def answer():
     while True:
@@ -587,7 +587,7 @@ def fake_jdk(tmp_path) -> tuple[Path, Path]:
         script = bin_dir / tool
         script.write_text(
             f"#!/bin/sh\nexec {shlex.quote(sys.executable)} "
-            f"{shlex.quote(str(bin_dir / 'server.py'))} {shlex.quote(str(log))}\n"
+            f"{shlex.quote(str(bin_dir / 'server.py'))} {shlex.quote(str(log))} \"$@\"\n"
         )
         script.chmod(0o755)
     return bin_dir / "javac", log
@@ -815,6 +815,30 @@ def test_a_server_that_ends_with_a_request_unread_sends_it_to_a_process_at_once(
     assert time.monotonic() - started < 10
 
 
+def test_a_server_that_never_says_ready_is_given_up_after_the_start_wait(tmp_path, monkeypatch):
+    """Requests wait _START_S for a JVM's "ready" line, then go to javac
+    processes; the JVM is killed and the pool uses processes from then on."""
+    monkeypatch.setattr(exec_harness, "_START_S", 1)
+    started = record_servers(monkeypatch)
+    javac_processes = record_javac_processes(monkeypatch)
+    javac, java = shell_jdk(tmp_path, "exit 0", "exec sleep 30")
+    cells = [tmp_path / name for name in ("a", "b")]
+    for cell in cells:
+        cell.mkdir()
+        (cell / "Main.java").write_text("public class Main {}\n", encoding="utf-8")
+    logs: list[str] = []
+    began = time.monotonic()
+    with ExecPool(2, javac, java, log=logs.append) as pool, ThreadPoolExecutor(max_workers=2) as threads:
+        replies = list(threads.map(lambda cell: pool.request("compile", cell, 10), cells, timeout=60))
+    assert time.monotonic() - began < 10
+    assert replies == [(0, b"", b"")] * 2
+    assert sorted(javac_processes) == cells
+    assert len(started) == 1 and started[0].proc.returncode is not None
+    assert logs == [
+        "exec: compile server unavailable (compile server not ready after 1s); using javac and java Main processes"
+    ]
+
+
 def test_a_jdk_run_whose_every_model_is_skipped_starts_no_jvm(tmp_path, monkeypatch):
     monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
     started = record_servers(monkeypatch)
@@ -966,7 +990,7 @@ def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
     logs: list[str] = []
     with ExecPool(1, str(bin_dir / "javac"), log=logs.append) as pool:
         assert pool.request("compile", scratch, 0.5) == (0, b"", b"")
-        assert pool._server is not None and pool._server.started
+        assert pool._server is not None and pool._server.version is not None
         assert logs == [f"exec: resident JVM {pool.version}"]
 
 
@@ -1282,6 +1306,28 @@ ADVERSARIAL = {
         "class Solution {}",
         main_class(
             "        java.io.OutputStream out = new java.io.FileOutputStream(java.io.FileDescriptor.out);\n"
+            "        for (int k = 0; k < 10000; k++) {\n"
+            '            out.write((k + " 1 5 5\\nboom!").getBytes("US-ASCII"));\n'
+            "        }\n"
+            "        out.flush();\n"
+        ),
+        "resident JVM",
+        lambda outcome: outcome == OutcomeLabel(PASS, ""),
+    ),
+    # the JVM's fd 0, as a java Main process's, is /dev/null, not its channel
+    "read-stdin-fd": (
+        "class Solution {}",
+        main_class(
+            "        java.io.InputStream in = new java.io.FileInputStream(java.io.FileDescriptor.in);\n"
+            '        if (in.read() != -1) throw new AssertionError("stdin");\n'
+        ),
+        "resident JVM",
+        lambda outcome: outcome == OutcomeLabel(PASS, ""),
+    ),
+    "spoofed-reply-on-stdin-fd": (
+        "class Solution {}",
+        main_class(
+            "        java.io.OutputStream out = new java.io.FileOutputStream(java.io.FileDescriptor.in);\n"
             "        for (int k = 0; k < 10000; k++) {\n"
             '            out.write((k + " 1 5 5\\nboom!").getBytes("US-ASCII"));\n'
             "        }\n"
@@ -1636,7 +1682,7 @@ def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
     assert outcomes == {name: javac_process_outcomes[(task.task_id, name)] for name in variants}
     # the first compile crashed the JVM on the archive: not given up, the next server starts without it
     assert [server.archive for server in started] == [damaged, None]
-    assert not started[0].started and started[0].proc.returncode != 0
+    assert started[0].version is None and started[0].proc.returncode != 0
     assert logs == [f"exec: resident JVM {pool.version}"]
     assert pool.run_summary() == "exec: 2 test run(s) in the resident JVM, 0 as java Main processes"
     # the run ended normally, so the close wrote a sound archive in its place
@@ -1646,4 +1692,4 @@ def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
             variants["canonical"], task, 30, scratch_dir=tmp_path / "again", compiler=pool
         )
     assert outcome == OutcomeLabel(PASS, "")
-    assert archive_backed(started[2]) and started[2].started
+    assert archive_backed(started[2]) and started[2].version is not None
