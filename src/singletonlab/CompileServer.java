@@ -81,6 +81,11 @@ import sun.misc.Unsafe;
  * At end of input the JVM exits once the requests in flight have answered.
  * Launched in source-file mode with -XX:+ExitOnOutOfMemoryError, so a run
  * that fills the shared heap ends the JVM before any reply it could spoil.
+ * The sender keeps one class-data-sharing archive per java, dumped by a run
+ * with no argument: CompileServer-<java key>-<content key>.jsa, whose content
+ * key covers this file's bytes. Writing one deletes its java's others, so two
+ * checkouts of different versions on one java rewrite each other's archive
+ * once per run.
  */
 public class CompileServer {
     static final int REFUSED = -1;
@@ -145,7 +150,7 @@ public class CompileServer {
      * anything else: javac's class path "." would show it, the compiler's
      * empty one does not.
      */
-    static void compile(String id, String dir) throws IOException {
+    static void compile(String id, String dir) throws Exception {
         if (!Arrays.equals(new File(dir).list(), new String[] {"Main.java"})) {
             refuse(id, "unsupported");
             return;
@@ -196,15 +201,14 @@ public class CompileServer {
             thread.setContextClassLoader(loader);
             thread.start();
             thread.join();
-            byte[] err = output.streams[1].toByteArray(), out = output.streams[0].toByteArray();
             if (group.activeCount() > 0) {
                 refuse(id, "leftover thread");
             } else if (exit[0] == REFUSED || output.closed) {
                 refuse(id, "unsupported");
             } else {
-                byte[] body = Arrays.copyOf(err, err.length + out.length);
-                System.arraycopy(out, 0, body, err.length, out.length);
-                reply(id, exit[0], body, err.length);
+                int nerr = output.streams[1].size();
+                output.streams[0].writeTo(output.streams[1]); // the body: stderr, then stdout
+                reply(id, exit[0], output.streams[1].toByteArray(), nerr);
             }
         }
     }
@@ -219,8 +223,9 @@ public class CompileServer {
             return;
         }
         StackTraceElement[] frames = e.getStackTrace();
-        int end = frames.length - runner.length;
-        if (end >= 0 && sameMethods(frames, end, runner)) {
+        int end = frames.length - runner.length; // where the run lambda's frame is, if the thread made e
+        if (end >= 0 && frames[end].getClassName().equals(runner[0].getClassName())
+                && frames[end].getMethodName().equals(runner[0].getMethodName())) {
             while (end > 0 && frames[end - 1].getModuleName() != null) {
                 end--;
             }
@@ -230,17 +235,6 @@ public class CompileServer {
         for (Throwable suppressed : e.getSuppressed()) {
             trim(suppressed, runner, seen);
         }
-    }
-
-    static boolean sameMethods(StackTraceElement[] frames, int from, StackTraceElement[] runner) {
-        for (int i = 0; i < runner.length; i++) {
-            StackTraceElement frame = frames[from + i];
-            if (!frame.getClassName().equals(runner[i].getClassName())
-                    || !frame.getMethodName().equals(runner[i].getMethodName())) {
-                return false;
-            }
-        }
-        return true;
     }
 
     static void refuse(String id, String reason) {
@@ -342,15 +336,16 @@ public class CompileServer {
      */
     static final class Compiler implements DiagnosticListener<JavaFileObject> {
         /** Where a Log keeps the "not supported" errors it reported, to report each once per file. */
-        static final long SOURCE_LEVEL_ERRORS = sourceLevelErrors();
+        final long sourceLevelErrors;
         final JavacTaskPool contexts = new JavacTaskPool(1);
         final StandardJavaFileManager files = ToolProvider.getSystemJavaCompiler().getStandardFileManager(null, null, null);
         PrintWriter err;
         Log log;
         Locale locale;
 
-        Compiler() throws IOException {
+        Compiler() throws IOException, NoSuchFieldException {
             files.setLocation(StandardLocation.CLASS_PATH, List.of());
+            sourceLevelErrors = UNSAFE.objectFieldOffset(Log.class.getDeclaredField("recordedSourceLevelErrors"));
         }
 
         /** javac's exit code; err gets what javac prints, diagnostics and counts. */
@@ -364,7 +359,7 @@ public class CompileServer {
                 // a reused Log keeps these from the last compile
                 log.nsuppressederrors = log.nsuppressedwarns = 0;
                 log.compressedOutput = false;
-                ((Set<?>) UNSAFE.getObject(log, SOURCE_LEVEL_ERRORS)).clear();
+                ((Set<?>) UNSAFE.getObject(log, sourceLevelErrors)).clear();
                 int exit = ((JavacTaskImpl) task).doCall().exitCode;
                 if (exit > 1) { // javac could not compile: a crash, or a file it could not read or write
                     throw new IllegalStateException("javac exit " + exit);
@@ -377,14 +372,6 @@ public class CompileServer {
                 printSuppressed(javac.warningCount(), log.nsuppressedwarns, "count.warn.recompile");
                 return exit;
             });
-        }
-
-        static long sourceLevelErrors() {
-            try {
-                return UNSAFE.objectFieldOffset(Log.class.getDeclaredField("recordedSourceLevelErrors"));
-            } catch (NoSuchFieldException e) {
-                throw new IllegalStateException(e);
-            }
         }
 
         void printSuppressed(int shown, int suppressed, String key) {
@@ -407,33 +394,21 @@ public class CompileServer {
         volatile boolean closed;
     }
 
-    /** System.out or System.err. It stays open for later runs: close() only flushes and refuses the run. */
+    /**
+     * System.out (0) or System.err (1): every byte it prints reaches write, which puts it in the
+     * current run's buffer, or nowhere. It stays open for later runs: close() only refuses the run.
+     */
     static final class Stdio extends PrintStream {
-        Stdio(int stream, String name) {
-            super(new Redirect(stream), true, launcherCharset(name));
-        }
-
-        @Override
-        public void close() {
-            flush();
-            closed();
-        }
-    }
-
-    /** System.out (0) or System.err (1): writes to the current run's buffer, or nowhere. */
-    static final class Redirect extends OutputStream {
         final int stream;
 
-        Redirect(int stream) {
+        Stdio(int stream, String name) {
+            super(OutputStream.nullOutputStream(), true, launcherCharset(name));
             this.stream = stream;
         }
 
         @Override
         public void write(int b) {
-            Output output = OUTPUT.get();
-            if (output != null) {
-                output.streams[stream].write(b);
-            }
+            write(new byte[] {(byte) b}, 0, 1);
         }
 
         @Override
@@ -442,6 +417,11 @@ public class CompileServer {
             if (output != null) {
                 output.streams[stream].write(b, off, len);
             }
+        }
+
+        @Override
+        public void close() {
+            closed();
         }
     }
 }

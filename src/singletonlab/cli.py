@@ -1,7 +1,8 @@
 """Command-line entry points: check, run, report, mock-run.
 
 Exit codes: 0 success (for `check`: every file conforms), 1 nonconformance
-from `check`, 2 usage or configuration errors.
+from `check`, 2 usage or configuration errors (for `check`: also a file it
+cannot read).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def cmd_check(args) -> int:
     for raw in args.paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(path.rglob("*.java")))
+            files.extend(sorted(found for found in path.rglob("*.java") if found.is_file()))
         elif path.is_file():
             files.append(path)
         else:
@@ -93,7 +94,11 @@ def cmd_check(args) -> int:
             return 2
     results = []
     for path in files:
-        text = path.read_text("utf-8", errors="replace")
+        try:
+            text = path.read_text("utf-8", errors="replace")
+        except OSError as exc:
+            print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         report = assess_candidate(text, None)
         results.append(
             {

@@ -232,34 +232,41 @@ def _server_argv(java: str, *flags: str) -> list[str]:
 
 def _archive_path(java: str) -> Path | None:
     """Where the class-data-sharing archive of a server on `java` lives: in
-    the user's cache directory, named by what the archived classes depend
-    on (the resolved java binary, the server source and the JVM flags), or
-    None if java cannot be read."""
+    the user's cache directory, as CompileServer-<java key>-<content
+    key>.jsa. The java key names the resolved java binary, the content key
+    what the archived classes depend on (that binary's size and mtime, the
+    server source and the JVM flags). None if java cannot be read."""
     cache = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(cache):
         cache = os.path.join(os.path.expanduser("~"), ".cache")
-    key = hashlib.sha256()
     try:
         real = os.path.realpath(java)
         stat = os.stat(real)
-        key.update(COMPILE_SERVER.read_bytes())
+        content = hashlib.sha256(COMPILE_SERVER.read_bytes())
     except OSError:
         return None
-    key.update(repr((real, stat.st_size, stat.st_mtime_ns, _SERVER_FLAGS)).encode())
-    return Path(cache, "singletonlab", f"CompileServer-{key.hexdigest()[:32]}.jsa")
+    content.update(repr((stat.st_size, stat.st_mtime_ns, _SERVER_FLAGS)).encode())
+    java_key = hashlib.sha256(os.fsencode(real)).hexdigest()[:16]
+    return Path(cache, "singletonlab", f"CompileServer-{java_key}-{content.hexdigest()[:32]}.jsa")
 
 
 def _write_archive(java: str, archive: Path) -> None:
     """Write `archive` from a server JVM given no channel, which sets up and
     exits, so it ran no candidate code. It is written under a temporary name
-    and then renamed, so no server maps a partial archive. A failure leaves
-    no archive."""
-    temp = f"{archive}.{os.getpid()}.tmp"
+    of its own and then renamed, so no server maps a partial archive; then
+    the other archives of its java key are deleted, and those named by one
+    key, as archives were before they had a java key. A failure leaves no
+    archive."""
+    temp = f"{archive}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         archive.parent.mkdir(parents=True, exist_ok=True)
         dumped = _process(_server_argv(java, f"-XX:ArchiveClassesAtExit={temp}"), archive.parent, _START_S)
         if dumped is not None and dumped[0] == 0:
             os.replace(temp, archive)
+            java_key = archive.name.rsplit("-", 1)[0] + "-"
+            for other in archive.parent.glob("CompileServer-*.jsa"):
+                if other != archive and (other.name.startswith(java_key) or other.name.count("-") == 1):
+                    other.unlink(missing_ok=True)
     except (OSError, ToolchainError):
         pass
     finally:
@@ -417,7 +424,8 @@ class ExecPool:
     A server maps the JDK classes it loads at start-up (javac's, mostly)
     from a class-data-sharing archive when the user's cache holds one for
     its java, CompileServer.java and _SERVER_FLAGS (_archive_path); else
-    close() writes one after a normal run, for the next. A server on the
+    close() writes one after a normal run, for the next, and deletes that
+    java's older archives (_write_archive). A server on the
     archive that ends before "ready" is not given up: the archive is
     deleted, and the next server starts without it.
 

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +338,39 @@ def test_cli_check_json_output(capsys):
 
 def test_cli_check_missing_path_exit_two(capsys):
     assert main(["check", "/nonexistent/path.java"]) == 2
+
+
+def test_cli_check_directory_skips_java_paths_that_are_no_regular_file(tmp_path, capsys):
+    target = tmp_path / "tree"
+    (target / "Sub.java").mkdir(parents=True)
+    shutil.copy(CORPUS_DIR / "EagerSingleton.java", target / "Good.java")
+    shutil.copy(CORPUS_DIR / "LazySingleton.java", target / "Sub.java" / "Inner.java")
+    (target / "Broken.java").symlink_to(tmp_path / "absent.java")
+    code = main(["check", str(target)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        str(target / "Good.java"), str(target / "Sub.java" / "Inner.java")
+    ]
+
+
+def test_cli_check_unreadable_file_exit_two(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "tree"
+    target.mkdir()
+    shutil.copy(CORPUS_DIR / "EagerSingleton.java", target / "Good.java")
+    shutil.copy(CORPUS_DIR / "EagerSingleton.java", target / "Locked.java")
+    read_text = Path.read_text
+
+    def locked(path, *args, **kwargs):  # file modes do not stop a root user
+        if path.name == "Locked.java":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", locked)
+    assert main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {target / 'Locked.java'}: Permission denied\n"
 
 
 def test_cli_run_and_report(tmp_path, capsys):

@@ -1268,6 +1268,22 @@ ADVERSARIAL = {
                          "Caused by: java.lang.IllegalStateException: root", "... 1 more")
         ),
     ),
+    # the cause's frames end as deep as the runner's, in a class of the server's name: they stay
+    "cause-from-a-thread-in-a-class-named-compile-server": (
+        "class CompileServer implements Runnable {\n    Throwable made;\n\n"
+        "    public void run() {\n"
+        '        made = new IllegalStateException("made in a thread");\n    }\n}\n',
+        main_class(
+            "        CompileServer server = new CompileServer();\n"
+            "        Thread thread = new Thread(server);\n"
+            "        thread.start();\n"
+            "        thread.join();\n"
+            '        throw new AssertionError("outer", server.made);\n'
+        ),
+        "resident JVM",
+        lambda outcome: "Caused by: java.lang.IllegalStateException: made in a thread\n"
+        "\tat CompileServer.run(Main.java:" in outcome.detail,
+    ),
     "mixed-output": (
         "class Solution {}",
         main_class(
@@ -1630,6 +1646,50 @@ def test_the_first_pool_writes_the_archive_and_the_next_server_maps_it(tmp_path,
     assert [server.archive for server in started] == [None, archive]
     assert archive_backed(started[1])
     assert "-XX:+UseSerialGC" in started[0].proc.args
+
+
+@requires_jdk
+def test_a_new_archive_deletes_the_older_ones_of_its_java_and_keeps_another_javas(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    javac, java = jdk_tools()
+    older = ExecPool(1, javac)._archive  # the name under the unpatched flags
+    other_java = "CompileServer-" + "0" * 16 + "-" + "0" * 32 + ".jsa"
+    one_key = "CompileServer-" + "1" * 32 + ".jsa"  # named as archives were before they had a java key
+    older.parent.mkdir(parents=True)
+    for name in (older.name, other_java, one_key):
+        (older.parent / name).write_bytes(b"stub")
+    monkeypatch.setattr(exec_harness, "_SERVER_FLAGS", (*exec_harness._SERVER_FLAGS, "-Dsingletonlab.patched=1"))
+    scratch = tmp_path / "cell"
+    scratch.mkdir()
+    (scratch / "Main.java").write_text("public class Main {}\n", encoding="utf-8")
+    with ExecPool(1, javac, scratch_root=scratch) as pool:
+        assert pool._archive != older and pool._archive.name.split("-")[1] == older.name.split("-")[1]
+        assert pool.request("compile", scratch, 30) == (0, b"", b"")
+    assert cached_files(cache) == sorted([pool._archive.name, other_java])
+
+
+def test_two_archive_dumps_at_once_write_under_temporary_names_of_their_own(tmp_path, monkeypatch):
+    archive = tmp_path / "singletonlab" / ("CompileServer-" + "0" * 16 + "-" + "0" * 32 + ".jsa")
+    both = threading.Barrier(2)
+    temps = []
+
+    def dump(argv, cwd, budget_s):
+        temp = next(arg for arg in argv if arg.startswith("-XX:ArchiveClassesAtExit="))
+        temps.append(temp)
+        both.wait(10)  # both dumps are under way
+        Path(temp.split("=", 1)[1]).write_bytes(b"archive")
+        return 0, b"", b""
+
+    monkeypatch.setattr(exec_harness, "_process", dump)
+    threads = [threading.Thread(target=exec_harness._write_archive, args=("java", archive)) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(set(temps)) == 2
+    assert cached_files(tmp_path) == [archive.name]
 
 
 @requires_jdk
