@@ -6,13 +6,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from .gateway import ScriptedModel
 from .guidance import PROTOCOLS, STRATEGY_KINDS, Strategy, load_default_exemplars, verify_exemplars
-from .dataset import store_name_clash
+from .dataset import DEFAULT_FIELD_MAP, store_name_clash
 
 EXEC_MODES = ("jdk", "mock")
 
@@ -133,6 +133,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         candidate = Path(p)
         return str(candidate if candidate.is_absolute() else base / candidate)
 
+    _known(raw, "config", ("run_id", "dataset", "output_dir", "models", "strategies", "iteration_cap", "exec",
+                           "parallelism", "seed", "retries", "backoff_s"))
     run_id = raw.get("run_id")
     if not isinstance(run_id, str) or not run_id:
         raise ConfigError("run_id must be a non-empty string")
@@ -144,9 +146,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         dataset = {"path": dataset}
     if not isinstance(dataset, dict) or not dataset.get("path"):
         raise ConfigError("dataset.path is required")
-    field_map = dataset.get("field_map")
-    if field_map is not None and not (
-        isinstance(field_map, dict) and all(isinstance(v, str) for v in field_map.values())
+    field_map = _known(dataset, "dataset", ("path", "field_map")).get("field_map")
+    if field_map is not None and not all(
+        isinstance(v, str) for v in _known(field_map, "dataset.field_map", DEFAULT_FIELD_MAP).values()
     ):
         raise ConfigError("dataset.field_map must be an object of strings")
 
@@ -175,9 +177,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if len({s.kind for s in strategies}) != len(strategies):
         raise ConfigError("strategy kinds must be unique")
 
-    exec_raw = raw.get("exec", {})
-    if not isinstance(exec_raw, dict):
-        raise ConfigError("exec must be an object")
+    exec_raw = _known(raw.get("exec", {}), "exec", [f.name for f in fields(ExecSettings)])
     mode = exec_raw.get("mode", "jdk")
     if mode not in EXEC_MODES:
         raise ConfigError(f"exec.mode must be one of {EXEC_MODES}")
@@ -200,9 +200,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         workers=_at_least(exec_raw.get("workers", os.cpu_count() or 1), 1, "exec.workers"),
     )
 
-    parallelism_raw = raw.get("parallelism", {})
-    if not isinstance(parallelism_raw, dict):
-        raise ConfigError("parallelism must be an object")
+    parallelism_raw = _known(raw.get("parallelism", {}), "parallelism", [f.name for f in fields(Parallelism)])
     parallelism = Parallelism(
         tasks=_at_least(parallelism_raw.get("tasks", 1), 1, "parallelism.tasks"),
         per_endpoint=_at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint"),
@@ -226,6 +224,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         retries=retries,
         backoff_s=backoff_s,
     )
+
+
+def _known(raw: object, name: str, keys) -> dict:
+    """`raw`, an object each of whose keys names a setting: a misspelled key is an error, not a default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be an object")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{name}: unknown key {key!r} (known: {', '.join(sorted(keys))})")
+    return raw
 
 
 def _at_least(value: object, minimum: int, name: str) -> int:
@@ -255,6 +263,7 @@ def _parse_model(raw: object, default_seed: int | None, resolve) -> ModelSpec:
     model_id = raw.get("model_id")
     if not isinstance(model_id, str) or not model_id:
         raise ConfigError("model_id must be a non-empty string")
+    _known(raw, f"model {model_id!r}", [f.name for f in fields(ModelSpec)] + ["script_path"])
     script = raw.get("script")
     if raw.get("script_path"):
         script = load_script_file(resolve(raw["script_path"]))
@@ -315,6 +324,7 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
     kind = raw.get("kind")
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}, got {kind!r}")
+    _known(raw, f"strategy {kind!r}", ("kind", "max_iterations", "exemplar_paths"))
     max_iterations = _at_least(
         raw.get("max_iterations", iteration_cap), 1, f"strategy {kind!r}: max_iterations"
     )

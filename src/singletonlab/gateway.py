@@ -91,7 +91,7 @@ def _tls_context() -> ssl.SSLContext:
 
 # perfbench/tracer.py times every attempt by swapping `gateway.requests` for
 # a proxy of its `post`, so each attempt looks the sender up here. The name
-# stays for that tracer until ROADMAP item 1 moves it to the send function.
+# stays for that tracer until ROADMAP item 3 moves it to the send function.
 requests = SimpleNamespace(post=_post)
 
 

@@ -1,4 +1,4 @@
-"""Lexer and structural extractor for Java-like source text.
+r"""Lexer and structural extractor for Java-like source text.
 
 Produces a per-class digest (constructors, fields, methods with their
 modifiers) that is just rich enough for structural pattern checks. This is
@@ -14,8 +14,15 @@ arguments, field initializers) is stepped over with `_SKIP`, which matches
 nothing but the punctuation the skip rules count, `( ) { } [ ] ;`, and
 whole comment, string, char and text-block spans. Both keep comments and
 literals opaque, so nothing inside them can be mistaken for a declaration
-or a brace. Additional declarators after an initializer are not modeled:
-`int a = 1, b = 2;` yields `a` and drops `b`, a limitation kept on purpose.
+or a brace.
+
+Where javac parses the input, the digest is the one javac's parse tree
+gives, except in three shapes, each pinned by a test against javac:
+- declarators after an initialized one: `int a = 1, b = 2;` drops `b`;
+- array dimensions after a method's parameters: `int m()[]` is of type
+  `int`, where javac's is `int[]`;
+- Unicode escapes outside literals: `\u0070rivate A() {}` is a method of
+  type `u0070rivate`, where javac's is a private constructor.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ JAVA_KEYWORDS = frozenset(
     """.split()
 )
 
-# The only modifiers the structural model records; others (native, volatile,
-# transient, strictfp) are tolerated in input and dropped.
+# The only modifiers the structural model records. Every word in `_MODIFIERS`
+# is dropped from a member header before its type is read.
 TRACKED_MODIFIERS = frozenset(
     {"public", "private", "protected", "static", "final", "synchronized", "abstract"}
 )
+_MODIFIERS = TRACKED_MODIFIERS | {"native", "volatile", "transient", "strictfp", "default"}
 
 _NESTED_TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
@@ -325,14 +333,7 @@ def _parse_callable(
         return None, pos
     head = _strip_annotations(buffer[:-1])
     modifiers = _modifiers(head)
-    declared_type = _simple_type(
-        [
-            t
-            for t in head
-            if t.text not in TRACKED_MODIFIERS
-            and t.text not in ("native", "strictfp", "default")
-        ]
-    )
+    declared_type = _simple_type([t for t in head if t.text not in _MODIFIERS])
     if not declared_type and name_tok.text == class_name:
         return MemberModel(CONSTRUCTOR, name_tok.text, "", modifiers), pos
     return MemberModel(METHOD, name_tok.text, declared_type, modifiers), pos
@@ -342,13 +343,7 @@ def _fields_from_header(buffer: list[Token]) -> list[MemberModel]:
     """Turn a `mods type name[, name...]` header into field members."""
     head = _strip_annotations(buffer)
     modifiers = _modifiers(head)
-    rest = [
-        t
-        for t in head
-        if not (t.kind == "keyword" and t.text in TRACKED_MODIFIERS)
-        and t.text not in ("native", "transient", "volatile", "strictfp")
-    ]
-    segments = _split_declarators(rest)
+    segments = _split_declarators([t for t in head if t.text not in _MODIFIERS])
     if not segments or len(segments[0]) < 2:
         return []
     first = segments[0]
@@ -373,7 +368,7 @@ def _fields_from_header(buffer: list[Token]) -> list[MemberModel]:
 
 
 def _modifiers(head: list[Token]) -> frozenset[str]:
-    return frozenset(t.text for t in head if t.kind == "keyword" and t.text in TRACKED_MODIFIERS)
+    return frozenset(t.text for t in head if t.text in TRACKED_MODIFIERS)
 
 
 def _dims(tokens: list[Token]) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from singletonlab.exec_harness import ExecPool
+from singletonlab.source_model import TRACKED_MODIFIERS, ClassModel, MemberModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
@@ -30,6 +32,11 @@ def find_jdk() -> tuple[str, str] | None:
 requires_jdk = pytest.mark.skipif(
     find_jdk() is None, reason="no JDK (javac/java) on PATH"
 )
+
+
+def class_model(name: str, *members) -> ClassModel:
+    """A ClassModel of (kind, name, type, modifiers) members."""
+    return ClassModel(name, tuple(MemberModel(k, n, t, frozenset(m)) for k, n, t, m in members))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -59,6 +66,34 @@ def compile_server():
         pytest.skip("no JDK (javac/java) on PATH")
     with ExecPool(1, tools[0]) as pool:
         yield pool
+
+
+@pytest.fixture(scope="session")
+def javac_oracle():
+    """javac's digest of a source: the ClassModels of its top-level classes,
+    as JavacTreeOracle.java reads them from javac's parse tree, or None if
+    javac finds a parse error. One JVM serves the session."""
+    tools = find_jdk()
+    if tools is None:
+        pytest.skip("no JDK (javac/java) on PATH")
+    command = [tools[1], "-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC",  # half the CPU of the defaults
+               str(Path(__file__).with_name("JavacTreeOracle.java")), *TRACKED_MODIFIERS]
+    with subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE) as oracle:
+
+        def digest(text: str) -> list[ClassModel] | None:
+            data = text.encode("utf-8")
+            oracle.stdin.write(len(data).to_bytes(4, "big") + data)
+            oracle.stdin.flush()
+            line = oracle.stdout.readline()
+            if not line:
+                raise RuntimeError(f"JavacTreeOracle exited with {oracle.wait()}")
+            classes = json.loads(line)
+            return None if classes is None else [class_model(name, *members) for name, members in classes]
+
+        try:
+            yield digest
+        finally:
+            oracle.kill()  # the context's exit reaps it
 
 
 @pytest.fixture(scope="session")

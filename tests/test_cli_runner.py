@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -483,6 +484,31 @@ def test_cli_run_rejects_a_field_map_that_is_not_an_object_of_strings(tmp_path, 
         load_config(config_path)
     assert main(["run", "--config", config_path]) == 2
     assert "field_map" in capsys.readouterr().err
+    assert not (tmp_path / "store" / "config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override, where",
+    [
+        ({"temprature": 0.9}, "config: unknown key 'temprature'"),
+        ({"iteration_caps": 2}, "config: unknown key 'iteration_caps'"),
+        ({"dataset": {"path": str(MOCK_TASKS), "fieldmap": {}}}, "dataset: unknown key 'fieldmap'"),
+        ({"dataset": {"path": str(MOCK_TASKS), "field_map": {"prompt": "question"}}},
+         "dataset.field_map: unknown key 'prompt'"),
+        ({"exec": {"mode": "mock", "budget": 5}}, "exec: unknown key 'budget'"),
+        ({"parallelism": {"task": 2}}, "parallelism: unknown key 'task'"),
+        ({"models": [{"model_id": "m", "script_path": str(MOCK_SCRIPT), "temprature": 0.9}]},
+         "model 'm': unknown key 'temprature'"),
+        ({"strategies": [{"kind": "instruct", "max_iteration": 2}]}, "strategy 'instruct': unknown key 'max_iteration'"),
+    ],
+    ids=["top-level", "iteration-caps", "dataset", "field-map", "exec", "parallelism", "model", "strategy"],
+)
+def test_cli_run_rejects_a_key_that_names_no_setting(tmp_path, capsys, override, where):
+    config_path = write_config(tmp_path, **override)
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config(config_path)
+    assert main(["run", "--config", config_path]) == 2
+    assert where in capsys.readouterr().err
     assert not (tmp_path / "store" / "config.json").exists()
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import class_model as model
 from singletonlab.source_model import (
     ClassModel,
     parse_compilation_unit,
@@ -47,6 +49,58 @@ def test_engine_singleton_members():
         ("field", "Engine", frozenset({"private", "static"})),
         ("method", "Engine", frozenset({"public", "static"})),
     ]
+
+
+# What the checker reads in fragment soup; javac rejects all but the comment
+# decoy and the volatile constructor.
+SOUP = [
+    pytest.param("class A<T { int x; } class B { B() {} }", [], id="unclosed-type-parameters"),
+    pytest.param(
+        'class A { void f() { String s = "unterminated\n} } class B { private B() {} }',
+        [model("A", ("method", "f", "void", ())), model("B", ("constructor", "B", "", {"private"}))],
+        id="string-cut-by-a-newline",
+    ),
+    pytest.param('class A { int x = """ { ; } class B {', [model("A", ("field", "x", "int", ()))],
+                 id="unterminated-text-block"),
+    pytest.param("class A { /* } class B { */ private A() {} }",
+                 [model("A", ("constructor", "A", "", {"private"}))], id="class-in-a-comment"),
+    pytest.param("class A { char c = '\\'; } class B {}", [model("A", ("field", "c", "char", ()))],
+                 id="char-literal-cut-by-its-escape"),
+    pytest.param("class ²A { } class ½B { ፩x y; } class C { int　z; }", [model("C", ("field", "z", "int", ()))],
+                 id="numerals-that-are-no-letters"),
+    pytest.param(
+        "class A { int x = new int[] {1} } class B { private B() {} }",
+        [model("A", ("field", "x", "int", ())), model("B", ("constructor", "B", "", {"private"}))],
+        id="initializer-without-semicolon",
+    ),
+    pytest.param(
+        "class A { void f() throws X } class B { private B() {} }",
+        [model("A", ("method", "f", "void", ())), model("B", ("constructor", "B", "", {"private"}))],
+        id="throws-without-body",
+    ),
+    pytest.param("x.class Foo { } } } class . class Bar { int a = 1) ; int b; }", [], id="class-after-a-dot"),
+    # generic headers: a type-parameter section, closed or not, adds nothing to the type
+    pytest.param(
+        "class A { <T> T f() { return null; } public static <T extends Comparable<T>> A[] g(); <T A() {} }",
+        [model("A", ("method", "f", "T", ()), ("method", "g", "A[]", {"public", "static"}),
+               ("constructor", "A", "", ()))],
+        id="type-parameters",
+    ),
+    pytest.param("class A { <T>> T h(); <<T> X> List<T> k(); }",
+                 [model("A", ("method", "h", "T", ()), ("method", "k", "List", ()))], id="unbalanced-angles"),
+    # annotation arguments followed by parentheses
+    pytest.param("class A { @B(2) @A(1) (q) int z; }", [model("A")], id="parentheses-after-annotations"),
+    pytest.param("class A { @A(1)(2) int z; }", [model("A")], id="parentheses-after-annotation-arguments"),
+    # one modifier filter for fields and callables
+    pytest.param("class A { default x; }", [model("A")], id="default-field-without-type"),
+    pytest.param("class A { volatile A() {} }", [model("A", ("constructor", "A", "", ()))],
+                 id="volatile-constructor"),
+]
+
+
+@pytest.mark.parametrize("text, expected", SOUP)
+def test_fragment_soup_parses_as_pinned(text, expected):
+    assert parse_compilation_unit(text) == expected
 
 
 def test_empty_input_yields_no_classes():

@@ -158,7 +158,7 @@ def test_generated_records_roundtrip_through_their_line(record):
 
 PINNED_CONFIG = {
     "run_id": "pinned",
-    "dataset": {"path": "tasks.jsonl", "field_map": {"prompt": "text"}},
+    "dataset": {"path": "tasks.jsonl", "field_map": {"description": "text"}},
     "output_dir": "runs/pinned",
     "models": [
         {"model_id": "endpoint-m", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
@@ -175,7 +175,7 @@ PINNED_CONFIG = {
     "retries": 2,
     "backoff_s": 0.25,
 }
-PINNED_DIGEST = "fbea11335fc810c8"
+PINNED_DIGEST = "8fba5beb32c51c90"
 PINNED_CONFIG_JSON = r"""{
   "config": {
     "backoff_s": 0.25,
@@ -189,7 +189,7 @@ PINNED_CONFIG_JSON = r"""{
       "workers": 3
     },
     "field_map": {
-      "prompt": "text"
+      "description": "text"
     },
     "iteration_cap": 6,
     "models": [
@@ -262,7 +262,7 @@ PINNED_CONFIG_JSON = r"""{
       }
     ]
   },
-  "config_digest": "fbea11335fc810c8"
+  "config_digest": "8fba5beb32c51c90"
 }
 """
 
