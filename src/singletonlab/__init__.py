@@ -42,7 +42,6 @@ from .source_model import (
 from .stats import (
     McNemarResult,
     PairedOutcomes,
-    PredicateCounts,
     delta_pp,
     mcnemar,
     pair_outcomes,
@@ -62,7 +61,6 @@ __all__ = [
     "ModelSpec",
     "OutcomeLabel",
     "PairedOutcomes",
-    "PredicateCounts",
     "PredicateReport",
     "RunRecord",
     "ScriptedModel",

@@ -70,9 +70,6 @@ _SERVER_FLAGS = (
     "--add-exports=jdk.compiler/com.sun.tools.javac.main=ALL-UNNAMED",
 )
 _OUT_OF_MEMORY = 3
-# The first JDK whose JVM can write a class-data-sharing archive of the
-# classes it loaded (-XX:ArchiveClassesAtExit); see ExecPool.close.
-_ARCHIVE_JDK = 13
 # How long a request waits for a new server's "ready" line (its start-up
 # compiles CompileServer.java) before the pool gives the server up. The
 # request's own budget starts after it.
@@ -530,16 +527,15 @@ class ExecPool:
         )
 
     def close(self, archive: bool = True) -> None:
-        """Kill and reap the server. Then write the server's archive if
-        there is none yet, a server of this pool answered on a JDK that can
-        write one, and `archive` holds (no exception is in flight)."""
+        """Kill and reap the server. Then write its archive if there is none
+        yet, a server of this pool said ready with a version, and `archive`
+        holds (no exception is in flight); a JDK before 13 fails to dump one."""
         with self._lock:
             java, self._server_java = self._server_java, None
             server, self._server = self._server, None
         if server is not None:
             server.close()
-        major = re.match(r"\d+", self.version or "")
-        if archive and java and major and int(major.group()) >= _ARCHIVE_JDK:
+        if archive and java and self.version:
             if self._archive and not self._archive.exists():
                 _write_archive(java, self._archive)
 

@@ -133,16 +133,14 @@ def load_default_exemplars() -> tuple[str, str]:
     return verify_exemplars(tuple(texts))
 
 
-def verify_exemplars(exemplars: tuple[str, ...]) -> tuple[str, str]:
+def verify_exemplars(exemplars: tuple[str, str]) -> tuple[str, str]:
     for source in exemplars:
         report = assess_candidate(source, None)
         if not report.is_singleton():
             raise ValueError(
                 f"exemplar is not a conforming Singleton: {report.failed_checks}"
             )
-    if len(exemplars) != 2:
-        raise ValueError("exactly 2 exemplars are required")
-    return (exemplars[0], exemplars[1])
+    return exemplars
 
 
 def assess_candidate(code: str, expected_class_name: str | None) -> PredicateReport:

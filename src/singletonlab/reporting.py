@@ -89,7 +89,7 @@ def _strategy_cell(
             singleton_score(selected_report(r)) for r in records
         )
         / len(records),
-        "predicate_counts": dataclasses.asdict(predicate_counts(records)),
+        "predicate_counts": predicate_counts(records),
         "outcomes": _outcome_breakdown(records),
         "delta_pp": None,
         "mcnemar": None,

@@ -41,15 +41,15 @@ def run_experiment(
     snapshot = config_snapshot(config)
     digest = config_digest(snapshot)
     store = RunStore(config.output_dir)
-    store.initialize(snapshot, digest)
-
     settings = config.exec
     exec_pool = ExecPool(
         settings.workers, settings.javac, settings.java, log, store.scratch_root(config.run_id)
     )
-    # closing the pool reaps its compile server, on success and on error,
-    # set-up included; the cell threads stop first
-    with exec_pool, ThreadPoolExecutor(config.parallelism.tasks) as cells:
+    # one run per store at a time; closing the pool reaps its compile
+    # server, on success and on error, set-up included; the cell threads
+    # stop first
+    with store.locked(), exec_pool, ThreadPoolExecutor(config.parallelism.tasks) as cells:
+        store.initialize(snapshot, digest)
         arms = []
         for spec in config.models:
             if spec.script is None and spec.auth_ref and spec.auth_ref not in os.environ:

@@ -17,12 +17,14 @@ literals opaque, so nothing inside them can be mistaken for a declaration
 or a brace.
 
 Where javac parses the input, the digest is the one javac's parse tree
-gives, except in three shapes, each pinned by a test against javac:
+gives, except in four kinds of shape, each pinned by tests against javac:
 - declarators after an initialized one: `int a = 1, b = 2;` drops `b`;
 - array dimensions after a method's parameters: `int m()[]` is of type
   `int`, where javac's is `int[]`;
 - Unicode escapes outside literals: `\u0070rivate A() {}` is a method of
-  type `u0070rivate`, where javac's is a private constructor.
+  type `u0070rivate`, where javac's is a private constructor;
+- names with currency symbols, connector punctuation or letter numbers:
+  `A a‿b;` is a field `b` of type `a`, and `A Ⅳ;` or `A €;` no field.
 """
 
 from __future__ import annotations

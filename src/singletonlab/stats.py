@@ -37,13 +37,6 @@ class McNemarResult:
     stars: str
 
 
-@dataclass(frozen=True)
-class PredicateCounts:
-    private_constructor: int
-    instance_field: int
-    global_access_point: int
-
-
 def pass_at_1(records: list[RunRecord]) -> float:
     """Percentage of tasks whose single selected candidate passed its tests."""
     if not records:
@@ -122,9 +115,9 @@ def selected_report(record: RunRecord) -> PredicateReport:
     return no_class_report()
 
 
-def predicate_counts(records: list[RunRecord]) -> PredicateCounts:
+def predicate_counts(records: list[RunRecord]) -> dict[str, int]:
     reports = [selected_report(r) for r in records]
-    return PredicateCounts(*(sum(1 for r in reports if getattr(r, name)) for name in PREDICATE_NAMES))
+    return {name: sum(1 for r in reports if getattr(r, name)) for name in PREDICATE_NAMES}
 
 
 def _passed(record: RunRecord) -> bool:

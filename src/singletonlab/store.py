@@ -10,7 +10,9 @@ resuming a run cuts them off before appending again.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import fcntl
 import json
 import os
 from pathlib import Path
@@ -77,6 +79,22 @@ class RunStore:
     @property
     def records_dir(self) -> Path:
         return self.root / "records"
+
+    @contextlib.contextmanager
+    def locked(self):
+        """Hold the store for one run: an exclusive lock on its records
+        directory, which a second run, in this process or another, fails to
+        take. Readers take no lock."""
+        self.records_dir.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.records_dir, os.O_RDONLY)
+        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreError(f"store {self.root} is in use by another run") from None
+            yield
+        finally:
+            os.close(fd)
 
     def initialize(self, snapshot: dict, digest: str) -> None:
         """Write the config snapshot, or verify it matches an existing one and

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,46 @@ def test_interrupt_and_resume_completes_the_store(tmp_path, monkeypatch):
     run_experiment(config, log=lambda m: None)
     complete = sum(len(v) for v in store.load_all().values())
     assert complete == 10
+
+
+def test_a_run_on_a_store_another_run_holds_exits_2_and_appends_nothing(tmp_path, capsys, monkeypatch):
+    config_path = write_config(tmp_path)
+    config = load_config(config_path)
+    store = RunStore(config.output_dir)
+    held, release, interrupted = threading.Event(), threading.Event(), []
+    append = RunStore.append
+
+    def hold_after_the_first(self, record):
+        append(self, record)
+        if not held.is_set():
+            held.set()
+            release.wait(30)
+            raise KeyboardInterrupt
+
+    def holder_run():
+        try:
+            run_experiment(config, log=lambda m: None)
+        except KeyboardInterrupt:
+            interrupted.append(True)
+
+    monkeypatch.setattr(RunStore, "append", hold_after_the_first)
+    holder = threading.Thread(target=holder_run)
+    holder.start()
+    try:
+        assert held.wait(30)
+        before = {path.name: path.read_bytes() for path in store.records_dir.glob("*.jsonl")}
+        assert main(["run", "--config", config_path]) == 2
+        assert f"store {config.output_dir} is in use by another run" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in store.records_dir.glob("*.jsonl")} == before
+    finally:
+        release.set()
+        holder.join(30)
+    assert not holder.is_alive() and interrupted
+    assert sum(len(v) for v in store.load_all().values()) == 1
+    monkeypatch.setattr(RunStore, "append", append)
+    assert main(["run", "--config", config_path]) == 0  # the holder is gone: the run resumes
+    grouped = store.load_all()
+    assert [[r.task_id for r in grouped[key]] for key in sorted(grouped)] == [[f"Java/{i}" for i in range(5)]] * 2
 
 
 def test_config_change_on_existing_store_is_rejected(tmp_path):

@@ -199,35 +199,19 @@ def test_nonconforming_exemplars_rejected():
 # --- extract_code --------------------------------------------------------------
 
 
-def test_extract_single_fence():
-    assert extract_code("```java\nclass A {}\n```") == "class A {}"
-
-
-def test_extract_longest_block():
-    raw = (
-        "Here is the code: ```\nclass A {}\n``` and a note "
-        "```\nclass Longer { int x; }\n```"
-    )
-    assert extract_code(raw) == "class Longer { int x; }"
-
-
-def test_extract_without_fences_is_identity():
-    assert extract_code("class A {}") == "class A {}"
-
-
-def test_extract_ignores_language_tag():
-    assert extract_code("```JAVA\nclass A {}\n```") == "class A {}"
-    assert extract_code("```\nclass A {}\n```") == "class A {}"
-
-
-def test_extract_unclosed_fence_returns_whole_response():
-    raw = "```java\nclass A {}"
-    assert extract_code(raw) == raw
-
-
 @pytest.mark.parametrize(
     "raw, expected",
     [
+        pytest.param("```java\nclass A {}\n```", "class A {}", id="single-fence"),
+        pytest.param(
+            "Here is the code: ```\nclass A {}\n``` and a note ```\nclass Longer { int x; }\n```",
+            "class Longer { int x; }",
+            id="longest-block",
+        ),
+        pytest.param("class A {}", "class A {}", id="no-fence-is-identity"),
+        pytest.param("```JAVA\nclass A {}\n```", "class A {}", id="language-tag-ignored"),
+        pytest.param("```\nclass A {}\n```", "class A {}", id="no-language-tag"),
+        pytest.param("```java\nclass A {}", "```java\nclass A {}", id="unclosed-fence-is-whole-reply"),
         pytest.param("Here: ```class A {}``` done", "class A {}", id="single-line-fence"),
         pytest.param(
             "```java\nclass A {}\n```\nthen ```java\nclass Longer { int x; }\n",

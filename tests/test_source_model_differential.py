@@ -3,7 +3,7 @@
 Where javac parses a unit, `parse_compilation_unit` must give the classes
 javac's parse tree gives (JavacTreeOracle.java, through the `javac_oracle`
 fixture): every generated well-formed unit, every corpus file, both
-exemplars. Three shapes are known to differ, each pinned by its own case of
+exemplars. Four kinds of shape are known to differ, each pinned by cases of
 `test_known_divergence_from_javac`, and the generator leaves them out.
 Malformed text, with or without a JDK, must parse without raising and name
 only what occurs in it.
@@ -217,6 +217,27 @@ DIVERGENCES = [
         [model("A", ("method", "A", "u0070rivate", ()))],
         [model("A", ("constructor", "A", "", {"private"}))],
         id="unicode-escape-outside-a-literal",
+    ),
+    # Java names take currency symbols (Sc), connector punctuation (Pc) and
+    # letter numbers (Nl), which the lexer's names do not
+    pytest.param(
+        "class Main { private static Main \u20ac; }",
+        [model("Main")],
+        [model("Main", ("field", "\u20ac", "Main", {"private", "static"}))],
+        id="currency-symbol-as-a-name",
+    ),
+    pytest.param(
+        "class A { private static A \u2163; private A() {} public static A get() { return \u2163; } }",
+        [model("A", ("constructor", "A", "", {"private"}), ("method", "get", "A", {"public", "static"}))],
+        [model("A", ("field", "\u2163", "A", {"private", "static"}), ("constructor", "A", "", {"private"}),
+               ("method", "get", "A", {"public", "static"}))],
+        id="letter-number-starting-a-name",
+    ),
+    pytest.param(
+        "class A { private static A a\u203fb; }",
+        [model("A", ("field", "b", "a", {"private", "static"}))],
+        [model("A", ("field", "a\u203fb", "A", {"private", "static"}))],
+        id="connector-punctuation-in-a-name",
     ),
 ]
 

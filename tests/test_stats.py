@@ -289,21 +289,13 @@ def test_predicate_counts_all_conforming():
     full = make_report(True, True, True)
     records = [record(f"t{i}", "Pass", 100.0, full) for i in range(164)]
     counts = predicate_counts(records)
-    assert (counts.private_constructor, counts.instance_field, counts.global_access_point) == (
-        164,
-        164,
-        164,
-    )
+    assert counts == {"private_constructor": 164, "instance_field": 164, "global_access_point": 164}
 
 
 def test_predicate_counts_nothing_parses():
     records = [record(f"t{i}", "CompileError") for i in range(5)]
     counts = predicate_counts(records)
-    assert (counts.private_constructor, counts.instance_field, counts.global_access_point) == (
-        0,
-        0,
-        0,
-    )
+    assert counts == {"private_constructor": 0, "instance_field": 0, "global_access_point": 0}
 
 
 def test_predicate_counts_mixed_fixture():
@@ -314,8 +306,4 @@ def test_predicate_counts_mixed_fixture():
     ]
     records = [record(f"t{i}", "Pass", 0.0, rep) for i, rep in enumerate(reports)]
     counts = predicate_counts(records)
-    assert (counts.private_constructor, counts.instance_field, counts.global_access_point) == (
-        2,
-        1,
-        2,
-    )
+    assert counts == {"private_constructor": 2, "instance_field": 1, "global_access_point": 2}
