@@ -15,6 +15,9 @@ from .guidance import PROTOCOLS, STRATEGY_KINDS, Strategy, load_default_exemplar
 from .dataset import DEFAULT_FIELD_MAP, store_name_clash
 
 EXEC_MODES = ("jdk", "mock")
+# The longest wait a config may set, in seconds (one day): time.sleep, socket
+# timeouts and Future.result overflow far above it.
+MAX_WAIT_S = 86_400
 
 
 class ConfigError(Exception):
@@ -193,7 +196,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     exec_settings = ExecSettings(
         mode=mode,
-        budget_s=_at_least(exec_raw.get("budget_s", 30), 1, "exec.budget_s"),
+        budget_s=_wait(_at_least(exec_raw.get("budget_s", 30), 1, "exec.budget_s"), "exec.budget_s"),
         javac=_tool("javac"),
         java=_tool("java"),
         test_adaptation=test_adaptation,
@@ -206,9 +209,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         per_endpoint=_at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint"),
     )
     retries = _at_least(raw.get("retries", 3), 0, "retries")
-    backoff_s = _finite(raw.get("backoff_s", 1.0), "backoff_s")
-    if backoff_s < 0:
-        raise ConfigError("backoff_s must be a finite number >= 0")
+    backoff_s = _wait(_finite(raw.get("backoff_s", 1.0), "backoff_s"), "backoff_s")
 
     return RunConfig(
         run_id=run_id,
@@ -242,6 +243,12 @@ def _at_least(value: object, minimum: int, name: str) -> int:
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
     return value
+
+
+def _wait(seconds: float, name: str) -> float:
+    if not 0 <= seconds <= MAX_WAIT_S:
+        raise ConfigError(f"{name} must be from 0 to {MAX_WAIT_S} seconds (one day)")
+    return seconds
 
 
 def _seed(value: object, name: str) -> int | None:
@@ -282,7 +289,7 @@ def _parse_model(raw: object, default_seed: int | None, resolve) -> ModelSpec:
         auth_ref=auth_ref or None,  # "" names no credential
         temperature=_finite(raw.get("temperature", 0.2), f"{name} temperature"),
         max_tokens=_at_least(raw.get("max_tokens", 4096), 1, f"{name} max_tokens"),
-        timeout_s=_at_least(raw.get("timeout_s", 60), 1, f"{name} timeout_s"),
+        timeout_s=_wait(_at_least(raw.get("timeout_s", 60), 1, f"{name} timeout_s"), f"{name} timeout_s"),
         seed=_seed(raw.get("seed", default_seed), f"{name} seed"),
         script=script,
     )

@@ -129,16 +129,14 @@ def evaluate_functionality(
     budget_s: int = 30,
     *,
     scratch_dir: str | Path,
-    javac: str = "javac",
-    java: str = "java",
     adapt_tests: bool = False,
     compiler: ExecPool | None = None,
     classes: list[ClassModel] | None = None,
 ) -> OutcomeLabel:
     """Compile and run candidate + tests in scratch_dir: as requests to
-    `compiler`, with its own tools, or else as `javac` and `java Main`
-    processes (the only use of `javac` and `java`). `classes` is the
-    candidate's parse, if any."""
+    `compiler`, with its own tools, or else as processes of the `javac` and
+    `java` on PATH (the reference). `classes` is the candidate's parse, if
+    any."""
     scratch = Path(scratch_dir)
     test_code = task.test_code
     if adapt_tests and task.expected_class_name and _has_private_constructor(candidate, task, classes):
@@ -156,9 +154,8 @@ def evaluate_functionality(
     except OSError as exc:
         return OutcomeLabel(ABORTED, f"scratch dir write failed: {exc}")
 
-    tools = {"compile": javac, "run": java}
     request = compiler.request if compiler is not None else (
-        lambda kind, *at: _process([tools[kind], *_ARGS[kind]], *at))
+        lambda kind, *at: _process([{"compile": "javac", "run": "java"}[kind], *_ARGS[kind]], *at))
     compiled = request("compile", scratch, budget_s)
     if compiled is None:
         return OutcomeLabel(TIMEOUT, f"compilation exceeded {budget_s}s")
@@ -439,9 +436,9 @@ class ExecPool:
         self._slots = threading.Semaphore(max(1, workers))
         self._scratch_root = scratch_root
         self._tools = {"compile": javac, "run": java}
-        found = shutil.which(javac)
+        found = _resolve(javac)
         # the server's java; None once the pool gives the server up, or closes
-        self._server_java = os.path.join(os.path.dirname(os.path.realpath(found)), "java") if found else None
+        self._server_java = os.path.join(os.path.dirname(found), "java") if found else None
         server_java = _resolve(self._server_java)
         self._other_java = server_java is not None and _resolve(java) != server_java
         # the server's class-data-sharing archive, used if the file exists

@@ -85,8 +85,9 @@ class RunStore:
         """Hold the store for one run: an exclusive lock on its records
         directory, which a second run, in this process or another, fails to
         take. Readers take no lock."""
-        self.records_dir.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.records_dir, os.O_RDONLY)
+        with self._creating():
+            self.records_dir.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.records_dir, os.O_RDONLY)
         try:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -99,8 +100,6 @@ class RunStore:
     def initialize(self, snapshot: dict, digest: str) -> None:
         """Write the config snapshot, or verify it matches an existing one and
         cut any torn trailing line off the record files."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.records_dir.mkdir(parents=True, exist_ok=True)
         payload = {"config_digest": digest, "config": snapshot}
         if self.config_path.exists():
             existing = self.load_snapshot()["config_digest"]
@@ -114,8 +113,18 @@ class RunStore:
             return
         # a kill mid-write leaves the temp file, never a torn config.json
         partial = self.config_path.with_name(self.config_path.name + ".tmp")
-        partial.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(partial, self.config_path)
+        with self._creating():
+            self.records_dir.mkdir(parents=True, exist_ok=True)
+            partial.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            os.replace(partial, self.config_path)
+
+    @contextlib.contextmanager
+    def _creating(self):
+        """An OSError while the store is made, as a StoreError that names it."""
+        try:
+            yield
+        except OSError as exc:
+            raise StoreError(f"cannot create store {self.root}: {exc}") from exc
 
     def load_snapshot(self) -> dict:
         try:

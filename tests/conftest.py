@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 import threading
 import time
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -32,6 +34,26 @@ def find_jdk() -> tuple[str, str] | None:
 requires_jdk = pytest.mark.skipif(
     find_jdk() is None, reason="no JDK (javac/java) on PATH"
 )
+
+
+def exact_binomial_oracle(b: int, c: int) -> Fraction:
+    """Brute-force two-sided binomial sum in exact rational arithmetic."""
+    n = b + c
+    if n == 0:
+        return Fraction(1)
+    tail = sum(math.comb(n, k) for k in range(min(b, c) + 1))
+    return min(Fraction(1), Fraction(2 * tail, 2**n))
+
+
+def normal_two_sided_tail_oracle(z: float, upper: float = 60.0, steps: int = 200_000) -> float:
+    """Simpson quadrature of 2*phi(t) over [z, upper]; the chi-square(1) upper
+    tail at z**2 equals this integral."""
+    h = (upper - z) / steps
+    f = lambda t: 2.0 * math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+    s = f(z) + f(upper)
+    for i in range(1, steps):
+        s += (4 if i % 2 else 2) * f(z + i * h)
+    return s * h / 3.0
 
 
 def class_model(name: str, *members) -> ClassModel:

@@ -12,7 +12,6 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
@@ -36,9 +35,15 @@ from singletonlab.runner import run_experiment
 from singletonlab.stats import mcnemar, stars_for, PairedOutcomes
 from singletonlab.store import RunStore
 
-from conftest import CORPUS_DIR, JDK_TASKS, MOCK_SCRIPT, MOCK_TASKS, find_jdk
-
-requires_jdk = pytest.mark.skipif(find_jdk() is None, reason="no JDK (javac/java) on PATH")
+from conftest import (
+    CORPUS_DIR,
+    JDK_TASKS,
+    MOCK_SCRIPT,
+    MOCK_TASKS,
+    exact_binomial_oracle,
+    normal_two_sided_tail_oracle,
+    requires_jdk,
+)
 
 SMOKE_VARS = ("SINGLETONLAB_SMOKE_ENDPOINT", "SINGLETONLAB_SMOKE_MODEL", "SINGLETONLAB_SMOKE_DATASET")
 requires_live_endpoint = pytest.mark.skipif(
@@ -97,37 +102,20 @@ def test_criterion_2_score_semantics():
 # -------------------------------------------------------------- criterion 3 --
 
 
-def exact_oracle(b: int, c: int) -> Fraction:
-    n = b + c
-    if n == 0:
-        return Fraction(1)
-    tail = sum(math.comb(n, k) for k in range(min(b, c) + 1))
-    return min(Fraction(1), Fraction(2 * tail, 2**n))
-
-
-def chi_tail_oracle(statistic: float, upper: float = 60.0, steps: int = 200_000) -> float:
-    z = math.sqrt(statistic)
-    h = (upper - z) / steps
-    f = lambda t: 2.0 * math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    s = f(z) + f(upper)
-    for i in range(1, steps):
-        s += (4 if i % 2 else 2) * f(z + i * h)
-    return s * h / 3.0
-
-
 def test_criterion_3_mcnemar_correctness():
     with criterion(3, "McNemar exact/chi-square p-values and star thresholds"):
         for n in range(0, 25):
             for b in range(n + 1):
                 result = mcnemar(PairedOutcomes(0, b, n - b, 0))
                 assert result.method == "exact_binomial"
-                assert abs(result.p_value - float(exact_oracle(b, n - b))) <= 1e-12
+                assert result.statistic is None
+                assert abs(result.p_value - float(exact_binomial_oracle(b, n - b))) <= 1e-12
 
         chi = mcnemar(PairedOutcomes(0, 30, 10, 0))
         assert chi.method == "chi_square_cc"
         assert chi.statistic == pytest.approx(9.025, abs=1e-12)
         assert abs(chi.p_value - 0.00266) <= 0.0005
-        assert abs(chi.p_value - chi_tail_oracle(9.025)) <= 0.0005
+        assert abs(chi.p_value - normal_two_sided_tail_oracle(math.sqrt(9.025))) <= 0.0005
 
         epsilon = 1e-12
         assert stars_for(0.05) == ""
@@ -348,7 +336,6 @@ def test_criterion_6_functional_harness(tmp_path, compile_server):
     )
 
     with criterion(6, "JDK harness outcomes"):
-        javac, java = find_jdk()
         taskset = load_tasks(JDK_TASKS)
         rows = {
             json.loads(line)["task_id"]: json.loads(line)
@@ -358,12 +345,7 @@ def test_criterion_6_functional_harness(tmp_path, compile_server):
         for task in taskset:
             candidate = task.declaration + rows[task.task_id]["canonical_solution"]
             outcome = evaluate_functionality(
-                candidate,
-                task,
-                30,
-                scratch_dir=tmp_path / "ok" / task.task_id.replace("/", "_"),
-                javac=javac,
-                java=java,
+                candidate, task, 30, scratch_dir=tmp_path / "ok" / task.task_id.replace("/", "_"),
                 compiler=compile_server,
             )
             assert outcome.kind == PASS, (task.task_id, outcome.detail)
@@ -371,15 +353,13 @@ def test_criterion_6_functional_harness(tmp_path, compile_server):
         add_task = taskset.tasks[0]
         mutated = add_task.declaration + "        return a - b;\n    }\n}\n"
         outcome = evaluate_functionality(
-            mutated, add_task, 30, scratch_dir=tmp_path / "mut", javac=javac, java=java,
-            compiler=compile_server,
+            mutated, add_task, 30, scratch_dir=tmp_path / "mut", compiler=compile_server
         )
         assert outcome.kind == TEST_FAIL
 
         prose = "There is no code here, only a description of the algorithm."
         outcome = evaluate_functionality(
-            prose, add_task, 30, scratch_dir=tmp_path / "prose", javac=javac, java=java,
-            compiler=compile_server,
+            prose, add_task, 30, scratch_dir=tmp_path / "prose", compiler=compile_server
         )
         assert outcome.kind == COMPILE_ERROR
         assert outcome.compile_error_category == NON_CODE_OUTPUT
@@ -391,8 +371,7 @@ def test_criterion_6_functional_harness(tmp_path, compile_server):
             "}\n"
         )
         outcome = evaluate_functionality(
-            hallucinated, add_task, 30, scratch_dir=tmp_path / "lib", javac=javac, java=java,
-            compiler=compile_server,
+            hallucinated, add_task, 30, scratch_dir=tmp_path / "lib", compiler=compile_server
         )
         assert outcome.kind == COMPILE_ERROR
         assert outcome.compile_error_category == MISSING_EXTERNAL_LIBRARY
@@ -407,8 +386,7 @@ def test_criterion_6_functional_harness(tmp_path, compile_server):
         )
         start = time.monotonic()
         outcome = evaluate_functionality(
-            looper, add_task, budget, scratch_dir=tmp_path / "loop", javac=javac, java=java,
-            compiler=compile_server,
+            looper, add_task, budget, scratch_dir=tmp_path / "loop", compiler=compile_server
         )
         elapsed = time.monotonic() - start
         assert outcome.kind == TIMEOUT

@@ -119,19 +119,6 @@ def test_script_responses_resolution():
 # --- runner -----------------------------------------------------------------------
 
 
-def test_run_experiment_produces_all_records(tmp_path):
-    config = load_config(write_config(tmp_path))
-    store = run_experiment(config, log=lambda m: None)
-    grouped = store.load_all()
-    assert set(grouped) == {
-        ("scripted-model", "baseline"),
-        ("scripted-model", "binary_feedback"),
-    }
-    for records in grouped.values():
-        assert [r.task_id for r in records] == [f"Java/{i}" for i in range(5)]
-        assert all(r.functional_outcome is not None for r in records)
-
-
 def test_rerun_is_idempotent(tmp_path):
     config = load_config(write_config(tmp_path))
     store = run_experiment(config, log=lambda m: None)
@@ -145,28 +132,6 @@ def test_rerun_is_idempotent(tmp_path):
         for path in store.records_dir.glob("*.jsonl")
     }
     assert before == after  # no new records, byte-identical files
-
-
-def test_interrupt_and_resume_completes_the_store(tmp_path, monkeypatch):
-    config = load_config(write_config(tmp_path))
-    seen: list[str] = []
-    append = RunStore.append
-
-    def interrupt_after_two(self, record):
-        append(self, record)
-        seen.append(record.task_id)
-        if len(seen) == 2:
-            raise KeyboardInterrupt
-
-    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
-        patch.setattr(RunStore, "append", interrupt_after_two)
-        run_experiment(config, log=lambda m: None)
-    store = RunStore(config.output_dir)
-    partial = sum(len(v) for v in store.load_all().values())
-    assert partial == 2
-    run_experiment(config, log=lambda m: None)
-    complete = sum(len(v) for v in store.load_all().values())
-    assert complete == 10
 
 
 def test_a_run_on_a_store_another_run_holds_exits_2_and_appends_nothing(tmp_path, capsys, monkeypatch):
@@ -217,25 +182,6 @@ def test_config_change_on_existing_store_is_rejected(tmp_path):
 
     with pytest.raises(StoreError, match="different config"):
         run_experiment(changed, log=lambda m: None)
-
-
-def test_three_task_dataset_yields_six_records(tmp_path):
-    # 1 model x 2 strategies x 3 tasks
-    lines = MOCK_TASKS.read_text("utf-8").splitlines()[:3]
-    small = tmp_path / "three.jsonl"
-    small.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    config = load_config(write_config(tmp_path, dataset={"path": str(small)}))
-    store = run_experiment(config, log=lambda m: None)
-    assert sum(len(v) for v in store.load_all().values()) == 6
-
-
-def test_record_digest_matches_store_snapshot(tmp_path):
-    config = load_config(write_config(tmp_path))
-    store = run_experiment(config, log=lambda m: None)
-    stored = json.loads(store.config_path.read_text("utf-8"))
-    for records in store.load_all().values():
-        for record in records:
-            assert record.config_digest == stored["config_digest"]
 
 
 def test_check_equals_stored_predicate_report(tmp_path):
@@ -454,12 +400,13 @@ def test_cli_run_rejects_invalid_config(tmp_path, capsys):
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "seed": "7"},
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "temperature": "0.5"},
         {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "temperature": True},
+        {"model_id": "m", "endpoint": "http://127.0.0.1:1/v1/chat", "timeout_s": 10**11},
     ],
     ids=[
         "endpoint", "timeout", "script-string", "endpoint-ftp", "endpoint-port", "temperature-nan",
         "temperature-infinity", "script-task-string", "script-default-string", "script-tasks-list",
         "script-number", "max-tokens-bool", "timeout-float", "auth-ref-number", "seed-bool",
-        "seed-float", "seed-string", "temperature-string", "temperature-bool",
+        "seed-float", "seed-string", "temperature-string", "temperature-bool", "timeout-too-long",
     ],
 )
 def test_cli_run_rejects_bad_model_before_creating_store(tmp_path, capsys, model):
@@ -501,12 +448,15 @@ def test_cli_run_rejects_model_ids_that_share_a_records_file(tmp_path, capsys):
         {"seed": "7"},
         {"backoff_s": "2"},
         {"backoff_s": True},
+        {"exec": {"mode": "mock", "budget_s": 10**11}},
+        {"backoff_s": 1e10},
     ],
     ids=[
         "retries", "backoff", "backoff-nan", "per-endpoint", "tasks", "workers", "retries-infinity",
         "adaptation-string", "javac-null", "java-empty", "budget-bool", "workers-float",
         "iteration-cap-float", "retries-bool", "tasks-string", "max-iterations-float",
-        "seed-bool", "seed-float", "seed-string", "backoff-string", "backoff-bool",
+        "seed-bool", "seed-float", "seed-string", "backoff-string", "backoff-bool", "budget-too-long",
+        "backoff-too-long",
     ],
 )
 def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, override):
@@ -808,6 +758,20 @@ def test_cli_mock_run_on_a_torn_store_config_exits_2_and_names_it(tmp_path, caps
     )
     assert code == 2
     assert str(output / "config.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "mock-run"])
+def test_a_store_that_cannot_be_created_exits_2_and_names_it(tmp_path, capsys, stub_server, command):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    output = tmp_path / "file" / "store"
+    models = [{"model_id": "stub", "endpoint": stub_server}]
+    argv = {
+        "run": ["run", "--config", write_config(tmp_path, output_dir=str(output), models=models)],
+        "mock-run": ["mock-run", "--script", str(MOCK_SCRIPT), "--dataset", str(MOCK_TASKS), "--output", str(output)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create store {output}: ")
+    assert StubHandler.requests == []
 
 
 @pytest.mark.parametrize("snapshot", ["[]", '"x"', "{}"], ids=["list", "string", "no-digest"])

@@ -159,7 +159,6 @@ def test_toolchain_check_passes_with_real_jdk():
 
 @requires_jdk
 def test_singleton_candidate_with_test_adaptation(tmp_path, compile_server):
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     singleton = (
         "class Solution {\n"
@@ -178,21 +177,11 @@ def test_singleton_candidate_with_test_adaptation(tmp_path, compile_server):
         "}\n"
     )
     # without adaptation the test instantiates a private constructor
-    plain = evaluate_functionality(
-        singleton, task, 30, scratch_dir=tmp_path / "plain", javac=javac, java=java,
-        compiler=compile_server,
-    )
+    plain = evaluate_functionality(singleton, task, 30, scratch_dir=tmp_path / "plain", compiler=compile_server)
     assert plain.kind == COMPILE_ERROR
     # with adaptation the instantiation is rewritten to the accessor
     adapted = evaluate_functionality(
-        singleton,
-        task,
-        30,
-        scratch_dir=tmp_path / "adapted",
-        javac=javac,
-        java=java,
-        adapt_tests=True,
-        compiler=compile_server,
+        singleton, task, 30, scratch_dir=tmp_path / "adapted", adapt_tests=True, compiler=compile_server
     )
     assert adapted.kind == PASS
 
@@ -253,15 +242,11 @@ def javac_process_outcomes(tmp_path_factory) -> dict[tuple[str, str], OutcomeLab
     """The reference: every variant compiled by a javac process."""
     if find_jdk() is None:
         pytest.skip("no JDK (javac/java) on PATH")
-    javac, java = jdk_tools()
     root = tmp_path_factory.mktemp("javac-processes")
 
     def evaluate(case) -> OutcomeLabel:
         task, name, candidate = case
-        return evaluate_functionality(
-            candidate, task, 30, scratch_dir=root / task.task_id.replace("/", "_") / name,
-            javac=javac, java=java,
-        )
+        return evaluate_functionality(candidate, task, 30, scratch_dir=root / task.task_id.replace("/", "_") / name)
 
     cases = variant_cases()
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -270,45 +255,27 @@ def javac_process_outcomes(tmp_path_factory) -> dict[tuple[str, str], OutcomeLab
 
 
 @requires_jdk
-@pytest.mark.parametrize("task_id", [row["task_id"] for row in jdk_fixture_rows()])
-def test_compile_server_matches_javac_processes(
-    tmp_path, compile_server, javac_process_outcomes, task_id
-):
-    javac, java = jdk_tools()
-    for task, name, candidate in variant_cases():
-        if task.task_id != task_id:
-            continue
-        cold = javac_process_outcomes[(task_id, name)]
-        assert (cold.kind, cold.compile_error_category) == EXPECTED[name], (name, cold)
-        served = evaluate_functionality(
-            candidate, task, 30, scratch_dir=tmp_path / name,
-            javac=javac, java=java, compiler=compile_server,
-        )
-        assert served == cold, name
-
-
-@requires_jdk
 def test_one_shared_server_matches_javac_processes_under_concurrency(
     tmp_path, monkeypatch, javac_process_outcomes
 ):
     started = record_servers(monkeypatch)
-    javac, java = jdk_tools()
     cases = variant_cases()
     assert len(cases) == 60
-    with ExecPool(4, javac) as pool:
+    with ExecPool(4) as pool:
 
         def evaluate(case) -> OutcomeLabel:
             task, name, candidate = case
             with pool.slot():
                 return evaluate_functionality(
-                    candidate, task, 30, scratch_dir=tmp_path / task.task_id.replace("/", "_") / name,
-                    javac=javac, java=java, compiler=pool,
+                    candidate, task, 30, scratch_dir=tmp_path / task.task_id.replace("/", "_") / name, compiler=pool
                 )
 
         with ThreadPoolExecutor(max_workers=4) as threads:
             served = list(threads.map(evaluate, cases, timeout=600))
     for (task, name, _), outcome in zip(cases, served):
-        assert outcome == javac_process_outcomes[(task.task_id, name)], (task.task_id, name)
+        cold = javac_process_outcomes[(task.task_id, name)]
+        assert (cold.kind, cold.compile_error_category) == EXPECTED[name], (task.task_id, name, cold)
+        assert outcome == cold, (task.task_id, name)
     assert len(started) == 1
     assert started[0].proc.returncode is not None
     assert archive_backed(started[0])
@@ -406,14 +373,11 @@ def test_one_reused_compiler_answers_each_compile_as_a_javac_process(tmp_path, m
 def test_a_class_file_left_in_a_scratch_directory_is_not_on_the_next_compile(tmp_path, compile_server):
     """A cell's scratch directory can hold an earlier run's classes (a run
     killed after its compile, then resumed): they are gone before the compile."""
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]  # add(a, b)
     calls_helper = task.declaration + "        return Helper.f(a, b);\n    }\n}\n"
     declares_helper = "class Helper {\n    static int f(int a, int b) { return a + b; }\n}\n" + calls_helper
     outcomes = [
-        evaluate_functionality(
-            candidate, task, 30, scratch_dir=tmp_path, javac=javac, java=java, compiler=compile_server
-        )
+        evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path, compiler=compile_server)
         for candidate in (declares_helper, calls_helper)
     ]
     assert [outcome.kind for outcome in outcomes] == [PASS, COMPILE_ERROR]
@@ -423,10 +387,9 @@ def test_a_class_file_left_in_a_scratch_directory_is_not_on_the_next_compile(tmp
 @requires_jdk
 def test_javac_and_java_main_processes_ignore_the_users_classpath(tmp_path, monkeypatch):
     monkeypatch.setenv("CLASSPATH", str(tmp_path / "nonexistent.jar"))
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
-    outcome = evaluate_functionality(canonical, task, 30, scratch_dir=tmp_path / "scratch", javac=javac, java=java)
+    outcome = evaluate_functionality(canonical, task, 30, scratch_dir=tmp_path / "scratch")
     assert outcome == OutcomeLabel(PASS, "")
 
 
@@ -781,22 +744,20 @@ def running(pid: int) -> bool:
 
 
 @pytest.mark.parametrize("tool, step", [("javac", "compilation"), ("java", "test run")])
-def test_an_overrunning_process_leaves_no_process_behind(tmp_path, tool, step):
+def test_an_overrunning_process_leaves_no_process_behind(tmp_path, monkeypatch, tool, step):
     """A javac or `java Main` past its budget is killed with its whole
-    process group: as a process of its own (compiler=None) and as the
-    pool's fallback (no java beside javac, so no JVM)."""
+    process group: as a process of the tool on PATH (compiler=None) and as
+    the pool's fallback (no java beside javac, so no JVM)."""
     children = tmp_path / "children.log"
     bodies = {"javac": "exit 0", "java": "exit 0"}
     bodies[tool] = f'[ "$1" = -version ] && exit 0\nsleep 8 &\necho $! >> {shlex.quote(str(children))}\nwait'
     javac, java = shell_jdk(tmp_path, bodies["javac"], bodies["java"], java_dir="elsewhere")
+    monkeypatch.setenv("PATH", os.pathsep.join([str(Path(javac).parent), str(Path(java).parent), os.environ["PATH"]]))
     task = Task("overrun/0", "", "", "Solution", "public class Main {}")
     started = time.monotonic()
     with ExecPool(1, javac, java, log=lambda message: None) as pool:
         outcomes = [
-            evaluate_functionality(
-                PLAIN_CANDIDATE, task, 1, scratch_dir=tmp_path / name, javac=javac, java=java,
-                compiler=compiler,
-            )
+            evaluate_functionality(PLAIN_CANDIDATE, task, 1, scratch_dir=tmp_path / name, compiler=compiler)
             for name, compiler in (("process", None), ("fallback", pool))
         ]
     elapsed = time.monotonic() - started
@@ -849,16 +810,12 @@ def test_no_jvm_outlives_a_set_up_that_raises(tmp_path, monkeypatch):
 @requires_jdk
 def test_overrun_compile_kills_its_server_and_the_next_compile_respawns(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     candidate = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
-    with ExecPool(1, javac) as pool:
+    with ExecPool(1) as pool:
 
         def evaluate(name: str, budget_s: float) -> OutcomeLabel:
-            return evaluate_functionality(
-                candidate, task, budget_s, scratch_dir=tmp_path / name,
-                javac=javac, java=java, compiler=pool,
-            )
+            return evaluate_functionality(candidate, task, budget_s, scratch_dir=tmp_path / name, compiler=pool)
 
         assert evaluate("warm", 30).kind == PASS
         assert evaluate("overrun", 0.001) == OutcomeLabel(TIMEOUT, "compilation exceeded 0.001s")
@@ -893,7 +850,6 @@ def test_the_server_start_up_does_not_count_against_the_first_budget(tmp_path):
 def test_overrun_sends_the_other_compiles_in_flight_to_a_javac_process(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
     javac_processes = record_javac_processes(monkeypatch)
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
     # a few hundred extra methods keep this compile in flight for a while
@@ -902,12 +858,9 @@ def test_overrun_sends_the_other_compiles_in_flight_to_a_javac_process(tmp_path,
     )
 
     def evaluate(pool: ExecPool, candidate: str, name: str, budget_s: float) -> OutcomeLabel:
-        return evaluate_functionality(
-            candidate, task, budget_s, scratch_dir=tmp_path / name,
-            javac=javac, java=java, compiler=pool,
-        )
+        return evaluate_functionality(candidate, task, budget_s, scratch_dir=tmp_path / name, compiler=pool)
 
-    with ExecPool(2, javac) as pool, ThreadPoolExecutor(max_workers=1) as other:
+    with ExecPool(2) as pool, ThreadPoolExecutor(max_workers=1) as other:
         assert evaluate(pool, canonical, "warm", 30).kind == PASS
         in_flight = other.submit(evaluate, pool, slow, "in-flight", 30)
         deadline = time.monotonic() + 30
@@ -944,7 +897,6 @@ def test_each_distinct_candidate_is_evaluated_once_per_run(tmp_path, monkeypatch
             direct = evaluate(
                 record.selected_candidate, task, settings.budget_s,
                 scratch_dir=tmp_path / "direct" / strategy / record.task_id.replace("/", "_"),
-                javac=settings.javac, java=settings.java,
                 adapt_tests=settings.test_adaptation, compiler=compile_server,
             )
             assert record.functional_outcome == direct
@@ -974,7 +926,6 @@ def test_exec_pool_once_shares_outcomes_but_never_timeouts():
 def test_java_main_gets_an_empty_stdin(tmp_path):
     """A test that reads System.in sees end of input at once, even when the
     pipeline's own stdin is an open pipe that nobody writes to."""
-    javac, java = jdk_tools()
     child = f"""
 from pathlib import Path
 from singletonlab.dataset import Task
@@ -987,10 +938,7 @@ test = (
     "}}\\n"
 )
 task = Task("stdin/0", "", "", "Solution", test)
-outcome = evaluate_functionality(
-    "class Solution {{}}", task, 15, scratch_dir=Path({str(tmp_path / "scratch")!r}),
-    javac={javac!r}, java={java!r},
-)
+outcome = evaluate_functionality("class Solution {{}}", task, 15, scratch_dir=Path({str(tmp_path / "scratch")!r}))
 print(outcome.kind)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(exec_harness.__file__).parents[1]))
@@ -1012,7 +960,7 @@ print(outcome.kind)
 def test_javac_without_sibling_java_falls_back_to_javac_processes(
     tmp_path, monkeypatch, compile_server
 ):
-    javac, java = jdk_tools()
+    javac, _ = jdk_tools()
     wrapper = tmp_path / "bin" / "javac"
     wrapper.parent.mkdir()
     wrapper.write_text(f'#!/bin/sh\nexec {shlex.quote(os.path.realpath(javac))} "$@"\n')
@@ -1023,10 +971,7 @@ def test_javac_without_sibling_java_falls_back_to_javac_processes(
 
     def evaluate(where: str, compiler: ExecPool) -> list[OutcomeLabel]:
         return [
-            evaluate_functionality(
-                variants[name], task, 30, scratch_dir=tmp_path / where / name,
-                javac=javac, java=java, compiler=compiler,
-            )
+            evaluate_functionality(variants[name], task, 30, scratch_dir=tmp_path / where / name, compiler=compiler)
             for name in names
         ]
 
@@ -1253,12 +1198,10 @@ ADVERSARIAL = {
 def run_both(pool: ExecPool, candidate: str, test_code: str, scratch: Path) -> tuple[OutcomeLabel, OutcomeLabel, Counter]:
     """(the run in `pool`, a java Main process on the same classes, where
     the pool's runs went meanwhile)."""
-    javac, java = jdk_tools()
+    _, java = jdk_tools()
     task = Task("adversarial/0", "", "", "Solution", test_code)
     before = Counter(pool._runs)
-    served = evaluate_functionality(
-        candidate, task, 30, scratch_dir=scratch, javac=javac, java=java, compiler=pool
-    )
+    served = evaluate_functionality(candidate, task, 30, scratch_dir=scratch, compiler=pool)
     went = Counter(pool._runs) - before
     assert served.kind != COMPILE_ERROR, served.detail
     if went["resident JVM"]:
@@ -1325,10 +1268,7 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
         sleeping = compiled("sleeping", "        Thread.sleep(2000);\n")
         greedy = compiled("greedy", "        byte[] b = new byte[160 << 20];\n        System.out.println(b.length);\n")
         in_flight = [
-            other.submit(
-                evaluate_functionality, slow, task, 30, scratch_dir=tmp_path / "slow", javac=javac,
-                java=java, compiler=pool,
-            ),
+            other.submit(evaluate_functionality, slow, task, 30, scratch_dir=tmp_path / "slow", compiler=pool),
             other.submit(lambda: as_outcome(pool.request("run", sleeping, 30))),
         ]
         deadline = time.monotonic() + 30
@@ -1351,13 +1291,11 @@ def test_a_run_that_fills_the_heap_sends_every_request_in_flight_to_processes(tm
 @requires_jdk
 def test_relative_paths_of_a_run_land_in_the_scratch_root(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    javac, java = jdk_tools()
     test_code = main_class('        new java.io.File("stray.txt").createNewFile();\n')
     task = Task("relative/0", "", "", "Solution", test_code)
-    with ExecPool(1, javac, scratch_root=tmp_path / "root") as pool:
+    with ExecPool(1, scratch_root=tmp_path / "root") as pool:
         outcome = evaluate_functionality(
-            "class Solution {}", task, 30, scratch_dir=tmp_path / "root" / "cell", javac=javac,
-            java=java, compiler=pool,
+            "class Solution {}", task, 30, scratch_dir=tmp_path / "root" / "cell", compiler=pool
         )
         assert outcome == OutcomeLabel(PASS, "")
         assert pool.run_summary() == "exec: 1 test run(s) in the resident JVM, 0 as java Main processes"
@@ -1369,7 +1307,6 @@ def test_relative_paths_of_a_run_land_in_the_scratch_root(tmp_path, monkeypatch)
 def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, monkeypatch):
     started = record_servers(monkeypatch)
     javac_processes = record_javac_processes(monkeypatch)
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
     slow = canonical + "".join(
@@ -1378,11 +1315,9 @@ def test_run_overrun_times_out_and_a_compile_in_flight_still_answers(tmp_path, m
     looping = "class Solution {\n    public int add(int a, int b) {\n        while (true) { }\n    }\n}\n"
 
     def evaluate(pool: ExecPool, candidate: str, name: str) -> OutcomeLabel:
-        return evaluate_functionality(
-            candidate, task, 30, scratch_dir=tmp_path / name, javac=javac, java=java, compiler=pool,
-        )
+        return evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / name, compiler=pool)
 
-    with ExecPool(2, javac) as pool, ThreadPoolExecutor(max_workers=1) as other:
+    with ExecPool(2) as pool, ThreadPoolExecutor(max_workers=1) as other:
         assert evaluate(pool, canonical, "warm").kind == PASS
         loop_dir = tmp_path / "loop"
         loop_dir.mkdir()
@@ -1426,14 +1361,10 @@ def test_a_wrapper_java_gets_java_main_processes(tmp_path):
 
 @requires_jdk
 def test_a_scratch_path_outside_printable_ascii_gets_processes(tmp_path, compile_server):
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
     before = Counter(compile_server._runs)
-    outcome = evaluate_functionality(
-        canonical, task, 30, scratch_dir=tmp_path / "caf\u00e9", javac=javac, java=java,
-        compiler=compile_server,
-    )
+    outcome = evaluate_functionality(canonical, task, 30, scratch_dir=tmp_path / "caf\u00e9", compiler=compile_server)
     assert outcome == OutcomeLabel(PASS, "")
     assert Counter(compile_server._runs) - before == Counter({"path": 1})
 
@@ -1442,15 +1373,12 @@ def test_a_scratch_path_outside_printable_ascii_gets_processes(tmp_path, compile
 def test_main_java_compiles_as_utf8_whatever_the_locale(tmp_path, monkeypatch):
     # the JVMs started below inherit a locale whose encoding is ASCII
     monkeypatch.setenv("LC_ALL", "C")
-    javac, java = jdk_tools()
     task = load_tasks(JDK_TASKS).tasks[0]
     canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
     candidate = "// café\n" + canonical + '\nclass Accent { static final String TEXT = "é"; }\n'
-    with ExecPool(1, javac, scratch_root=tmp_path) as pool:
-        served = evaluate_functionality(
-            candidate, task, 30, scratch_dir=tmp_path / "served", javac=javac, java=java, compiler=pool
-        )
-    processes = evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / "processes", javac=javac, java=java)
+    with ExecPool(1, scratch_root=tmp_path) as pool:
+        served = evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / "served", compiler=pool)
+    processes = evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / "processes")
     assert served == OutcomeLabel(PASS, "")
     assert pool._runs == Counter({"resident JVM": 1})
     assert processes == OutcomeLabel(PASS, "")
@@ -1625,7 +1553,7 @@ def test_a_jdk_that_cannot_dump_an_archive_leaves_none(tmp_path, monkeypatch):
 def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
     tmp_path, monkeypatch, javac_process_outcomes
 ):
-    javac, java = jdk_tools()
+    javac, _ = jdk_tools()
     valid = ExecPool(1, javac)._archive  # the session's, written before the first test
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
@@ -1640,9 +1568,7 @@ def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
     logs: list[str] = []
     with ExecPool(1, javac, log=logs.append, scratch_root=tmp_path / "root") as pool:
         outcomes = {
-            name: evaluate_functionality(
-                candidate, task, 30, scratch_dir=tmp_path / "root" / name, javac=javac, java=java, compiler=pool
-            )
+            name: evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / "root" / name, compiler=pool)
             for name, candidate in variants.items()
         }
         assert not damaged.exists()

@@ -190,14 +190,6 @@ def test_failed_checks_count_matches_false_predicates():
 # --- scores ----------------------------------------------------------------
 
 
-def test_score_values_exhaustive():
-    for pc, inst, gap in itertools.product((False, True), repeat=3):
-        report = make_report(pc, inst, gap)
-        score = singleton_score(report)
-        assert score == pytest.approx(100.0 * (pc + inst + gap) / 3)
-        assert (score == 100.0) == report.is_singleton()
-
-
 def test_score_trivial_points():
     assert singleton_score(make_report(True, True, True)) == 100.0
     assert singleton_score(make_report(False, False, False)) == 0.0

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -21,27 +20,7 @@ from singletonlab.stats import (
     stars_for,
 )
 
-# --- independent oracles -----------------------------------------------------
-
-
-def exact_binomial_oracle(b: int, c: int) -> Fraction:
-    """Brute-force two-sided binomial sum in exact rational arithmetic."""
-    n = b + c
-    if n == 0:
-        return Fraction(1)
-    tail = sum(math.comb(n, k) for k in range(min(b, c) + 1))
-    return min(Fraction(1), Fraction(2 * tail, 2**n))
-
-
-def normal_two_sided_tail_oracle(z: float, upper: float = 60.0, steps: int = 200_000) -> float:
-    """Simpson quadrature of 2*phi(t) over [z, upper]; the chi-square(1) upper
-    tail at z**2 equals this integral."""
-    h = (upper - z) / steps
-    f = lambda t: 2.0 * math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    s = f(z) + f(upper)
-    for i in range(1, steps):
-        s += (4 if i % 2 else 2) * f(z + i * h)
-    return s * h / 3.0
+from conftest import exact_binomial_oracle, normal_two_sided_tail_oracle
 
 
 def pairs(b: int, c: int) -> PairedOutcomes:
@@ -49,17 +28,6 @@ def pairs(b: int, c: int) -> PairedOutcomes:
 
 
 # --- exact method --------------------------------------------------------------
-
-
-def test_exact_p_matches_rational_oracle_for_all_small_counts():
-    for n in range(0, 25):
-        for b in range(n + 1):
-            c = n - b
-            result = mcnemar(pairs(b, c))
-            assert result.method == "exact_binomial"
-            assert result.statistic is None
-            oracle = float(exact_binomial_oracle(b, c))
-            assert abs(result.p_value - oracle) <= 1e-12, (b, c)
 
 
 def test_exact_p_spec_examples():

@@ -12,7 +12,7 @@ from singletonlab.config import config_digest, config_snapshot, load_config, par
 from singletonlab.exec_harness import OutcomeLabel
 from singletonlab.guidance import IterationRecord, RunRecord
 from singletonlab.pattern_checker import PredicateReport, make_report
-from singletonlab.reporting import build_summary, render, render_csv, render_json, render_text
+from singletonlab.reporting import build_summary, render
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore, StoreError, record_from_dict, record_to_dict
 
@@ -42,26 +42,6 @@ def sample_record(
         wall_time_ms=12,
         config_digest="digest",
     )
-
-
-# --- serialization --------------------------------------------------------------
-
-
-def test_record_roundtrip():
-    record = sample_record(conforming=True)
-    assert record_from_dict(record_to_dict(record)) == record
-
-
-def test_record_roundtrip_through_json_bytes():
-    record = sample_record(outcome_kind="CompileError", category="non_code_output")
-    line = json.dumps(record_to_dict(record), sort_keys=True)
-    assert record_from_dict(json.loads(line)) == record
-
-
-def test_record_with_no_outcome_roundtrips():
-    record = sample_record()
-    record.functional_outcome = None
-    assert record_from_dict(record_to_dict(record)) == record
 
 
 # --- stored formats: the bytes a store holds ----------------------------------------
@@ -489,51 +469,6 @@ def test_identical_arms_have_zero_delta_no_stars(tmp_path):
     assert cell["delta_pp"] == 0.0
     assert cell["mcnemar"]["stars"] == ""
     assert cell["mcnemar"]["p_value"] == 1.0
-
-
-def test_report_determinism_same_store_same_bytes(tmp_path):
-    store = populated_store(tmp_path)
-    summary1 = build_summary(store)
-    summary2 = build_summary(store)
-    for fmt in ("text", "csv", "json"):
-        assert render(summary1, fmt) == render(summary2, fmt)
-
-
-def test_json_roundtrip_rerenders_identical_text(tmp_path):
-    summary = build_summary(populated_store(tmp_path))
-    reparsed = json.loads(render_json(summary))
-    assert render_text(reparsed) == render_text(summary)
-    assert render_csv(reparsed) == render_csv(summary)
-
-
-def test_text_report_shows_delta_with_stars(tmp_path):
-    store = RunStore(tmp_path / "store")
-    store.initialize({}, "d")
-    # 12 discordant tasks, all strategy-only: exact p = 2*0.5^12 ~ 0.00049 -> ***
-    for i in range(12):
-        store.append(
-            sample_record(task_id=f"Java/{i}", outcome_kind="TestFail")
-        )
-        store.append(
-            sample_record(
-                strategy_kind="predicate_feedback",
-                task_id=f"Java/{i}",
-                outcome_kind="Pass",
-                conforming=True,
-            )
-        )
-    text = render_text(build_summary(store))
-    assert "+100.0***" in text
-    assert "McNemar significance: * = p<0.05, ** = p<0.01, *** = p<0.001" in text
-
-
-def test_csv_report_sections(tmp_path):
-    csv_text = render_csv(build_summary(populated_store(tmp_path)))
-    assert "# pass_rates" in csv_text
-    assert "# singleton_scores" in csv_text
-    assert "# predicate_counts" in csv_text
-    assert "# outcomes" in csv_text
-    assert "m1,binary_feedback" in csv_text
 
 
 def test_unknown_format_rejected(tmp_path):
