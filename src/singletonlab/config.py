@@ -20,7 +20,7 @@ EXEC_MODES = ("jdk", "mock")
 MAX_WAIT_S = 86_400
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -44,9 +44,18 @@ class ModelSpec:
     script: object | None = None  # list[str] or {task_id: list[str]} (+ "default")
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.temperature):  # json.dumps refuses NaN and infinities
-            raise ValueError(f"model {self.model_id!r}: temperature must be a finite number")
+        name = f"model {self.model_id!r}:"
+        if self.auth_ref is not None and not isinstance(self.auth_ref, str):
+            raise ConfigError(f"{name} auth_ref must be a string or null")
+        object.__setattr__(self, "auth_ref", self.auth_ref or None)  # "" names no credential
+        object.__setattr__(self, "temperature", _finite(self.temperature, f"{name} temperature"))
+        _at_least(self.max_tokens, 1, f"{name} max_tokens")
+        _wait(_at_least(self.timeout_s, 1, f"{name} timeout_s"), f"{name} timeout_s")
+        _seed(self.seed, f"{name} seed")
+        if not isinstance(self.endpoint, str):  # names no endpoint; a scripted model needs none
+            object.__setattr__(self, "endpoint", None)
         if self.script is not None:
+            _script(self.script, f"{name} script")
             return
         parsed = urlsplit(self.endpoint or "")
         try:
@@ -54,11 +63,7 @@ class ModelSpec:
         except ValueError:  # a port that is not a number in 0-65535
             valid = False
         if not valid:
-            raise ValueError(
-                f"model {self.model_id!r}: invalid endpoint URL {self.endpoint!r} (http or https only)"
-            )
-        if self.timeout_s <= 0:
-            raise ValueError(f"model {self.model_id!r}: timeout_s must be positive")
+            raise ConfigError(f"{name} invalid endpoint URL {self.endpoint!r} (http or https only)")
 
     def backend(self, task_id: str) -> ModelSpec | ScriptedModel:
         """What answers `task_id`: this endpoint, or a fresh replay of its script."""
@@ -88,6 +93,17 @@ class ExecSettings:
     test_adaptation: bool = False
     workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
+    def __post_init__(self) -> None:
+        if self.mode not in EXEC_MODES:
+            raise ConfigError(f"exec.mode must be one of {EXEC_MODES}")
+        _wait(_at_least(self.budget_s, 1, "exec.budget_s"), "exec.budget_s")
+        for tool in ("javac", "java"):
+            if not isinstance(getattr(self, tool), str) or not getattr(self, tool):
+                raise ConfigError(f"exec.{tool} must be a non-empty string")
+        if not isinstance(self.test_adaptation, bool):
+            raise ConfigError("exec.test_adaptation must be true or false")
+        _at_least(self.workers, 1, "exec.workers")
+
 
 @dataclass(frozen=True)
 class Parallelism:
@@ -95,6 +111,10 @@ class Parallelism:
 
     tasks: int = 1
     per_endpoint: int = 4
+
+    def __post_init__(self) -> None:
+        _at_least(self.tasks, 1, "parallelism.tasks")
+        _at_least(self.per_endpoint, 1, "parallelism.per_endpoint")
 
 
 @dataclass(frozen=True)
@@ -112,6 +132,20 @@ class RunConfig:
     retries: int = 3
     backoff_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.run_id, str) or not self.run_id:
+            raise ConfigError("run_id must be a non-empty string")
+        if len({m.model_id for m in self.models}) != len(self.models):
+            raise ConfigError("model_id values must be unique")
+        if len({s.kind for s in self.strategies}) != len(self.strategies):
+            raise ConfigError("strategy kinds must be unique")
+        # run_id names the scratch root, and each model_id its records files
+        for label, values in (("run_id", [self.run_id]), ("model_id", [m.model_id for m in self.models])):
+            if clash := store_name_clash(label, values):
+                raise ConfigError(clash)
+        _at_least(self.retries, 0, "retries")
+        object.__setattr__(self, "backoff_s", _wait(_finite(self.backoff_s, "backoff_s"), "backoff_s"))
+
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
@@ -125,6 +159,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} must be a JSON object")
     try:
         return parse_config(raw, base_dir=path.parent)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ConfigError(f"config {path}: {exc}") from exc
 
@@ -138,12 +174,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     _known(raw, "config", ("run_id", "dataset", "output_dir", "models", "strategies", "iteration_cap", "exec",
                            "parallelism", "seed", "retries", "backoff_s"))
-    run_id = raw.get("run_id")
-    if not isinstance(run_id, str) or not run_id:
-        raise ConfigError("run_id must be a non-empty string")
-    if clash := store_name_clash("run_id", [run_id]):  # names the scratch root
-        raise ConfigError(clash)
-
     dataset = raw.get("dataset")
     if isinstance(dataset, str):
         dataset = {"path": dataset}
@@ -162,68 +192,34 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     models_raw = raw.get("models")
     if not isinstance(models_raw, list) or not models_raw:
         raise ConfigError("models must be a non-empty list")
+    # the top-level seed and iteration_cap are read only as defaults: each model's and each strategy's
     seed = _seed(raw.get("seed"), "seed")
     models = tuple(_parse_model(m, seed, _resolve) for m in models_raw)
-    if len({m.model_id for m in models}) != len(models):
-        raise ConfigError("model_id values must be unique")
-    if clash := store_name_clash("model_id", [m.model_id for m in models]):  # names records files
-        raise ConfigError(clash)
 
-    iteration_cap = _at_least(raw.get("iteration_cap", 10), 1, "iteration_cap")
-
+    iteration_cap = _at_least(raw.get("iteration_cap", RunConfig.iteration_cap), 1, "iteration_cap")
     strategies_raw = raw.get("strategies")
     if not isinstance(strategies_raw, list) or not strategies_raw:
         raise ConfigError("strategies must be a non-empty list")
-    strategies = tuple(
-        parse_strategy(s, iteration_cap, _resolve) for s in strategies_raw
-    )
-    if len({s.kind for s in strategies}) != len(strategies):
-        raise ConfigError("strategy kinds must be unique")
+    strategies = tuple(parse_strategy(s, iteration_cap, _resolve) for s in strategies_raw)
 
-    exec_raw = _known(raw.get("exec", {}), "exec", [f.name for f in fields(ExecSettings)])
-    mode = exec_raw.get("mode", "jdk")
-    if mode not in EXEC_MODES:
-        raise ConfigError(f"exec.mode must be one of {EXEC_MODES}")
-    test_adaptation = exec_raw.get("test_adaptation", False)
-    if not isinstance(test_adaptation, bool):
-        raise ConfigError("exec.test_adaptation must be true or false")
-
-    def _tool(name: str) -> str:  # a bare name is looked up on PATH
-        tool = exec_raw.get(name, name)
-        if not isinstance(tool, str) or not tool:
-            raise ConfigError(f"exec.{name} must be a non-empty string")
-        return _resolve(tool) if "/" in tool else tool
-
-    exec_settings = ExecSettings(
-        mode=mode,
-        budget_s=_wait(_at_least(exec_raw.get("budget_s", 30), 1, "exec.budget_s"), "exec.budget_s"),
-        javac=_tool("javac"),
-        java=_tool("java"),
-        test_adaptation=test_adaptation,
-        workers=_at_least(exec_raw.get("workers", os.cpu_count() or 1), 1, "exec.workers"),
-    )
-
+    exec_raw = dict(_known(raw.get("exec", {}), "exec", [f.name for f in fields(ExecSettings)]))
+    for tool in ("javac", "java"):  # a bare name is looked up on PATH
+        if isinstance(exec_raw.get(tool), str) and "/" in exec_raw[tool]:
+            exec_raw[tool] = _resolve(exec_raw[tool])
     parallelism_raw = _known(raw.get("parallelism", {}), "parallelism", [f.name for f in fields(Parallelism)])
-    parallelism = Parallelism(
-        tasks=_at_least(parallelism_raw.get("tasks", 1), 1, "parallelism.tasks"),
-        per_endpoint=_at_least(parallelism_raw.get("per_endpoint", 4), 1, "parallelism.per_endpoint"),
-    )
-    retries = _at_least(raw.get("retries", 3), 0, "retries")
-    backoff_s = _wait(_finite(raw.get("backoff_s", 1.0), "backoff_s"), "backoff_s")
 
     return RunConfig(
-        run_id=run_id,
+        run_id=raw.get("run_id"),
         dataset_path=_resolve(str(dataset["path"])),
         output_dir=_resolve(output_dir),
         models=models,
         strategies=strategies,
         iteration_cap=iteration_cap,
-        exec=exec_settings,
-        parallelism=parallelism,
+        exec=ExecSettings(**exec_raw),
+        parallelism=Parallelism(**parallelism_raw),
         seed=seed,
         field_map=field_map,
-        retries=retries,
-        backoff_s=backoff_s,
+        **{k: raw[k] for k in ("retries", "backoff_s") if k in raw},
     )
 
 
@@ -271,28 +267,12 @@ def _parse_model(raw: object, default_seed: int | None, resolve) -> ModelSpec:
     if not isinstance(model_id, str) or not model_id:
         raise ConfigError("model_id must be a non-empty string")
     _known(raw, f"model {model_id!r}", [f.name for f in fields(ModelSpec)] + ["script_path"])
-    script = raw.get("script")
-    if raw.get("script_path"):
-        script = load_script_file(resolve(raw["script_path"]))
-    elif script is not None:
-        script = _script(script, f"model {model_id!r}: script")
-    endpoint = raw.get("endpoint")
-    if script is None and not endpoint:
+    settings = {"seed": default_seed, **raw}
+    if script_path := settings.pop("script_path", None):
+        settings["script"] = load_script_file(resolve(script_path))
+    if settings.get("script") is None and not settings.get("endpoint"):
         raise ConfigError(f"model {model_id!r} needs an endpoint or a script")
-    name = f"model {model_id!r}:"
-    auth_ref = raw.get("auth_ref")
-    if auth_ref is not None and not isinstance(auth_ref, str):
-        raise ConfigError(f"{name} auth_ref must be a string or null")
-    return ModelSpec(
-        model_id=model_id,
-        endpoint=endpoint if isinstance(endpoint, str) else None,
-        auth_ref=auth_ref or None,  # "" names no credential
-        temperature=_finite(raw.get("temperature", 0.2), f"{name} temperature"),
-        max_tokens=_at_least(raw.get("max_tokens", 4096), 1, f"{name} max_tokens"),
-        timeout_s=_wait(_at_least(raw.get("timeout_s", 60), 1, f"{name} timeout_s"), f"{name} timeout_s"),
-        seed=_seed(raw.get("seed", default_seed), f"{name} seed"),
-        script=script,
-    )
+    return ModelSpec(**settings)
 
 
 def load_script_file(path: str) -> object:
@@ -329,14 +309,9 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
     if not isinstance(raw, dict):
         raise ConfigError("each strategy entry must be a string or an object")
     kind = raw.get("kind")
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}, got {kind!r}")
     _known(raw, f"strategy {kind!r}", ("kind", "max_iterations", "exemplar_paths"))
-    max_iterations = _at_least(
-        raw.get("max_iterations", iteration_cap), 1, f"strategy {kind!r}: max_iterations"
-    )
     exemplars: tuple[str, ...] = ()
-    if PROTOCOLS[kind].exemplars:
+    if kind in STRATEGY_KINDS and PROTOCOLS[kind].exemplars:
         paths = raw.get("exemplar_paths")
         if paths:
             if not isinstance(paths, list) or len(paths) != 2:
@@ -351,7 +326,7 @@ def parse_strategy(raw: object, iteration_cap: int, resolve) -> Strategy:
         else:
             exemplars = load_default_exemplars()
     try:
-        return Strategy(kind=kind, max_iterations=max_iterations, exemplars=exemplars)
+        return Strategy(kind, raw.get("max_iterations", iteration_cap), exemplars)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

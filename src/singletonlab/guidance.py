@@ -88,9 +88,12 @@ class Strategy:
 
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise ValueError(f"unknown strategy kind {self.kind!r} (known: {', '.join(STRATEGY_KINDS)})")
+        name = f"strategy {self.kind!r}: max_iterations"
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise ValueError(f"{name} must be an integer")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"{name} must be >= 1")
         protocol = PROTOCOLS[self.kind]
         if protocol.feedback is None:
             object.__setattr__(self, "max_iterations", 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from singletonlab.cli import main
-from singletonlab.config import ConfigError, load_config, script_responses
+from singletonlab.config import ConfigError, Parallelism, load_config, parse_config, script_responses
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore
 
-from conftest import CORPUS_DIR, MOCK_SCRIPT, MOCK_TASKS, StubHandler
+from conftest import CORPUS_DIR, GOLDEN, MOCK_SCRIPT, MOCK_TASKS, StubHandler
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, **overrides) -> str:
@@ -64,6 +67,17 @@ def test_config_rejects_bad_exec_mode(tmp_path):
 def test_config_model_needs_endpoint_or_script(tmp_path):
     with pytest.raises(ConfigError, match="endpoint or a script"):
         load_config(write_config(tmp_path, models=[{"model_id": "m"}]))
+
+
+def test_the_readme_config_example_parses(tmp_path):
+    section = README.read_text("utf-8").split("## Run configuration", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    (tmp_path / "script.json").write_text('["class A {}"]', encoding="utf-8")
+    config = parse_config(example, base_dir=tmp_path)
+    assert [m.model_id for m in config.models] == ["llama3.3-70b", "canned"]
+    assert [m.seed for m in config.models] == [7, None]
+    assert len(config.strategies) == 5 and config.exec.workers == 4
+    assert config.output_dir == str(tmp_path / "runs" / "demo")
 
 
 def test_fewshot_strategy_gets_default_exemplars(tmp_path):
@@ -466,6 +480,17 @@ def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, ove
     assert main(["run", "--config", config_path]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "store" / "config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda: {"parallelism": Parallelism(tasks=0)}, lambda: {"retries": -1}, lambda: {"backoff_s": float("nan")}],
+    ids=["tasks", "retries", "backoff-nan"],
+)
+def test_a_config_changed_in_python_obeys_the_config_rules(change):
+    config = load_config(GOLDEN / "config.json")
+    with pytest.raises(ConfigError):
+        dataclasses.replace(config, **change())
 
 
 @pytest.mark.parametrize("field_map", [["a"], "x", {"task_id": 1}], ids=["list", "string", "number"])

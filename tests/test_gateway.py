@@ -189,7 +189,22 @@ def test_invalid_endpoint_rejected():
         ModelSpec("m")
     with pytest.raises(ValueError, match="timeout"):
         ModelSpec("m", "http://localhost:1", timeout_s=0)
-    ModelSpec("m", timeout_s=0, script=["class A {}"])  # scripted: no endpoint needed
+    ModelSpec("m", timeout_s=1, script=["class A {}"])  # scripted: no endpoint needed
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"temperature": True}, "temperature must be a finite number"),
+        ({"max_tokens": 0}, "max_tokens must be >= 1"),
+        ({"timeout_s": 0, "script": ["class A {}"]}, "timeout_s must be >= 1"),
+        ({"script": "class A {}"}, "script must be a list or an object"),
+    ],
+    ids=["temperature-bool", "max-tokens-zero", "scripted-timeout-zero", "script-string"],
+)
+def test_a_model_built_in_python_obeys_the_config_rules(settings, message):
+    with pytest.raises(ValueError, match=f"model 'm': {message}"):
+        ModelSpec("m", "http://h:1/v1", **settings)
 
 
 def test_endpoint_limiter_is_shared_and_bounded():
@@ -359,7 +374,7 @@ def test_a_reply_cut_off_mid_body_is_retried(raw_server):
 def test_a_read_timeout_is_retried_then_a_gateway_error(raw_server):
     server = raw_server(None, None)
     with pytest.raises(GatewayError, match="test-model.*after 2 attempts: TimeoutError"):
-        complete(handle(f"http://{server.address}/v1", timeout_s=0.3), HISTORY, retries=1, backoff_s=0.01)
+        complete(handle(f"http://{server.address}/v1", timeout_s=1), HISTORY, retries=1, backoff_s=0.01)
     assert len(server.requests) == 2
 
 

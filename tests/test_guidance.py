@@ -185,6 +185,13 @@ def test_unknown_kind_rejected():
         Strategy("zero_shot")
 
 
+@pytest.mark.parametrize("max_iterations", [2.5, "2"], ids=["float", "string"])
+def test_max_iterations_must_be_an_integer(max_iterations):
+    # run_task would fail later, in range(), on the first feedback round
+    with pytest.raises(ValueError, match="strategy 'instruct': max_iterations must be an integer"):
+        Strategy("instruct", max_iterations=max_iterations)
+
+
 def test_shipped_exemplars_conform():
     first, second = load_default_exemplars()
     assert "getInstance" in first and "getInstance" in second
