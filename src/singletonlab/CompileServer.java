@@ -10,6 +10,7 @@ import java.io.InputStreamReader;
 import java.io.OutputStream;
 import java.io.PrintStream;
 import java.io.PrintWriter;
+import java.io.Writer;
 import java.lang.invoke.MethodHandle;
 import java.lang.invoke.MethodHandles;
 import java.lang.reflect.Field;
@@ -19,6 +20,8 @@ import java.net.URL;
 import java.net.URLClassLoader;
 import java.nio.charset.Charset;
 import java.nio.charset.StandardCharsets;
+import java.nio.file.Files;
+import java.nio.file.Path;
 import java.util.Arrays;
 import java.util.Collections;
 import java.util.HashMap;
@@ -58,7 +61,8 @@ import sun.misc.Unsafe;
  * process's is, and its stdout and stderr go nowhere, so no run reaches the
  * channel through FileDescriptor.in, out or err. Once set up, it writes the
  * line "ready <version>", with this JVM's Runtime.version(); a request's time
- * starts there. With no argument (an archive dump) it exits once set up.
+ * starts there. Its set-up ends with one compile of a built-in unit (see
+ * warmUp). With no argument (an archive dump) it exits once set up.
  * Request: one line "<id> <kind> <dir>", kind "compile" or "run", dir the
  * absolute scratch directory. Each request runs on its own thread. Reply: a
  * header line "<id> <exit> <nbytes> <nerr>", then nbytes of body, of which
@@ -79,13 +83,15 @@ import sun.misc.Unsafe;
  * not reproduce. Once the JVM-global state differs from its startup
  * snapshot, this and every later reply is refused.
  * At end of input the JVM exits once the requests in flight have answered.
- * Launched in source-file mode with -XX:+ExitOnOutOfMemoryError, so a run
- * that fills the shared heap ends the JVM before any reply it could spoil.
- * The sender keeps one class-data-sharing archive per java, dumped by a run
- * with no argument: CompileServer-<java key>-<content key>.jsa, whose content
- * key covers this file's bytes. Writing one deletes its java's others, so two
- * checkouts of different versions on one java rewrite each other's archive
- * once per run.
+ * Launched with -XX:+ExitOnOutOfMemoryError, so a run that fills the shared
+ * heap ends the JVM before any reply it could spoil.
+ * The sender keeps one cache entry per java: this file compiled into
+ * CompileServer-<java key>-<content key>.jar, and the class-data-sharing
+ * archive of a run on that jar with no argument, named alike with .jsa, whose
+ * content key covers this file's bytes. When it has both, it launches this
+ * class from the jar on the archive; else this file in source-file mode.
+ * Writing an entry deletes its java's others, so two checkouts of different
+ * versions on one java rewrite each other's entry once per run.
  */
 public class CompileServer {
     static final int REFUSED = -1;
@@ -100,6 +106,82 @@ public class CompileServer {
     static final Supplier<Object> HOOKS = hooksReader();
     /** The compilers no compile holds; a compile takes one, or makes one when there is none. */
     static final Queue<Compiler> COMPILERS = new ConcurrentLinkedQueue<>();
+    /**
+     * A HumanEval-X-shaped cell (~2 KB): a Singleton Solution with a stream, lambdas and a generic
+     * nested class, and the Main that tests it. Sized by measurement: a ~0.8 KB unit left the first
+     * cells' compiles slower, a ~4 KB one kept the first cells waiting longer for "ready".
+     */
+    static final String WARM_UP = String.join("\n",
+        "import java.util.*;",
+        "import java.util.stream.*;",
+        "",
+        "class Solution {",
+        "    private static volatile Solution instance;",
+        "",
+        "    private Solution() {}",
+        "",
+        "    public static Solution getInstance() {",
+        "        if (instance == null) {",
+        "            synchronized (Solution.class) {",
+        "                if (instance == null) {",
+        "                    instance = new Solution();",
+        "                }",
+        "            }",
+        "        }",
+        "        return instance;",
+        "    }",
+        "",
+        "    static final class Pair<A extends Comparable<A>, B> implements Comparable<Pair<A, B>> {",
+        "        final A first;",
+        "        final B second;",
+        "",
+        "        Pair(A first, B second) {",
+        "            this.first = first;",
+        "            this.second = second;",
+        "        }",
+        "",
+        "        @Override",
+        "        public int compareTo(Pair<A, B> other) {",
+        "            return first.compareTo(other.first);",
+        "        }",
+        "    }",
+        "",
+        "    public List<Integer> evens(List<Integer> numbers) {",
+        "        return numbers.stream().filter(n -> n % 2 == 0).collect(Collectors.toList());",
+        "    }",
+        "",
+        "    public String joined(List<String> words) {",
+        "        StringBuilder builder = new StringBuilder();",
+        "        for (String word : words) {",
+        "            builder.append(word.toUpperCase()).append(',');",
+        "        }",
+        "        return builder.toString();",
+        "    }",
+        "",
+        "    public List<Pair<Integer, String>> sortedPairs(Map<Integer, String> map) {",
+        "        List<Pair<Integer, String>> pairs = new ArrayList<>();",
+        "        for (Map.Entry<Integer, String> entry : map.entrySet()) {",
+        "            pairs.add(new Pair<>(entry.getKey(), entry.getValue()));",
+        "        }",
+        "        Collections.sort(pairs);",
+        "        return pairs;",
+        "    }",
+        "}",
+        "",
+        "public class Main {",
+        "    public static void main(String[] args) {",
+        "        Solution s = Solution.getInstance();",
+        "        List<Boolean> correct = Arrays.asList(",
+        "            s.evens(Arrays.asList(1, 2, 3, 4)).equals(Arrays.asList(2, 4)),",
+        "            s.joined(Arrays.asList(\"a\", \"b\")).equals(\"A,B,\"),",
+        "            s.sortedPairs(Map.of(2, \"b\", 1, \"a\")).get(0).first == 1",
+        "        );",
+        "        if (correct.contains(false)) {",
+        "            throw new AssertionError();",
+        "        }",
+        "    }",
+        "}",
+        "");
     static List<Object> startup;
     static volatile String refusal;
 
@@ -116,8 +198,12 @@ public class CompileServer {
             refusal = "exit"; // from here on every reply is this refusal
             IN_FLIGHT.forEach(id -> refuse(id, refusal));
         }));
-        startup = globals(); // after the hook above, which is part of it
-        COMPILERS.add(new Compiler()); // a javac whose internals it cannot reach ends this JVM here
+        Compiler compiler = new Compiler(); // a javac whose internals it cannot reach ends this JVM here
+        warmUp(compiler);
+        COMPILERS.add(compiler);
+        // after the hook above, which is part of it, and after javac's first compile, as in
+        // source-file mode, where the launcher's compile of this file comes first
+        startup = globals();
         if (args.length == 0) {
             return;
         }
@@ -142,6 +228,32 @@ public class CompileServer {
                     refuse(id, "unsupported");
                 }
             }).start();
+        }
+    }
+
+    /**
+     * Compiles WARM_UP as dir/Main.java, in a directory of its own under the
+     * working directory, then deletes that directory. javac's first compile
+     * loads and initialises much of what later ones use, so it is done here,
+     * in the context the first cells reuse, rather than on a cell's time.
+     * An unwritable working directory skips it.
+     */
+    static void warmUp(Compiler compiler) {
+        File dir = null;
+        try {
+            dir = Files.createTempDirectory(Path.of("").toAbsolutePath(), "warm-up").toFile();
+            File source = new File(dir, "Main.java");
+            Files.writeString(source.toPath(), WARM_UP);
+            compiler.compile(source, new PrintWriter(Writer.nullWriter()));
+        } catch (IOException e) {
+            // the first cells warm javac instead
+        } finally {
+            if (dir != null) {
+                for (File file : dir.listFiles()) {
+                    file.delete();
+                }
+                dir.delete();
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -124,7 +125,7 @@ class RunConfig:
     output_dir: str
     models: tuple[ModelSpec, ...]
     strategies: tuple[Strategy, ...]
-    iteration_cap: int = 10
+    iteration_cap: int = Strategy.max_iterations  # the one default, on the strategy
     exec: ExecSettings = field(default_factory=ExecSettings)
     parallelism: Parallelism = field(default_factory=Parallelism)
     seed: int | None = None
@@ -161,7 +162,7 @@ def load_config(path: str | Path) -> RunConfig:
         return parse_config(raw, base_dir=path.parent)
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
@@ -254,10 +255,12 @@ def _seed(value: object, name: str) -> int | None:
 
 
 def _finite(value: object, name: str) -> float:
-    """A JSON number that is finite, as a float; a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
-        raise ConfigError(f"{name} must be a finite number")
-    return float(value)
+    """A JSON number, as a float, if that float is finite; a bool is no number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{name} must be a finite number")
 
 
 def _parse_model(raw: object, default_seed: int | None, resolve) -> ModelSpec:

@@ -21,7 +21,9 @@ import shutil
 import signal
 import socket
 import subprocess
+import tempfile
 import threading
+import zipfile
 from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass
@@ -62,17 +64,15 @@ _REFUSED = -1
 # and is handled the same way. The serial collector starts no collector
 # threads of its own to compete with the compiles and runs on a host with
 # few CPUs. The exports open the javac internals through which the server
-# reuses javac's contexts (JavacTaskPool).
-_SERVER_FLAGS = (
-    "-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError",
-    "--add-exports=jdk.compiler/com.sun.tools.javac.api=ALL-UNNAMED",
-    "--add-exports=jdk.compiler/com.sun.tools.javac.util=ALL-UNNAMED",
-    "--add-exports=jdk.compiler/com.sun.tools.javac.main=ALL-UNNAMED",
+# reuses javac's contexts (JavacTaskPool); javac needs them to compile it.
+_EXPORTS = tuple(
+    f"--add-exports=jdk.compiler/com.sun.tools.javac.{package}=ALL-UNNAMED" for package in ("api", "util", "main")
 )
+_SERVER_FLAGS = ("-XX:TieredStopAtLevel=1", "-XX:+UseSerialGC", "-XX:+ExitOnOutOfMemoryError", *_EXPORTS)
 _OUT_OF_MEMORY = 3
 # How long a request waits for a new server's "ready" line (its start-up
-# compiles CompileServer.java) before the pool gives the server up. The
-# request's own budget starts after it.
+# compiles CompileServer.java, in source-file mode, and its warm-up unit)
+# before the pool gives the server up. The request's own budget starts after it.
 _START_S = 120
 # Why a test run went to a `java Main` process instead of the server, in
 # the order ExecPool.run_summary() lists them.
@@ -220,16 +220,20 @@ def _tool_env() -> dict[str, str]:
     return {name: value for name, value in os.environ.items() if name != "CLASSPATH"}
 
 
-def _server_argv(java: str, *flags: str) -> list[str]:
-    return [java, *_SERVER_FLAGS, *flags, os.path.abspath(COMPILE_SERVER)]
+def _server_argv(java: str, jar: Path | None, *flags: str) -> list[str]:
+    """A server JVM's command line: the CompileServer class from `jar`, or
+    CompileServer.java in source-file mode; its channel's fd follows."""
+    server = ("-cp", str(jar), "CompileServer") if jar else (os.path.abspath(COMPILE_SERVER),)
+    return [java, *_SERVER_FLAGS, *flags, *server]
 
 
 def _archive_path(java: str) -> Path | None:
     """Where the class-data-sharing archive of a server on `java` lives: in
     the user's cache directory, as CompileServer-<java key>-<content
-    key>.jsa. The java key names the resolved java binary, the content key
-    what the archived classes depend on (that binary's size and mtime, the
-    server source and the JVM flags). None if java cannot be read."""
+    key>.jsa, beside the jar of the server's classes (_jar). The java key
+    names the resolved java binary, the content key what the cached files
+    depend on (that binary's size and mtime, the server source and the JVM
+    flags). None if java cannot be read."""
     cache = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(cache):
         cache = os.path.join(os.path.expanduser("~"), ".cache")
@@ -244,52 +248,83 @@ def _archive_path(java: str) -> Path | None:
     return Path(cache, "singletonlab", f"CompileServer-{java_key}-{content.hexdigest()[:32]}.jsa")
 
 
-def _write_archive(java: str, archive: Path) -> None:
-    """Write `archive` from a server JVM given no channel, which sets up and
-    exits, so it ran no candidate code. It is written under a temporary name
-    of its own and then renamed, so no server maps a partial archive; then
-    the other archives of its java key are deleted, and those named by one
-    key, as archives were before they had a java key. A failure leaves no
-    archive."""
-    temp = f"{archive}.{os.getpid()}-{threading.get_ident()}.tmp"
+def _jar(archive: Path) -> Path:
+    """The jar of the server's classes that `archive` was dumped on."""
+    return archive.with_suffix(".jar")
+
+
+def _cached(archive: Path) -> bool:
+    """Whether the cache holds both files of `archive`'s entry."""
+    return archive.is_file() and _jar(archive).is_file()
+
+
+def _write_cache_entry(javac: str, java: str, archive: Path) -> None:
+    """Write the cache entry of `archive`: first its jar, CompileServer.java
+    compiled by a javac process, then the archive, dumped by a server JVM
+    on that jar given no channel, which sets up and exits, so it ran no
+    candidate code. Each file is written under a temporary name of its own
+    and then renamed, so no server reads a partial one; the archive is
+    dumped on the renamed jar, whose path it records. Then the other
+    entries of its java key are deleted, and archives named by one key, as
+    archives were before they had a java key. A failure leaves neither file."""
+    jar = _jar(archive)
+    temps = [f"{path}.{os.getpid()}-{threading.get_ident()}.tmp" for path in (jar, archive)]
+    written = False
     try:
         archive.parent.mkdir(parents=True, exist_ok=True)
-        dumped = _process(_server_argv(java, f"-XX:ArchiveClassesAtExit={temp}"), archive.parent, _START_S)
+        # the dump JVM's working directory too, where its warm-up compiles
+        with tempfile.TemporaryDirectory() as work:
+            built = _process([javac, *_EXPORTS, "-d", work, os.path.abspath(COMPILE_SERVER)], work, _START_S)
+            if built is None or built[0] != 0:
+                return
+            with zipfile.ZipFile(temps[0], "w") as zipped:
+                for path in Path(work).glob("*.class"):
+                    zipped.write(path, path.name)
+            os.replace(temps[0], jar)
+            dumped = _process(_server_argv(java, jar, f"-XX:ArchiveClassesAtExit={temps[1]}"), work, _START_S)
         if dumped is not None and dumped[0] == 0:
-            os.replace(temp, archive)
+            os.replace(temps[1], archive)
+            written = True
             java_key = archive.name.rsplit("-", 1)[0] + "-"
-            for other in archive.parent.glob("CompileServer-*.jsa"):
-                if other != archive and (other.name.startswith(java_key) or other.name.count("-") == 1):
+            for other in archive.parent.glob("CompileServer-*"):
+                if other.suffix in (".jar", ".jsa") and other not in (archive, jar) and (
+                    other.name.startswith(java_key) or other.name.count("-") == 1
+                ):
                     other.unlink(missing_ok=True)
     except (OSError, ToolchainError):
         pass
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
+    finally:  # a failure leaves no temporary file, and no jar without its archive
+        for path in temps if written else [*temps, jar]:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
 
 
 class CompileServer:
-    """One resident JVM running CompileServer.java (protocol in that file),
-    mapping the JDK classes it needs from `archive` if one is given. Its one
-    channel is its end of a socket pair, whose fd follows CompileServer.java
-    on its command line; its stdin is /dev/null, as a `java Main` process's
-    is, and its stdout and stderr go nowhere. Any number of threads may send
-    requests at once: requests are written under a lock and one reader
-    thread hands each reply to the caller that waits on its id. A request
-    gives the (exit, stderr, stdout) reply, None when it overran its budget,
-    or the reason it must go to a process (_FALLBACKS): the JVM's refusal,
-    or, once the JVM has ended, why it was retired (else `unavailable`)."""
+    """One resident JVM running CompileServer.java (protocol in that file):
+    in source-file mode, or, if `archive` is given, from the jar beside it
+    (_jar), mapping the classes it needs from the archive. Its one channel
+    is its end of a socket pair, whose fd ends its command line; its stdin
+    is /dev/null, as a `java Main` process's is, and its stdout and stderr
+    go nowhere. Any number of threads may send requests at once: requests
+    are written under a lock and one reader thread hands each reply to the
+    caller that waits on its id. A request gives the (exit, stderr, stdout)
+    reply, None when it overran its budget, or the reason it must go to a
+    process (_FALLBACKS): the JVM's refusal, or, once the JVM has ended, why
+    it was retired (else `unavailable`)."""
 
     def __init__(self, java: str, cwd: str | Path | None = None, archive: Path | None = None):
         self.archive = archive
+        if archive:
+            argv = _server_argv(java, _jar(archive), f"-XX:SharedArchiveFile={archive}")
+        else:
+            argv = _server_argv(java, None)
         self._channel, theirs = socket.socketpair()
         try:
             # The real Popen, not this module's `subprocess` name, which stands
             # for the per-cell javac/java launches (perfbench/tracer.py times
             # each of those until communicate()); the server lives for the run.
             self.proc = _Popen(
-                [*_server_argv(java, *([f"-XX:SharedArchiveFile={archive}"] if archive else [])),
-                 str(theirs.fileno())],
+                [*argv, str(theirs.fileno())],
                 cwd=cwd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 pass_fds=(theirs.fileno(),), env=_tool_env(),
             )
@@ -415,13 +450,14 @@ class ExecPool:
     JVM. close() kills and reaps the server, so no JVM outlives the run and
     its CPU time counts as the run's.
 
-    A server maps the JDK classes it loads at start-up (javac's, mostly)
-    from a class-data-sharing archive when the user's cache holds one for
-    its java, CompileServer.java and _SERVER_FLAGS (_archive_path); else
-    close() writes one after a normal run, for the next, and deletes that
-    java's older archives (_write_archive). A server on the
-    archive that ends before "ready" is not given up: the archive is
-    deleted, and the next server starts without it.
+    A server starts from CompileServer.java's compiled classes and maps the
+    classes it loads at start-up (javac's, mostly) from a class-data-sharing
+    archive when the user's cache holds both, a jar and an archive, for its
+    java, CompileServer.java and _SERVER_FLAGS (_archive_path); else it
+    starts in source-file mode, and close() writes both after a normal run,
+    for the next, and deletes that java's older ones (_write_cache_entry).
+    A server on the cache entry that ends before "ready" is not given up:
+    both files are deleted, and the next server starts in source-file mode.
 
     once() evaluates each distinct key one time per pool, so a byte-identical
     candidate of the same task in a later arm reuses its outcome. (Arms run
@@ -441,7 +477,7 @@ class ExecPool:
         self._server_java = os.path.join(os.path.dirname(found), "java") if found else None
         server_java = _resolve(self._server_java)
         self._other_java = server_java is not None and _resolve(java) != server_java
-        # the server's class-data-sharing archive, used if the file exists
+        # the server's class-data-sharing archive, used if it and its jar exist
         self._archive = _archive_path(self._server_java) if self._server_java else None
         self._log = log or (lambda message: None)
         self._lock = threading.Lock()
@@ -524,17 +560,17 @@ class ExecPool:
         )
 
     def close(self, archive: bool = True) -> None:
-        """Kill and reap the server. Then write its archive if there is none
-        yet, a server of this pool said ready with a version, and `archive`
-        holds (no exception is in flight); a JDK before 13 fails to dump one."""
+        """Kill and reap the server. Then write its cache entry if the cache
+        lacks its jar or archive, a server of this pool said ready with a
+        version, and `archive` holds (no exception is in flight); a JDK
+        before 13 fails to dump an archive, and so leaves neither."""
         with self._lock:
             java, self._server_java = self._server_java, None
             server, self._server = self._server, None
         if server is not None:
             server.close()
-        if archive and java and self.version:
-            if self._archive and not self._archive.exists():
-                _write_archive(java, self._archive)
+        if archive and java and self.version and self._archive and not _cached(self._archive):
+            _write_cache_entry(self._tools["compile"], java, self._archive)
 
     def _note_version(self, server: CompileServer) -> None:
         with self._lock:
@@ -567,7 +603,7 @@ class ExecPool:
                 # launched under the lock, so concurrent first requests share one
                 if self._scratch_root is not None:
                     os.makedirs(self._scratch_root, exist_ok=True)
-                archive = self._archive if self._archive and self._archive.is_file() else None
+                archive = self._archive if self._archive and _cached(self._archive) else None
                 self._server = CompileServer(self._server_java, self._scratch_root, archive)
                 return self._server
             except OSError as exc:
@@ -584,9 +620,10 @@ class ExecPool:
         if server.retired is None and server.version is None:  # it could not start
             if server.archive is None:
                 self._give_up(server.ended)
-            else:  # a damaged archive crashes the JVM: the next server starts without it
-                with contextlib.suppress(OSError):
-                    os.unlink(server.archive)
+            else:  # a damaged entry crashes the JVM: the next server starts without it
+                for path in (server.archive, _jar(server.archive)):
+                    with contextlib.suppress(OSError):
+                        os.unlink(path)
 
     def _give_up(self, reason: str) -> None:
         with self._lock:

@@ -64,9 +64,10 @@ def class_model(name: str, *members) -> ClassModel:
 @pytest.fixture(scope="session", autouse=True)
 def archive_cache(tmp_path_factory):
     """The session's own cache directory (XDG_CACHE_HOME), which already
-    holds the compile server's class-data-sharing archive when the first
-    test starts: it is written once here, by a pool's close, so no later
-    pool writes one unless its test points XDG_CACHE_HOME elsewhere."""
+    holds the compile server's cache entry (its jar and class-data-sharing
+    archive) when the first test starts: it is written once here, by a
+    pool's close, so no later pool writes one unless its test points
+    XDG_CACHE_HOME elsewhere."""
     cache = tmp_path_factory.mktemp("cache")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(cache))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from singletonlab.cli import main
-from singletonlab.config import ConfigError, Parallelism, load_config, parse_config, script_responses
+from singletonlab.config import ConfigError, ModelSpec, Parallelism, load_config, parse_config, script_responses
 from singletonlab.runner import run_experiment
 from singletonlab.store import RunStore
 
@@ -484,8 +484,11 @@ def test_cli_run_rejects_unusable_retry_and_limiter_values(tmp_path, capsys, ove
 
 @pytest.mark.parametrize(
     "change",
-    [lambda: {"parallelism": Parallelism(tasks=0)}, lambda: {"retries": -1}, lambda: {"backoff_s": float("nan")}],
-    ids=["tasks", "retries", "backoff-nan"],
+    [
+        lambda: {"parallelism": Parallelism(tasks=0)}, lambda: {"retries": -1}, lambda: {"backoff_s": float("nan")},
+        lambda: {"backoff_s": 10**400}, lambda: {"models": (ModelSpec("m", "http://h:1/v1", temperature=10**400),)},
+    ],
+    ids=["tasks", "retries", "backoff-nan", "backoff-too-large-for-a-float", "temperature-too-large-for-a-float"],
 )
 def test_a_config_changed_in_python_obeys_the_config_rules(change):
     config = load_config(GOLDEN / "config.json")

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import zipfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fnmatch import fnmatch
@@ -201,7 +202,7 @@ def test_compile_server_source_ships_as_package_data():
 
 def test_the_readme_quotes_the_server_jvm_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    quoted = re.search(r"`java\s+(-[^`]*?)\s+\[-XX:SharedArchiveFile=<archive>\]\s+CompileServer\.java`", readme)
+    quoted = re.search(r"`java\s+(-[^`]*?)\s+-XX:SharedArchiveFile=<archive>\s+-cp\s+<jar>\s+CompileServer`", readme)
     assert quoted is not None
     assert tuple(quoted.group(1).split()) == exec_harness._SERVER_FLAGS
 
@@ -403,7 +404,7 @@ def java_main(java: str, scratch: Path) -> OutcomeLabel:
     return as_outcome(exec_harness._process([java, "Main"], scratch, 30))
 
 
-# A stand-in for `java CompileServer.java <fd>` that speaks the same protocol
+# A stand-in for a server JVM (`java ... CompileServer <fd>`) that speaks the same protocol
 # on the socket whose fd is its last argument: it batches the requests of each 5 ms and answers every batch
 # last-in first-out, with exit code and diagnostics derived from the
 # request's directory.
@@ -1404,11 +1405,26 @@ def test_jdk_run_keeps_only_timeout_scratch_and_logs_where_runs_went(tmp_path):
 
 
 def archive_backed(server) -> bool:
-    """Whether a server was launched on the serial collector, mapping the archive."""
+    """Whether a server was launched on the serial collector from the jar
+    of its cache entry, mapping the archive."""
     args = server.proc.args
     return server.archive is not None and "-XX:+UseSerialGC" in args and (
-        f"-XX:SharedArchiveFile={server.archive}" in args
+        args[-5:-1] == [f"-XX:SharedArchiveFile={server.archive}", "-cp", str(exec_harness._jar(server.archive)),
+                        "CompileServer"]
     )
+
+
+def from_source(server) -> bool:
+    """Whether a server was launched in source-file mode, with no archive."""
+    args = server.proc.args
+    return server.archive is None and args[-2] == str(exec_harness.COMPILE_SERVER) and not any(
+        arg.startswith("-XX:SharedArchiveFile=") or arg == "-cp" for arg in args
+    )
+
+
+def entry_names(archive: Path) -> list[str]:
+    """The file names of `archive`'s cache entry: its jar and the archive."""
+    return [exec_harness._jar(archive).name, archive.name]
 
 
 def cached_files(cache: Path) -> list[str]:
@@ -1434,7 +1450,7 @@ def test_jvm_logging_asked_for_in_java_tool_options_stays_off_the_reply_stream(t
         ]
     assert [outcome.kind for outcome in outcomes] == [PASS, TEST_FAIL, PASS]
     assert pool.run_summary() == "exec: 3 test run(s) in the resident JVM, 0 as java Main processes"
-    assert archive.is_file()
+    assert archive.is_file() and exec_harness._jar(archive).is_file()
     assert len(started) == 1 and archive_backed(started[0]) and started[0].archive == archive
 
 
@@ -1454,25 +1470,27 @@ def test_the_first_pool_writes_the_archive_and_the_next_server_maps_it(tmp_path,
             )
         assert outcome == OutcomeLabel(PASS, "")
         files = cached_files(cache)
-        assert len(files) == 1 and files[0].endswith(".jsa"), files
-        written.append((cache / "singletonlab" / files[0]).stat().st_mtime_ns)
-    assert written[0] == written[1]  # the second pool found it and wrote none
-    archive = cache / "singletonlab" / files[0]
+        assert [Path(name).suffix for name in files] == [".jar", ".jsa"], files
+        written.append([(cache / "singletonlab" / name).stat().st_mtime_ns for name in files])
+    assert written[0] == written[1]  # the second pool found the entry and wrote none
+    archive = cache / "singletonlab" / files[1]
+    assert files == entry_names(archive)
     assert [server.archive for server in started] == [None, archive]
+    assert from_source(started[0]) and "-XX:+UseSerialGC" in started[0].proc.args
     assert archive_backed(started[1])
-    assert "-XX:+UseSerialGC" in started[0].proc.args
 
 
 @requires_jdk
 def test_a_new_archive_deletes_the_older_ones_of_its_java_and_keeps_another_javas(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    started = record_servers(monkeypatch)
     javac, java = jdk_tools()
     older = ExecPool(1, javac)._archive  # the name under the unpatched flags
-    other_java = "CompileServer-" + "0" * 16 + "-" + "0" * 32 + ".jsa"
+    other_java = older.parent / ("CompileServer-" + "0" * 16 + "-" + "0" * 32 + ".jsa")
     one_key = "CompileServer-" + "1" * 32 + ".jsa"  # named as archives were before they had a java key
     older.parent.mkdir(parents=True)
-    for name in (older.name, other_java, one_key):
+    for name in (*entry_names(older), *entry_names(other_java), one_key):
         (older.parent / name).write_bytes(b"stub")
     monkeypatch.setattr(exec_harness, "_SERVER_FLAGS", (*exec_harness._SERVER_FLAGS, "-Dsingletonlab.patched=1"))
     scratch = tmp_path / "cell"
@@ -1481,7 +1499,9 @@ def test_a_new_archive_deletes_the_older_ones_of_its_java_and_keeps_another_java
     with ExecPool(1, javac, scratch_root=scratch) as pool:
         assert pool._archive != older and pool._archive.name.split("-")[1] == older.name.split("-")[1]
         assert pool.request("compile", scratch, 30) == (0, b"", b"")
-    assert cached_files(cache) == sorted([pool._archive.name, other_java])
+    # a new content key: the older entry is not used, and the new one replaces it
+    assert len(started) == 1 and from_source(started[0])
+    assert cached_files(cache) == sorted([*entry_names(pool._archive), *entry_names(other_java)])
 
 
 def test_two_archive_dumps_at_once_write_under_temporary_names_of_their_own(tmp_path, monkeypatch):
@@ -1489,22 +1509,29 @@ def test_two_archive_dumps_at_once_write_under_temporary_names_of_their_own(tmp_
     both = threading.Barrier(2)
     temps = []
 
-    def dump(argv, cwd, budget_s):
+    def build_or_dump(argv, cwd, budget_s):
+        if argv[0] == "javac":
+            Path(argv[argv.index("-d") + 1], "CompileServer.class").write_bytes(b"class")
+            return 0, b"", b""
+        assert argv[-3:] == ["-cp", str(exec_harness._jar(archive)), "CompileServer"]
         temp = next(arg for arg in argv if arg.startswith("-XX:ArchiveClassesAtExit="))
         temps.append(temp)
         both.wait(10)  # both dumps are under way
         Path(temp.split("=", 1)[1]).write_bytes(b"archive")
         return 0, b"", b""
 
-    monkeypatch.setattr(exec_harness, "_process", dump)
-    threads = [threading.Thread(target=exec_harness._write_archive, args=("java", archive)) for _ in range(2)]
+    monkeypatch.setattr(exec_harness, "_process", build_or_dump)
+    threads = [
+        threading.Thread(target=exec_harness._write_cache_entry, args=("javac", "java", archive)) for _ in range(2)
+    ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(30)
     assert not any(thread.is_alive() for thread in threads)
     assert len(set(temps)) == 2
-    assert cached_files(tmp_path) == [archive.name]
+    assert cached_files(tmp_path) == entry_names(archive)
+    assert zipfile.ZipFile(exec_harness._jar(archive)).namelist() == ["CompileServer.class"]
 
 
 @requires_jdk
@@ -1530,13 +1557,14 @@ def test_no_archive_is_written_after_an_exception_or_by_a_pool_whose_jvm_never_a
 
 
 def test_a_jdk_that_cannot_dump_an_archive_leaves_none(tmp_path, monkeypatch):
-    # as on JDK 11 or 12: the server says its version, the dump JVM rejects the flag
+    # as on JDK 11 or 12: the server says its version, javac builds the jar, the dump JVM rejects the flag
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     javac, _ = fake_jdk(tmp_path)
     server = javac.with_name("server.py")
     server.write_text(FAKE_SERVER.replace('b"ready\\n"', 'b"ready 11.0.2\\n"'), encoding="utf-8")
     dumps = tmp_path / "dumps.log"
+    javac.write_text("#!/bin/sh\nprintf class > \"$5/CompileServer.class\"\n")  # javac <3 exports> -d DIR SOURCE
     javac.with_name("java").write_text(
         "#!/bin/sh\nfor arg; do case $arg in -XX:ArchiveClassesAtExit=*)\n"
         f"  echo \"$arg\" >> {shlex.quote(str(dumps))}; printf partial > \"${{arg#*=}}\"; exit 1;;\nesac; done\n"
@@ -1545,8 +1573,51 @@ def test_a_jdk_that_cannot_dump_an_archive_leaves_none(tmp_path, monkeypatch):
     with ExecPool(1, str(javac)) as pool:
         assert pool.request("compile", tmp_path / "cell-0", 30)[0] == 0
     assert pool.version == "11.0.2"
-    assert len(dumps.read_text().splitlines()) == 1  # the dump was tried
+    assert len(dumps.read_text().splitlines()) == 1  # the dump was tried, on a jar that was built
     assert cached_files(cache) == []
+
+
+@requires_jdk
+def test_a_javac_that_fails_the_build_leaves_no_cache_entry_and_the_next_server_starts_from_source(
+    tmp_path, monkeypatch
+):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    started = record_servers(monkeypatch)
+    real_javac, real_java = jdk_tools()
+    jdk = tmp_path / "jdk"
+    jdk.mkdir()
+    (jdk / "java").symlink_to(os.path.realpath(real_java))
+    builds = tmp_path / "builds.log"
+    javac = jdk / "javac"  # fails the build of the jar, and compiles cells
+    javac.write_text(
+        f"#!/bin/sh\ncase \" $* \" in *\" -d \"*) echo build >> {shlex.quote(str(builds))}; exit 1;; esac\n"
+        f"exec {shlex.quote(os.path.realpath(real_javac))} \"$@\"\n"
+    )
+    javac.chmod(0o755)
+    scratch = tmp_path / "cell"
+    for _ in range(2):
+        scratch.mkdir(exist_ok=True)
+        (scratch / "Main.java").write_text("public class Main {}\n", encoding="utf-8")
+        with ExecPool(1, str(javac), scratch_root=tmp_path) as pool:
+            assert pool.request("compile", scratch, 30) == (0, b"", b"")
+        assert pool.version and cached_files(cache) == []
+    assert builds.read_text() == "build\nbuild\n"
+    assert len(started) == 2 and all(from_source(server) for server in started)
+
+
+@requires_jdk
+def test_a_server_on_the_cache_entry_warms_javac_before_ready_and_serves_the_first_run(tmp_path, monkeypatch):
+    started = record_servers(monkeypatch)
+    task = load_tasks(JDK_TASKS).tasks[0]
+    canonical = candidate_variants(task, jdk_fixture_rows()[0])["canonical"]
+    with ExecPool(1, scratch_root=tmp_path) as pool:
+        outcome = evaluate_functionality(canonical, task, 30, scratch_dir=tmp_path / "cell", compiler=pool)
+    assert outcome == OutcomeLabel(PASS, "")
+    assert len(started) == 1 and archive_backed(started[0])
+    # javac's first compile left the startup snapshot as it found it, and its directory is gone
+    assert pool.run_summary() == "exec: 1 test run(s) in the resident JVM, 0 as java Main processes"
+    assert os.listdir(tmp_path) == ["cell"]
 
 
 @requires_jdk
@@ -1560,6 +1631,7 @@ def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
     damaged = ExecPool(1, javac)._archive
     assert damaged == cache / "singletonlab" / valid.name
     damaged.parent.mkdir(parents=True)
+    shutil.copy2(exec_harness._jar(valid), exec_harness._jar(damaged))
     whole = valid.read_bytes()
     damaged.write_bytes(whole[: len(whole) // 2])
     started = record_servers(monkeypatch)
@@ -1571,15 +1643,16 @@ def test_a_damaged_archive_is_deleted_and_its_requests_go_to_processes(
             name: evaluate_functionality(candidate, task, 30, scratch_dir=tmp_path / "root" / name, compiler=pool)
             for name, candidate in variants.items()
         }
-        assert not damaged.exists()
+        assert cached_files(cache) == []
     assert outcomes == {name: javac_process_outcomes[(task.task_id, name)] for name in variants}
-    # the first compile crashed the JVM on the archive: not given up, the next server starts without it
+    # the first compile crashed the JVM on the archive: not given up, the next server starts from source
     assert [server.archive for server in started] == [damaged, None]
+    assert from_source(started[1])
     assert started[0].version is None and started[0].proc.returncode != 0
     assert logs == [f"exec: resident JVM {pool.version}"]
     assert pool.run_summary() == "exec: 2 test run(s) in the resident JVM, 0 as java Main processes"
-    # the run ended normally, so the close wrote a sound archive in its place
-    assert cached_files(cache) == [valid.name]
+    # the run ended normally, so the close wrote a sound entry in its place
+    assert cached_files(cache) == entry_names(valid)
     with ExecPool(1, javac, scratch_root=tmp_path / "root") as pool:
         outcome = evaluate_functionality(
             variants["canonical"], task, 30, scratch_dir=tmp_path / "again", compiler=pool
