@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .dataset import Task
 from .pattern_checker import evaluate_predicates
-from .source_model import ClassModel, parse_compilation_unit, select_primary_class
+from .source_model import parse_compilation_unit, select_primary_class
 
 PASS = "Pass"
 TEST_FAIL = "TestFail"
@@ -131,15 +131,13 @@ def evaluate_functionality(
     scratch_dir: str | Path,
     adapt_tests: bool = False,
     compiler: ExecPool | None = None,
-    classes: list[ClassModel] | None = None,
 ) -> OutcomeLabel:
     """Compile and run candidate + tests in scratch_dir: as requests to
     `compiler`, with its own tools, or else as processes of the `javac` and
-    `java` on PATH (the reference). `classes` is the candidate's parse, if
-    any."""
+    `java` on PATH (the reference)."""
     scratch = Path(scratch_dir)
     test_code = task.test_code
-    if adapt_tests and task.expected_class_name and _has_private_constructor(candidate, task, classes):
+    if adapt_tests and task.expected_class_name and _has_private_constructor(candidate, task):
         test_code = adapt_test_code(test_code, task.expected_class_name)
 
     # One compilation unit: the test declares the (public) entry class Main,
@@ -161,9 +159,7 @@ def evaluate_functionality(
         return OutcomeLabel(TIMEOUT, f"compilation exceeded {budget_s}s")
     if compiled[0] != 0:
         diagnostics = _text(compiled[1])[:_DETAIL_LIMIT]
-        return OutcomeLabel(
-            COMPILE_ERROR, diagnostics, classify_compile_error(diagnostics, candidate, classes)
-        )
+        return OutcomeLabel(COMPILE_ERROR, diagnostics, classify_compile_error(diagnostics, candidate))
     ran = request("run", scratch, budget_s)
     if ran is None:
         return OutcomeLabel(TIMEOUT, f"test run exceeded {budget_s}s")
@@ -638,12 +634,9 @@ def _resolve(tool: str | None) -> str | None:
     return os.path.realpath(found) if found else None
 
 
-def classify_compile_error(
-    diagnostics: str, candidate: str, classes: list[ClassModel] | None = None
-) -> str:
-    """Coarse bucket for a compile failure (heuristic, not ground truth).
-    `classes` is the candidate's parse, when the caller has it."""
-    if not _parsed(candidate, classes):
+def classify_compile_error(diagnostics: str, candidate: str) -> str:
+    """Coarse bucket for a compile failure (heuristic, not ground truth)."""
+    if not parse_compilation_unit(candidate):
         return NON_CODE_OUTPUT
     if any(p.search(diagnostics) for p in _MISSING_LIBRARY_PATTERNS):
         return MISSING_EXTERNAL_LIBRARY
@@ -655,15 +648,14 @@ def classify_compile_error(
     return OTHER_COMPILE_ERROR
 
 
-def mock_evaluate(candidate: str, classes: list[ClassModel] | None = None) -> OutcomeLabel:
+def mock_evaluate(candidate: str) -> OutcomeLabel:
     """Deterministic stand-in for the JDK: outcome is derived from markers.
 
     No extractable class means CompileError/non_code_output (same rule as
     the real classifier); otherwise MOCK-TIMEOUT / MOCK-FAIL markers select
-    the outcome and anything else passes. `classes` is the candidate's
-    parse, when the caller has it.
+    the outcome and anything else passes.
     """
-    if not _parsed(candidate, classes):
+    if not parse_compilation_unit(candidate):
         return OutcomeLabel(COMPILE_ERROR, "mock: no class extracted", NON_CODE_OUTPUT)
     if MOCK_TIMEOUT_MARKER in candidate:
         return OutcomeLabel(TIMEOUT, "mock: timeout marker")
@@ -672,11 +664,7 @@ def mock_evaluate(candidate: str, classes: list[ClassModel] | None = None) -> Ou
     return OutcomeLabel(PASS, "mock")
 
 
-def _has_private_constructor(candidate: str, task: Task, classes: list[ClassModel] | None) -> bool:
-    primary = select_primary_class(_parsed(candidate, classes), task.expected_class_name or None)
+def _has_private_constructor(candidate: str, task: Task) -> bool:
+    primary = select_primary_class(parse_compilation_unit(candidate), task.expected_class_name or None)
     return primary is not None and evaluate_predicates(primary).private_constructor
-
-
-def _parsed(candidate: str, classes: list[ClassModel] | None) -> list[ClassModel]:
-    return parse_compilation_unit(candidate) if classes is None else classes
 

@@ -51,36 +51,49 @@ def _post(url: str, *, json: object, headers: dict[str, str], timeout: float) ->
     The body is `json.dumps(json, allow_nan=False)` in UTF-8. `http_proxy`,
     `https_proxy` and `no_proxy` come from the environment: an HTTP target
     goes to the proxy with its absolute URL, an HTTPS target through a
-    CONNECT tunnel. A redirect is returned like any other status. Transport
-    failures raise OSError or http.client.HTTPException.
+    CONNECT tunnel. They are read on every call; a URL's route is worked out
+    again only when one changed (`_route`). A redirect is returned like any
+    other status. Transport failures raise OSError or http.client.HTTPException.
     """
     body = _json.dumps(json, allow_nan=False).encode("utf-8")
-    parts = urlsplit(url)
-    host, port = parts.hostname, parts.port
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and urllib.request.proxy_bypass(parts.netloc):
-        proxy = None
-    if proxy:
-        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        address = (proxy_parts.hostname, proxy_parts.port)
-    else:
-        address = (host, port)
+    tls, address, target, tunnel = _route(url, *map(os.environ.get, _ROUTE_VARIABLES))
     connection: http.client.HTTPConnection
-    if parts.scheme == "https":
+    if tls:
         connection = http.client.HTTPSConnection(*address, timeout=timeout, context=_tls_context())
-        if proxy:
-            connection.set_tunnel(host, port)
+        if tunnel:
+            connection.set_tunnel(*tunnel)
     else:
         connection = http.client.HTTPConnection(*address, timeout=timeout)
-        if proxy:
-            target = f"{parts.scheme}://{parts.netloc}{target}"
     try:
         connection.request("POST", target, body=body, headers={**headers, "Connection": "close"})
         response = connection.getresponse()
         return HttpReply(response.status, response.headers, response.read())
     finally:
         connection.close()
+
+
+# What urllib's proxy rules read for an http or https URL, in lower and
+# upper case; REQUEST_METHOD (a CGI request) makes it ignore HTTP_PROXY.
+_ROUTE_VARIABLES = "http_proxy HTTP_PROXY https_proxy HTTPS_PROXY no_proxy NO_PROXY REQUEST_METHOD".split()
+
+
+@functools.lru_cache(maxsize=64)
+def _route(url: str, *variables: str | None) -> tuple[bool, tuple, str, tuple | None]:
+    """Where a POST to `url` goes: (over TLS, the address to connect to, the
+    request target, the host and port of a CONNECT tunnel or None). urllib
+    reads the environment; `variables`, the values of `_ROUTE_VARIABLES`,
+    only key the cache."""
+    parts = urlsplit(url)
+    host, port = parts.hostname, parts.port
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc):
+        return parts.scheme == "https", (host, port), target, None
+    proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    address = (proxy_parts.hostname, proxy_parts.port)
+    if parts.scheme == "https":
+        return True, address, target, (host, port)
+    return False, address, f"{parts.scheme}://{parts.netloc}{target}", None
 
 
 @functools.cache
@@ -91,7 +104,7 @@ def _tls_context() -> ssl.SSLContext:
 
 # perfbench/tracer.py times every attempt by swapping `gateway.requests` for
 # a proxy of its `post`, so each attempt looks the sender up here. The name
-# stays for that tracer until ROADMAP item 3 moves it to the send function.
+# stays for that tracer until ROADMAP item 6's events take its place.
 requests = SimpleNamespace(post=_post)
 
 

@@ -23,7 +23,7 @@ from .pattern_checker import (
     no_class_report,
     singleton_score,
 )
-from .source_model import ClassModel, parse_compilation_unit, select_primary_class
+from .source_model import parse_compilation_unit, select_primary_class
 
 if TYPE_CHECKING:
     from .config import ModelSpec
@@ -148,14 +148,7 @@ def verify_exemplars(exemplars: tuple[str, str]) -> tuple[str, str]:
 
 def assess_candidate(code: str, expected_class_name: str | None) -> PredicateReport:
     """Parse a candidate, pick its primary class, run the predicate checks."""
-    return assess_classes(parse_compilation_unit(code), expected_class_name)
-
-
-def assess_classes(
-    classes: list[ClassModel], expected_class_name: str | None
-) -> PredicateReport:
-    """Pick the primary class of a parsed candidate, run the predicate checks."""
-    primary = select_primary_class(classes, expected_class_name or None)
+    primary = select_primary_class(parse_compilation_unit(code), expected_class_name or None)
     return evaluate_predicates(primary) if primary is not None else no_class_report()
 
 
@@ -205,21 +198,17 @@ def run_task(
     retries: int = 3,
     backoff_s: float = 1.0,
     config_digest: str = "",
-    selected_classes: list[ClassModel] | None = None,
 ) -> RunRecord:
     """Drive one (model, strategy, task) loop to completion.
 
     Gateway failures after retries abort the run: the record keeps the
-    iterations seen so far and carries an Aborted outcome. A list passed as
-    ``selected_classes`` receives the parsed classes of the selected
-    candidate, so that its evaluation need not parse it again.
+    iterations seen so far and carries an Aborted outcome.
     """
     started = time.monotonic()
     model_id = model.model_id
     record = RunRecord(model_id, strategy.kind, task.task_id, config_digest=config_digest)
     history = initial_prompt(strategy, task)
     abort_detail: str | None = None
-    classes: list[ClassModel] = []
 
     for index in range(1, strategy.max_iterations + 1):
         try:
@@ -228,8 +217,7 @@ def run_task(
             abort_detail = str(exc)
             break
         code = extract_code(reply.content)
-        classes = parse_compilation_unit(code)
-        report = assess_classes(classes, task.expected_class_name)
+        report = assess_candidate(code, task.expected_class_name)
         conforming = report.is_singleton()
         record.iterations.append(
             IterationRecord(index, history[-1].content, reply.content, code, report, conforming)
@@ -245,8 +233,6 @@ def run_task(
         record.selected_candidate = selected.extracted_code
         record.selected_iteration = selected.index
         record.singleton_score = singleton_score(selected.predicate_report)
-        if selected_classes is not None:
-            selected_classes.extend(classes)
     if abort_detail is not None:
         record.functional_outcome = OutcomeLabel(ABORTED, abort_detail)
     record.wall_time_ms = int((time.monotonic() - started) * 1000)

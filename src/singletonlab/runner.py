@@ -19,7 +19,6 @@ from .exec_harness import (
 )
 from .gateway import endpoint_limiter
 from .guidance import RunRecord, Strategy, run_task
-from .source_model import ClassModel
 from .store import RunStore
 
 
@@ -94,7 +93,6 @@ def _run_one(
     exec_pool: ExecPool,
 ) -> RunRecord:
     backend = spec.backend(task.task_id)
-    classes: list[ClassModel] = []  # the selected candidate's, parsed once by run_task
     with endpoint_limiter(spec.endpoint, config.parallelism.per_endpoint):
         record = run_task(
             backend,
@@ -103,13 +101,12 @@ def _run_one(
             retries=config.retries,
             backoff_s=config.backoff_s,
             config_digest=digest,
-            selected_classes=classes,
         )
     if record.functional_outcome is not None:
         return record
     settings = config.exec
     if settings.mode == "mock":  # pure Python: no toolchain slot
-        record.functional_outcome = mock_evaluate(record.selected_candidate, classes)
+        record.functional_outcome = mock_evaluate(record.selected_candidate)
         return record
     scratch = RunStore(config.output_dir).scratch_dir(config.run_id, spec.model_id, strategy.kind, task.task_id)
 
@@ -122,7 +119,6 @@ def _run_one(
                 scratch_dir=scratch,
                 adapt_tests=settings.test_adaptation,
                 compiler=exec_pool,
-                classes=classes,
             )
         if outcome.kind != TIMEOUT:  # a Timeout's scratch stays for inspection
             shutil.rmtree(scratch, ignore_errors=True)

@@ -29,6 +29,7 @@ gives, except in four kinds of shape, each pinned by tests against javac:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -142,8 +143,15 @@ def parse_compilation_unit(source_text: str) -> list[ClassModel]:
     """Extract a ClassModel for every top-level class declaration.
 
     Total over arbitrary text: malformed input yields the classes that could
-    be recovered (possibly none).
+    be recovered (possibly none). Each distinct text is parsed once per
+    process while it stays among the last 1024 (`_parse`); the list is new
+    on every call, and its models are frozen.
     """
+    return list(_parse(source_text))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse(source_text: str) -> tuple[ClassModel, ...]:
     classes: list[ClassModel] = []
     after_dot = False  # `Foo.class` uses the keyword as a member-access suffix
     tok, pos = _next_token(source_text, 0)
@@ -158,7 +166,7 @@ def parse_compilation_unit(source_text: str) -> list[ClassModel]:
                 pos = _skip_group(source_text, pos, "{", "}")
             after_dot = tok.text == "."
         tok, pos = _next_token(source_text, pos)
-    return classes
+    return tuple(classes)
 
 
 def select_primary_class(
@@ -369,8 +377,13 @@ def _fields_from_header(buffer: list[Token]) -> list[MemberModel]:
     return members
 
 
+# One shared frozenset per set of modifiers, which halves a cached parse.
+_MODIFIER_SETS: dict[frozenset[str], frozenset[str]] = {}
+
+
 def _modifiers(head: list[Token]) -> frozenset[str]:
-    return frozenset(t.text for t in head if t.text in TRACKED_MODIFIERS)
+    modifiers = frozenset(t.text for t in head if t.text in TRACKED_MODIFIERS)
+    return _MODIFIER_SETS.setdefault(modifiers, modifiers)
 
 
 def _dims(tokens: list[Token]) -> int:

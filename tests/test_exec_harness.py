@@ -423,9 +423,9 @@ def answer():
         for key, directory in reversed(batch):
             body = (directory + os.sep + "Main.java: " + directory).encode()
             code = int(directory.rsplit("-", 1)[1])
-            channel.sendall(b"%s %d %d %d\\n" % (key.encode(), code, len(body), len(body)) + body)
-            order.write(key + "\\n")
+            order.write(key + "\\n")  # first: close() kills this server once the last reply is read
             order.flush()
+            channel.sendall(b"%s %d %d %d\\n" % (key.encode(), code, len(body), len(body)) + body)
 
 threading.Thread(target=answer, daemon=True).start()
 channel.sendall(b"ready\\n")

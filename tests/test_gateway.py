@@ -419,6 +419,19 @@ def test_an_https_target_is_tunnelled_through_the_proxy(raw_server, proxy_env):
     assert proxy.requests[0][0].startswith("CONNECT chat.example.test:443 HTTP/1.")
 
 
+def test_a_proxy_set_or_bypassed_between_requests_routes_the_next_one(raw_server, proxy_env):
+    server = raw_server(chat_reply("class F {}"), chat_reply("class H {}"))
+    proxy = raw_server(chat_reply("class G {}"))
+    spec = handle(f"http://{server.address}/v1")
+    assert complete(spec, HISTORY, retries=0).content == "class F {}"
+    proxy_env("http_proxy", f"http://{proxy.address}")
+    assert complete(spec, HISTORY, retries=0).content == "class G {}"
+    proxy_env("no_proxy", "127.0.0.1")
+    assert complete(spec, HISTORY, retries=0).content == "class H {}"
+    assert [head.split("\r\n")[0] for head, _ in server.requests] == ["POST /v1 HTTP/1.1"] * 2
+    assert proxy.requests[0][0].startswith(f"POST http://{server.address}/v1 HTTP/1.1\r\n")
+
+
 def test_importing_the_package_loads_only_the_standard_library():
     code = (
         "import sys; before = set(sys.modules); import singletonlab; "

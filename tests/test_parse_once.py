@@ -1,19 +1,21 @@
-"""Each candidate is parsed once: by `run_task`, one parse per iteration.
+"""Each distinct candidate text is parsed once per process.
 
-The selected candidate's classes travel from `run_task` to its evaluation
-(`mock_evaluate`, test adaptation, `classify_compile_error`), so nothing
-under the runner's `mock_evaluate` or `evaluate_functionality` call parses
-again.
+`run_task` parses every iteration's candidate; the selected candidate's
+evaluation (`mock_evaluate`, test adaptation, `classify_compile_error`)
+parses it again by name and gets the memo's answer, and so does a later
+arm whose first turn brings a byte-identical candidate. So the parser
+itself runs once per distinct text, and never under evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 
 import pytest
 
-from singletonlab import exec_harness, guidance, runner, source_model
+from singletonlab import guidance, runner, source_model
 from singletonlab.config import load_config, parse_config
 from singletonlab.dataset import load_tasks
 from singletonlab.exec_harness import COMPILE_ERROR, PASS
@@ -35,16 +37,17 @@ class Solution {
 
 
 @pytest.fixture
-def parses(monkeypatch) -> list[bool]:
-    """One entry per parse made for a cell: whether the runner's evaluation
-    (`mock_evaluate` or `evaluate_functionality`) made it."""
-    calls: list[bool] = []
+def parses(monkeypatch) -> list[tuple[str, bool]]:
+    """One entry per text the parser itself parsed, behind an empty memo of
+    the same bound: the text, and whether the runner's evaluation
+    (`mock_evaluate` or `evaluate_functionality`) asked for it."""
+    calls: list[tuple[str, bool]] = []
     evaluating = threading.local()
-    parse = source_model.parse_compilation_unit
+    parse = source_model._parse.__wrapped__
 
-    def counted(*args, **kwargs):
-        calls.append(getattr(evaluating, "active", False))
-        return parse(*args, **kwargs)
+    def counted(source_text):
+        calls.append((source_text, getattr(evaluating, "active", False)))
+        return parse(source_text)
 
     def traced(evaluate):
         def traced_evaluate(*args, **kwargs):
@@ -56,18 +59,24 @@ def parses(monkeypatch) -> list[bool]:
 
         return traced_evaluate
 
-    for module in (guidance, exec_harness):
-        monkeypatch.setattr(module, "parse_compilation_unit", counted)
+    bound = source_model._parse.cache_info().maxsize
+    monkeypatch.setattr(source_model, "_parse", functools.lru_cache(maxsize=bound)(counted))
     for name in ("mock_evaluate", "evaluate_functionality"):
         monkeypatch.setattr(runner, name, traced(getattr(runner, name)))
     return calls
 
 
-def iteration_count(store) -> int:
-    return sum(len(r.iterations) for records in store.load_all().values() for r in records)
+def candidate_texts(store) -> list[str]:
+    """Every iteration's candidate, in every record of every arm."""
+    return [
+        iteration.extracted_code
+        for records in store.load_all().values()
+        for record in records
+        for iteration in record.iterations
+    ]
 
 
-def test_a_mock_run_parses_each_iteration_once(tmp_path, parses):
+def test_a_mock_run_parses_each_distinct_candidate_once(tmp_path, parses):
     config = {
         "run_id": "parse-once",
         "dataset": {"path": str(MOCK_TASKS)},
@@ -79,16 +88,19 @@ def test_a_mock_run_parses_each_iteration_once(tmp_path, parses):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    loaded = load_config(path)
-    parses.clear()  # loading verifies the few-shot exemplars
+    loaded = load_config(path)  # verifies the few-shot exemplars
+    load_tasks(MOCK_TASKS)  # the run's own load finds the declarations parsed
+    parses.clear()
     store = run_experiment(loaded, log=lambda message: None)
-    assert iteration_count(store) > len(guidance.STRATEGY_KINDS) * 5  # feedback loops ran
-    assert len(parses) == iteration_count(store)
-    assert not any(parses)
+    candidates = candidate_texts(store)
+    assert len(candidates) > len(guidance.STRATEGY_KINDS) * 5  # feedback loops ran
+    assert len(set(candidates)) < len(candidates)  # arms repeat candidates
+    assert sorted(text for text, _ in parses) == sorted(set(candidates))
+    assert not any(evaluating for _, evaluating in parses)
 
 
 @requires_jdk
-def test_a_jdk_run_with_test_adaptation_parses_each_iteration_once(tmp_path, parses):
+def test_a_jdk_run_with_test_adaptation_parses_each_distinct_candidate_once(tmp_path, parses):
     rows = [json.loads(line) for line in JDK_TASKS.read_text("utf-8").splitlines()][:2]
     dataset = tmp_path / "tasks.jsonl"
     dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
@@ -111,6 +123,7 @@ def test_a_jdk_run_with_test_adaptation_parses_each_iteration_once(tmp_path, par
         "exec": {"mode": "jdk", "javac": javac, "java": java, "workers": 2, "test_adaptation": True},
         "parallelism": {"tasks": 2},
     })
+    parses.clear()
     store = run_experiment(config, log=lambda message: None)
     outcomes = {
         (r.strategy_kind, r.task_id): r.functional_outcome.kind
@@ -119,5 +132,6 @@ def test_a_jdk_run_with_test_adaptation_parses_each_iteration_once(tmp_path, par
     }
     assert outcomes[("predicate_feedback", first.task_id)] == PASS
     assert outcomes[("predicate_feedback", second.task_id)] == COMPILE_ERROR
-    assert len(parses) == iteration_count(store) == 1 + 1 + 2 + 3
-    assert not any(parses)
+    assert len(candidate_texts(store)) == 1 + 1 + 2 + 3
+    assert sorted(text for text, _ in parses) == sorted({plain, SINGLETON_SOLUTION, broken})
+    assert not any(evaluating for _, evaluating in parses)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import class_model as model
+from singletonlab import source_model
 from singletonlab.source_model import (
     ClassModel,
     parse_compilation_unit,
@@ -147,6 +148,19 @@ def test_roundtrip_stability():
     first = parse_compilation_unit(ENGINE_SINGLETON)
     second = parse_compilation_unit(ENGINE_SINGLETON)
     assert first == second
+
+
+def test_the_parse_memo_is_bounded_and_every_call_gets_its_own_list():
+    for i in range(1100):
+        parse_compilation_unit(f"class Bound{i} {{ private Bound{i}() {{}} }}")
+    assert source_model._parse.cache_info().currsize == 1024
+    first = parse_compilation_unit(ENGINE_SINGLETON)
+    expected = list(first)
+    first.clear()
+    again = parse_compilation_unit(ENGINE_SINGLETON)
+    assert again == expected and again is not first
+    # equal modifier sets are one shared object across parses
+    assert again[0].constructors()[0].modifiers is members_of("class P { private P() {} }")[0][3]
 
 
 def test_generics_reduce_to_simple_type():
