@@ -13,16 +13,20 @@ import pytest
 
 import singletonlab
 
-from singletonlab.config import ModelSpec
+from singletonlab.config import ModelSpec, parse_config
 from singletonlab.gateway import (
     ChatMessage,
     GatewayError,
     ScriptedModel,
+    _ROUTE_VARIABLES,
+    _request_body,
+    _route,
     complete,
     endpoint_limiter,
 )
+from singletonlab.runner import run_experiment
 
-from conftest import StubHandler
+from conftest import MOCK_TASKS, StubHandler
 
 HISTORY = [ChatMessage("system", "sys"), ChatMessage("user", "hello")]
 
@@ -299,7 +303,10 @@ class RawServer:
                     while connection.recv(65536):
                         pass
                 else:
-                    connection.sendall(reply)
+                    try:
+                        connection.sendall(reply)
+                    except OSError:  # the client hung up on a reply it refused
+                        pass
 
     def close(self) -> None:
         self.thread.join(timeout=10)
@@ -384,6 +391,97 @@ def test_an_error_body_that_is_not_utf8_is_decoded_with_replacements(raw_server)
         complete(handle(f"http://{server.address}/v1"), HISTORY, retries=3, backoff_s=0.01)
 
 
+REPLY_BODY = json.dumps({"choices": [{"message": {"role": "assistant", "content": "class I {}"}}]}).encode()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(REPLY_BODY), REPLY_BODY),
+        b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + REPLY_BODY,
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Digest\r\n\r\n"
+        + b"%x;name=value\r\n%s\r\n0;last\r\nX-Digest: abc\r\n\r\n" % (len(REPLY_BODY), REPLY_BODY),
+    ],
+    ids=["after-100-continue", "ended-by-the-close", "chunked-with-extensions-and-trailer"],
+)
+def test_sender_reads_each_framing_of_a_reply(raw_server, reply):
+    server = raw_server(reply)
+    assert complete(handle(f"http://{server.address}/v1"), HISTORY, retries=0).content == "class I {}"
+
+
+def test_a_lower_case_retry_after_delays_the_next_attempt(raw_server):
+    server = raw_server(
+        b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\ncontent-length: 0\r\n\r\n",
+        chat_reply("class L {}"),
+    )
+    started = time.monotonic()
+    assert complete(handle(f"http://{server.address}/v1"), HISTORY, retries=1, backoff_s=0.01).content == "class L {}"
+    assert time.monotonic() - started >= 1.0
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"Content-Length: 0\r\n\r\n", "more than 100 headers"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * 65536 + b"\r\nContent-Length: 0\r\n\r\n", "LineTooLong"),
+        (b"HTTP/2 200\r\nContent-Length: 0\r\n\r\n", "BadStatusLine"),
+        (b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n", "BadStatusLine"),
+    ],
+    ids=["101-headers", "65-kb-header-line", "http-2", "not-http"],
+)
+def test_a_reply_head_out_of_bounds_is_retried_then_a_gateway_error(raw_server, reply, error):
+    server = raw_server(reply, reply)
+    with pytest.raises(GatewayError, match=f"test-model.*after 2 attempts: .*{error}"):
+        complete(handle(f"http://{server.address}/v1"), HISTORY, retries=1, backoff_s=0.01)
+    assert len(server.requests) == 2
+
+
+def test_a_credential_that_cannot_go_in_a_header_is_never_sent_or_stored(raw_server, monkeypatch, tmp_path):
+    server = raw_server()
+    monkeypatch.setenv("STUB_GATEWAY_KEY", "sekret-value\n")
+    spec = handle(f"http://{server.address}/v1", auth_ref="STUB_GATEWAY_KEY")
+    with pytest.raises(GatewayError, match="test-model: credential env var 'STUB_GATEWAY_KEY'") as raised:
+        complete(spec, HISTORY, retries=3, backoff_s=0.01)
+    assert "sekret" not in str(raised.value)
+    config = parse_config({
+        "run_id": "key",
+        "dataset": {"path": str(MOCK_TASKS)},
+        "output_dir": str(tmp_path / "store"),
+        "models": [{"model_id": "m", "endpoint": spec.endpoint, "auth_ref": "STUB_GATEWAY_KEY"}],
+        "strategies": ["baseline"],
+        "exec": {"mode": "mock"},
+        "retries": 3,
+        "backoff_s": 0.01,
+    })
+    records = run_experiment(config, log=lambda message: None).load_records("m", "baseline")
+    assert {record.functional_outcome.kind for record in records} == {"Aborted"}
+    stored = b"".join(path.read_bytes() for path in (tmp_path / "store").rglob("*") if path.is_file())
+    assert b"STUB_GATEWAY_KEY" in stored and b"sekret" not in stored
+    server.listener.setblocking(False)
+    with pytest.raises(BlockingIOError):  # no connection waits to be accepted
+        server.listener.accept()
+    assert server.requests == []
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{}, {"seed": 0, "temperature": 0}, {"model_id": "m\u00fc/\"x\"", "temperature": 1.5, "max_tokens": 1}],
+    ids=["defaults", "seed-and-integer-temperature", "escaped-model-id"],
+)
+def test_the_request_body_is_the_payloads_json_and_each_message_is_encoded_once(settings):
+    spec = ModelSpec(settings.pop("model_id", "test-model"), "http://h:1/v1", **settings)
+    history = [ChatMessage("system", "s\u00e9\t"), ChatMessage("user", "\u2028 \\ \"q\" \U0001f600"), ChatMessage("assistant", "")]
+    payload = {
+        "model": spec.model_id,
+        "messages": [{"role": m.role, "content": m.content} for m in history],
+        "temperature": spec.temperature,
+        "max_tokens": spec.max_tokens,
+        **({} if spec.seed is None else {"seed": spec.seed}),
+    }
+    assert _request_body(spec, history) == json.dumps(payload, allow_nan=False).encode()
+    assert all("encoded" in vars(message) for message in history)
+
+
 @pytest.fixture()
 def proxy_env(monkeypatch):
     for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
@@ -417,6 +515,20 @@ def test_an_https_target_is_tunnelled_through_the_proxy(raw_server, proxy_env):
     with pytest.raises(GatewayError, match="after 1 attempts: OSError: Tunnel connection failed: 403"):
         complete(handle("https://chat.example.test/v1"), HISTORY, retries=0)
     assert proxy.requests[0][0].startswith("CONNECT chat.example.test:443 HTTP/1.")
+
+
+@pytest.mark.parametrize(
+    "url, address, host",
+    [
+        ("http://[::1]/v1", ("::1", 80), "[::1]"),
+        ("https://[::1]/v1", ("::1", 443), "[::1]"),
+        ("http://[::1]:8080/v1", ("::1", 8080), "[::1]:8080"),
+        ("https://chat.example.test:443/v1", ("chat.example.test", 443), "chat.example.test"),
+    ],
+)
+def test_an_endpoint_without_a_port_is_reached_on_its_schemes_port(proxy_env, url, address, host):
+    _, connect_to, _, _, host_header = _route(url, *map(os.environ.get, _ROUTE_VARIABLES))
+    assert (connect_to, host_header) == (address, host)
 
 
 def test_a_proxy_set_or_bypassed_between_requests_routes_the_next_one(raw_server, proxy_env):
