@@ -32,46 +32,65 @@ from .stats import (
     predicate_counts,
     selected_report,
 )
-from .store import RunStore
+from .store import MisplacedRecord, RunStore
 
 MCNEMAR_LEGEND = "McNemar significance: * = p<0.05, ** = p<0.01, *** = p<0.001"
 
 
 def build_summary(store: RunStore) -> dict:
-    """Aggregate a store into a JSON-native summary model."""
-    grouped = store.load_all()
-    model_ids = sorted({model_id for model_id, _ in grouped})
-    strategy_order = [
-        kind for kind in STRATEGY_KINDS if any(key[1] == kind for key in grouped)
-    ]
-
-    models = []
-    for model_id in model_ids:
-        baseline_records = grouped.get((model_id, BASELINE), [])
-        baseline_rate = pass_at_1(baseline_records) if baseline_records else None
-        strategies = []
-        for kind in strategy_order:
-            records = grouped.get((model_id, kind))
-            if not records:
-                continue
-            strategies.append(
-                _strategy_cell(kind, records, baseline_records, baseline_rate)
-            )
-        models.append(
-            {
-                "model_id": model_id,
-                "baseline_pass_rate": baseline_rate,
-                "strategies": strategies,
-            }
-        )
+    """Aggregate a store into a JSON-native summary model. Models are read
+    one at a time: a model's baseline arm is held while each of its other
+    arms is read, summarised and dropped."""
+    models: dict[str, dict] = {}
+    try:
+        for files in store.files_by_model():
+            baselines: dict[str, list[RunRecord]] = {}
+            for path in files:
+                _add_arms(models, baselines, store.read_arms(path))
+    except MisplacedRecord:
+        # a record moved by hand may split its arm over files: group them all
+        grouped = store.load_all()
+        models = {}
+        baseline_first = sorted(grouped, key=lambda key: key[1] != BASELINE)
+        _add_arms(models, {}, {key: grouped[key] for key in baseline_first})
+    rank = {kind: i for i, kind in enumerate(STRATEGY_KINDS)}
+    for model in models.values():
+        model["strategies"].sort(key=lambda cell: rank[cell["kind"]])
+    present = {cell["kind"] for model in models.values() for cell in model["strategies"]}
     # Table 2 ordering: highest baseline pass rate first, then model id.
-    models.sort(
-        key=lambda m: (
-            -(m["baseline_pass_rate"] if m["baseline_pass_rate"] is not None else -1.0),
-            m["model_id"],
+    return {
+        "strategy_order": [kind for kind in STRATEGY_KINDS if kind in present],
+        "models": sorted(
+            models.values(),
+            key=lambda m: (
+                -(m["baseline_pass_rate"] if m["baseline_pass_rate"] is not None else -1.0),
+                m["model_id"],
+            ),
+        ),
+    }
+
+
+def _add_arms(
+    models: dict[str, dict],
+    baselines: dict[str, list[RunRecord]],
+    arms: dict[tuple[str, str], list[RunRecord]],
+) -> None:
+    """Add a cell for each arm to its model's entry in models. A model's
+    baseline arm must come before its other arms: baselines keeps it for
+    their deltas and McNemar pairs."""
+    for (model_id, kind), records in arms.items():
+        model = models.setdefault(
+            model_id, {"model_id": model_id, "baseline_pass_rate": None, "strategies": []}
         )
-    )
-    return {"strategy_order": strategy_order, "models": models}
+        if kind == BASELINE:
+            baselines[model_id] = records
+            model["baseline_pass_rate"] = pass_at_1(records)
+        if kind in STRATEGY_KINDS:
+            model["strategies"].append(
+                _strategy_cell(
+                    kind, records, baselines.get(model_id, []), model["baseline_pass_rate"]
+                )
+            )
 
 
 def _strategy_cell(

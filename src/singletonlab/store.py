@@ -5,7 +5,8 @@ can be re-analyzed without network or toolchain access.
 A record is a line ending in a newline: its RunRecord as nested JSON
 objects, one key per dataclass field. Bytes after the last newline of a
 file are the remains of an interrupted append: readers ignore them, and
-resuming a run cuts them off before appending again.
+resuming a run cuts them off before appending again. Readers take a file
+one line at a time, so what they hold grows with one arm, not the store.
 """
 
 from __future__ import annotations
@@ -13,22 +14,45 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import fcntl
+import functools
 import json
 import os
 from pathlib import Path
+from typing import Iterator
 
 from .dataset import _safe_name
 from .exec_harness import OutcomeLabel
-from .guidance import IterationRecord, RunRecord
+from .guidance import BASELINE, IterationRecord, RunRecord
 from .pattern_checker import PredicateReport
+
+# how far _drop_torn_tail reads back from the end of a file at a time
+_TAIL_BLOCK = 1 << 16
 
 
 class StoreError(Exception):
     pass
 
 
+class MisplacedRecord(StoreError):
+    """A record in a file that RunStore.append would not have written it to."""
+
+
 def record_to_dict(record: RunRecord) -> dict:
     return dataclasses.asdict(record)
+
+
+def _fields_of(value) -> dict:
+    """A dataclass instance as {field name: value}, for json.dumps to encode
+    in turn; anything else json.dumps cannot encode is a TypeError."""
+    cls = type(value)
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return {name: getattr(value, name) for name in _field_names(cls)}
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def record_from_dict(data: dict) -> RunRecord:
@@ -49,23 +73,59 @@ def record_from_dict(data: dict) -> RunRecord:
 def _build(cls, data: dict, **values):
     """cls(**values), each other field taken from data under its name; a
     field that data lacks too takes its default."""
-    for f in dataclasses.fields(cls):
-        if f.name in data and f.name not in values:
-            values[f.name] = data[f.name]
+    for name in _field_names(cls):
+        if name in data and name not in values:
+            values[name] = data[name]
     return cls(**values)
 
 
+def _read_records(path: Path) -> Iterator[RunRecord]:
+    """The records of a file, one line at a time; none for a missing file.
+    Each line is decoded as UTF-8 here, since json.loads on bytes would take
+    leading NULs for UTF-16 or UTF-32, and only b"\\n" ends a line."""
+    for lineno, line in _read_lines(path):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"cannot read {path} line {lineno}: {exc}") from exc
+        if not text.strip():
+            continue
+        try:
+            record = record_from_dict(json.loads(text))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise StoreError(f"corrupt record in {path} line {lineno}: {exc}") from exc
+        yield record
+
+
+def _read_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """(1-based number, bytes) of each line up to the file's last newline."""
+    try:
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    return  # a torn tail
+                yield lineno, line
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise StoreError(f"cannot read {path}: {exc}") from exc
+
+
 def _drop_torn_tail(path: Path) -> None:
-    """Truncate the file back to just after its last newline."""
+    """Truncate the file back to just after its last newline, found by
+    reading back from the end one block at a time."""
     with path.open("r+b") as fh:
-        size = fh.seek(0, 2)
-        if size == 0:
-            return
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        fh.truncate(fh.read().rfind(b"\n") + 1)
+        size = end = fh.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(0, end - _TAIL_BLOCK)
+            fh.seek(start)
+            newline = fh.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                end = start + newline + 1
+                break
+            end = start
+        if end != size:
+            fh.truncate(end)
 
 
 class RunStore:
@@ -148,20 +208,25 @@ class RunStore:
         return self.scratch_root(run_id) / _safe_name(model_id) / strategy_kind / _safe_name(task_id)
 
     def append(self, record: RunRecord) -> None:
-        path = self.record_path(record.model_id, record.strategy_kind)
-        line = json.dumps(record_to_dict(record), sort_keys=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        # the bytes of json.dumps(record_to_dict(record), sort_keys=True), without
+        # the deep copy dataclasses.asdict makes; one write, so the line goes out whole
+        line = (json.dumps(record, sort_keys=True, default=_fields_of) + "\n").encode("utf-8")
+        fd = os.open(
+            self.record_path(record.model_id, record.strategy_kind),
+            os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+            0o666,
+        )
+        try:
+            while line:
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
 
     def completed_task_ids(self, model_id: str, strategy_kind: str) -> set[str]:
-        return {r.task_id for r in self.load_records(model_id, strategy_kind)}
+        return {r.task_id for r in _read_records(self.record_path(model_id, strategy_kind))}
 
     def load_records(self, model_id: str, strategy_kind: str) -> list[RunRecord]:
-        path = self.record_path(model_id, strategy_kind)
-        if not path.exists():
-            return []
-        return self._read_file(path)
+        return list(_read_records(self.record_path(model_id, strategy_kind)))
 
     def load_all(self) -> dict[tuple[str, str], list[RunRecord]]:
         """All records grouped by (model_id, strategy_kind), file order kept."""
@@ -169,23 +234,38 @@ class RunStore:
         if not self.records_dir.is_dir():
             return grouped
         for path in sorted(self.records_dir.glob("*.jsonl")):
-            for record in self._read_file(path):
+            for record in _read_records(path):
                 grouped.setdefault((record.model_id, record.strategy_kind), []).append(
                     record
                 )
         return grouped
 
-    def _read_file(self, path: Path) -> list[RunRecord]:
-        records = []
-        try:
-            text = path.read_text("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise StoreError(f"cannot read {path}: {exc}") from exc
-        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise StoreError(f"corrupt record in {path} line {lineno}: {exc}") from exc
-        return records
+    def files_by_model(self) -> list[list[Path]]:
+        """The records files, grouped by the model part of their names: the
+        files that one model's arms are appended to (or those of models whose
+        ids share that store name). Each group lists its baseline file first."""
+        groups: dict[str, list[Path]] = {}
+        if self.records_dir.is_dir():
+            for path in sorted(self.records_dir.glob("*.jsonl")):
+                model, _, kind = path.stem.rpartition("__")
+                files = groups.setdefault(model, [])
+                if kind == BASELINE:
+                    files.insert(0, path)
+                else:
+                    files.append(path)
+        return list(groups.values())
+
+    def read_arms(self, path: Path) -> dict[tuple[str, str], list[RunRecord]]:
+        """One records file's records by (model_id, strategy_kind), file order
+        kept. A record that append would have written to another file raises
+        MisplacedRecord: its arm may be split over files."""
+        arms: dict[tuple[str, str], list[RunRecord]] = {}
+        for record in _read_records(path):
+            key = (record.model_id, record.strategy_kind)
+            arm = arms.get(key)
+            if arm is None:
+                if self.record_path(*key) != path:
+                    raise MisplacedRecord(f"{path} holds a record of arm {key}")
+                arm = arms[key] = []
+            arm.append(record)
+        return arms

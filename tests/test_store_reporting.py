@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,17 @@ from hypothesis import strategies as st
 
 from singletonlab.config import config_digest, config_snapshot, load_config, parse_config
 from singletonlab.exec_harness import OutcomeLabel
-from singletonlab.guidance import IterationRecord, RunRecord
+from singletonlab.guidance import STRATEGY_KINDS, IterationRecord, RunRecord
 from singletonlab.pattern_checker import PredicateReport, make_report
 from singletonlab.reporting import build_summary, render
 from singletonlab.runner import run_experiment
-from singletonlab.store import RunStore, StoreError, record_from_dict, record_to_dict
+from singletonlab.store import (
+    _TAIL_BLOCK,
+    RunStore,
+    StoreError,
+    record_from_dict,
+    record_to_dict,
+)
 
 from conftest import GOLDEN
 
@@ -338,6 +345,63 @@ def test_run_resumes_after_torn_trailing_line(tmp_path):
     ]
 
 
+def test_append_writes_each_golden_record_as_its_asdict_line(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    expected: dict[str, str] = {}
+    for path in sorted(GOLDEN.glob("**/*.jsonl")):
+        for line in path.read_text("utf-8").splitlines():
+            record = record_from_dict(json.loads(line))
+            store.append(record)
+            name = store.record_path(record.model_id, record.strategy_kind).name
+            asdict_line = json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n"
+            expected[name] = expected.get(name, "") + asdict_line
+    assert {p.name: p.read_text("utf-8") for p in store.records_dir.glob("*.jsonl")} == expected
+
+
+def test_append_refuses_a_value_that_is_neither_json_nor_a_dataclass(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    with pytest.raises(TypeError, match="object"):
+        store.append(dataclasses.replace(sample_record(), selected_candidate=object()))
+    assert not store.record_path("m1", "baseline").exists()
+
+
+@pytest.mark.parametrize("intact_records", [0, 1])
+def test_a_torn_tail_longer_than_a_block_is_cut(tmp_path, intact_records):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    path = store.record_path("m1", "baseline")
+    intact = "".join(line_of(sample_record()) + "\n" for _ in range(intact_records)).encode()
+    path.write_bytes(intact + b"x" * (3 * _TAIL_BLOCK + 7))
+    assert len(store.load_records("m1", "baseline")) == intact_records
+    store.initialize({}, "d")
+    assert path.read_bytes() == intact
+
+
+def test_invalid_utf8_in_a_middle_line_names_file_and_line(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    path = store.record_path("m1", "baseline")
+    lines = [line_of(sample_record(task_id=f"Java/{i}")).encode() for i in range(3)]
+    lines[1] = lines[1].replace(b'"raw"', b'"r\xffw"')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(StoreError) as raised:
+        store.load_records("m1", "baseline")
+    assert f"{path} line 2" in str(raised.value)
+
+
+def test_a_carriage_return_inside_a_line_does_not_split_it(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    path = store.record_path("m1", "baseline")
+    first, second = sample_record(task_id="Java/0"), sample_record(task_id="Java/1")
+    # a \r between tokens is JSON whitespace; read as a line break, it splits line 1
+    path.write_bytes(("{\r" + line_of(first)[1:] + "\n" + line_of(second) + "\n").encode())
+    assert store.load_records("m1", "baseline") == [first, second]
+    assert store.completed_task_ids("m1", "baseline") == {"Java/0", "Java/1"}
+
+
 def test_model_id_sanitized_for_filenames(tmp_path):
     store = RunStore(tmp_path / "store")
     store.initialize({}, "d")
@@ -474,3 +538,62 @@ def test_identical_arms_have_zero_delta_no_stars(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown format"):
         render(build_summary(populated_store(tmp_path)), "xml")
+
+
+def test_a_record_moved_to_another_file_still_counts_in_its_own_arm(tmp_path):
+    store = populated_store(tmp_path)
+    expected = build_summary(store)
+    baseline = store.record_path("m1", "baseline")
+    first, *rest = baseline.read_text("utf-8").splitlines(keepends=True)
+    baseline.write_text("".join(rest), encoding="utf-8")
+    with store.record_path("m1", "binary_feedback").open("a", encoding="utf-8") as fh:
+        fh.write(first)
+    assert build_summary(store) == expected
+
+
+# --- memory: readers hold one arm at a time ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def padded_store(tmp_path_factory) -> RunStore:
+    """2 models x every strategy x 40 tasks, each record carrying ~20 KB of text."""
+    store = RunStore(tmp_path_factory.mktemp("padded") / "store")
+    store.initialize({}, "d")
+    for model_id in ("m0", "m1"):
+        for kind in STRATEGY_KINDS:
+            for i in range(40):
+                record = sample_record(
+                    model_id=model_id,
+                    strategy_kind=kind,
+                    task_id=f"Java/{i}",
+                    outcome_kind="Pass" if i % 3 else "TestFail",
+                )
+                record.iterations[0].raw_response = f"{model_id} {kind} {i} " + "x" * 20_000
+                store.append(record)
+    return store
+
+
+def traced_peak(call) -> tuple[int, int]:
+    """(memory still held after call(), peak during it), in bytes above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+    finally:
+        tracemalloc.stop()
+    return held - start, peak - start
+
+
+def test_build_summary_holds_a_baseline_and_one_more_arm(padded_store):
+    arm_bytes, _ = traced_peak(lambda: padded_store.load_records("m0", "baseline"))
+    assert arm_bytes > 40 * 20_000
+    _, peak = traced_peak(lambda: build_summary(padded_store))
+    assert peak < 3 * arm_bytes
+
+
+def test_completed_task_ids_holds_one_record_at_a_time(padded_store):
+    arm_bytes, _ = traced_peak(lambda: padded_store.load_records("m0", "instruct"))
+    _, peak = traced_peak(lambda: padded_store.completed_task_ids("m0", "instruct"))
+    assert peak < arm_bytes / 4
