@@ -154,7 +154,7 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int over the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -280,11 +280,12 @@ def _parse_model(raw: object, default_seed: int | None, resolve) -> ModelSpec:
 
 def load_script_file(path: str) -> object:
     try:
-        return _script(json.loads(Path(path).read_text("utf-8")), f"script {path}")
+        script = json.loads(Path(path).read_text("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read script {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
+    return _script(script, f"script {path}")
 
 
 def _script(script: object, name: str) -> object:

@@ -68,7 +68,7 @@ def load_tasks(path: str | Path, field_map: dict[str, str] | None = None) -> Tas
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatasetError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DatasetError(f"{path}: line {lineno}: not a JSON object")

@@ -364,7 +364,8 @@ def _http_complete(
                 raise GatewayError("response content is not a string")
             return ChatMessage("assistant", content)
         except (
-            OSError, http.client.HTTPException, GatewayError, KeyError, IndexError, TypeError, ValueError
+            OSError, http.client.HTTPException, GatewayError, KeyError, IndexError, TypeError, ValueError,
+            RecursionError,  # a body nested too deep to decode
         ) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             if status // 100 == 4 and status not in RETRIED_CLIENT_ERRORS:

@@ -32,7 +32,7 @@ from .stats import (
     predicate_counts,
     selected_report,
 )
-from .store import MisplacedRecord, RunStore
+from .store import RunStore
 
 MCNEMAR_LEGEND = "McNemar significance: * = p<0.05, ** = p<0.01, *** = p<0.001"
 
@@ -42,17 +42,10 @@ def build_summary(store: RunStore) -> dict:
     one at a time: a model's baseline arm is held while each of its other
     arms is read, summarised and dropped."""
     models: dict[str, dict] = {}
-    try:
-        for files in store.files_by_model():
-            baselines: dict[str, list[RunRecord]] = {}
-            for path in files:
-                _add_arms(models, baselines, store.read_arms(path))
-    except MisplacedRecord:
-        # a record moved by hand may split its arm over files: group them all
-        grouped = store.load_all()
-        models = {}
-        baseline_first = sorted(grouped, key=lambda key: key[1] != BASELINE)
-        _add_arms(models, {}, {key: grouped[key] for key in baseline_first})
+    for files in store.files_by_model():
+        baselines: dict[str, list[RunRecord]] = {}
+        for path in files:
+            _add_arm(models, baselines, store.load_arm(path))
     rank = {kind: i for i, kind in enumerate(STRATEGY_KINDS)}
     for model in models.values():
         model["strategies"].sort(key=lambda cell: rank[cell["kind"]])
@@ -70,27 +63,27 @@ def build_summary(store: RunStore) -> dict:
     }
 
 
-def _add_arms(
+def _add_arm(
     models: dict[str, dict],
     baselines: dict[str, list[RunRecord]],
-    arms: dict[tuple[str, str], list[RunRecord]],
+    records: list[RunRecord],
 ) -> None:
-    """Add a cell for each arm to its model's entry in models. A model's
-    baseline arm must come before its other arms: baselines keeps it for
-    their deltas and McNemar pairs."""
-    for (model_id, kind), records in arms.items():
-        model = models.setdefault(
-            model_id, {"model_id": model_id, "baseline_pass_rate": None, "strategies": []}
+    """Add a cell for one arm's records (none for no records) to its model's
+    entry in models. A model's baseline arm must come before its other arms:
+    baselines keeps it for their deltas and McNemar pairs."""
+    if not records:
+        return
+    model_id, kind = records[0].model_id, records[0].strategy_kind
+    model = models.setdefault(
+        model_id, {"model_id": model_id, "baseline_pass_rate": None, "strategies": []}
+    )
+    if kind == BASELINE:
+        baselines[model_id] = records
+        model["baseline_pass_rate"] = pass_at_1(records)
+    if kind in STRATEGY_KINDS:
+        model["strategies"].append(
+            _strategy_cell(kind, records, baselines.get(model_id, []), model["baseline_pass_rate"])
         )
-        if kind == BASELINE:
-            baselines[model_id] = records
-            model["baseline_pass_rate"] = pass_at_1(records)
-        if kind in STRATEGY_KINDS:
-            model["strategies"].append(
-                _strategy_cell(
-                    kind, records, baselines.get(model_id, []), model["baseline_pass_rate"]
-                )
-            )
 
 
 def _strategy_cell(

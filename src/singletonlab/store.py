@@ -7,6 +7,10 @@ objects, one key per dataclass field. Bytes after the last newline of a
 file are the remains of an interrupted append: readers ignore them, and
 resuming a run cuts them off before appending again. Readers take a file
 one line at a time, so what they hold grows with one arm, not the store.
+
+A records file holds one arm: every record in it has the model_id and
+strategy_kind that name the file, and a task id of its own. Readers refuse
+any other record, so resuming and reporting count the same arms.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ _TAIL_BLOCK = 1 << 16
 
 class StoreError(Exception):
     pass
-
-
-class MisplacedRecord(StoreError):
-    """A record in a file that RunStore.append would not have written it to."""
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -79,10 +79,17 @@ def _build(cls, data: dict, **values):
     return cls(**values)
 
 
+def _file_name(model_id: str, strategy_kind: str) -> str:
+    """The name of the records file that holds an arm."""
+    return f"{_safe_name(model_id)}__{strategy_kind}.jsonl"
+
+
 def _read_records(path: Path) -> Iterator[RunRecord]:
     """The records of a file, one line at a time; none for a missing file.
     Each line is decoded as UTF-8 here, since json.loads on bytes would take
-    leading NULs for UTF-16 or UTF-32, and only b"\\n" ends a line."""
+    leading NULs for UTF-16 or UTF-32, and only b"\\n" ends a line. A record
+    of another arm than the file's, or of a task already read, is an error."""
+    arm, task_ids = None, set()
     for lineno, line in _read_lines(path):
         try:
             text = line.decode("utf-8")
@@ -92,8 +99,17 @@ def _read_records(path: Path) -> Iterator[RunRecord]:
             continue
         try:
             record = record_from_dict(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise StoreError(f"corrupt record in {path} line {lineno}: {exc}") from exc
+        key = (record.model_id, record.strategy_kind)
+        if key != arm:
+            if arm is not None or _file_name(*key) != path.name:
+                holder = f"the file of arm {arm}" if arm else f"a file not named {_file_name(*key)}"
+                raise StoreError(f"misplaced record in {path} line {lineno}: arm {key} in {holder}")
+            arm = key
+        if record.task_id in task_ids:
+            raise StoreError(f"repeated task {record.task_id!r} in {path} line {lineno}")
+        task_ids.add(record.task_id)
         yield record
 
 
@@ -191,14 +207,14 @@ class RunStore:
             snapshot = json.loads(self.config_path.read_text("utf-8"))
         except OSError as exc:
             raise StoreError(f"cannot read {self.config_path}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise StoreError(f"corrupt store config {self.config_path}: {exc}") from exc
         if not isinstance(snapshot, dict) or "config_digest" not in snapshot:
             raise StoreError(f"corrupt store config {self.config_path}: no object with config_digest")
         return snapshot
 
     def record_path(self, model_id: str, strategy_kind: str) -> Path:
-        return self.records_dir / f"{_safe_name(model_id)}__{strategy_kind}.jsonl"
+        return self.records_dir / _file_name(model_id, strategy_kind)
 
     def scratch_root(self, run_id: str) -> Path:
         """The run's scratch directory: one subdirectory per cell below it."""
@@ -228,17 +244,14 @@ class RunStore:
     def load_records(self, model_id: str, strategy_kind: str) -> list[RunRecord]:
         return list(_read_records(self.record_path(model_id, strategy_kind)))
 
+    def load_arm(self, path: Path) -> list[RunRecord]:
+        """The records of one records file, in file order: one arm's."""
+        return list(_read_records(path))
+
     def load_all(self) -> dict[tuple[str, str], list[RunRecord]]:
-        """All records grouped by (model_id, strategy_kind), file order kept."""
-        grouped: dict[tuple[str, str], list[RunRecord]] = {}
-        if not self.records_dir.is_dir():
-            return grouped
-        for path in sorted(self.records_dir.glob("*.jsonl")):
-            for record in _read_records(path):
-                grouped.setdefault((record.model_id, record.strategy_kind), []).append(
-                    record
-                )
-        return grouped
+        """Every arm's records by (model_id, strategy_kind), file order kept."""
+        arms = (self.load_arm(path) for path in sorted(self.records_dir.glob("*.jsonl")))
+        return {(arm[0].model_id, arm[0].strategy_kind): arm for arm in arms if arm}
 
     def files_by_model(self) -> list[list[Path]]:
         """The records files, grouped by the model part of their names: the
@@ -254,18 +267,3 @@ class RunStore:
                 else:
                     files.append(path)
         return list(groups.values())
-
-    def read_arms(self, path: Path) -> dict[tuple[str, str], list[RunRecord]]:
-        """One records file's records by (model_id, strategy_kind), file order
-        kept. A record that append would have written to another file raises
-        MisplacedRecord: its arm may be split over files."""
-        arms: dict[tuple[str, str], list[RunRecord]] = {}
-        for record in _read_records(path):
-            key = (record.model_id, record.strategy_kind)
-            arm = arms.get(key)
-            if arm is None:
-                if self.record_path(*key) != path:
-                    raise MisplacedRecord(f"{path} holds a record of arm {key}")
-                arm = arms[key] = []
-            arm.append(record)
-        return arms

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singletonlab.cli import main
 from singletonlab.config import config_digest, config_snapshot, load_config, parse_config
 from singletonlab.exec_harness import OutcomeLabel
 from singletonlab.guidance import STRATEGY_KINDS, IterationRecord, RunRecord
@@ -23,7 +24,7 @@ from singletonlab.store import (
     record_to_dict,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, MOCK_TASKS
 
 
 def sample_record(
@@ -540,15 +541,139 @@ def test_unknown_format_rejected(tmp_path):
         render(build_summary(populated_store(tmp_path)), "xml")
 
 
-def test_a_record_moved_to_another_file_still_counts_in_its_own_arm(tmp_path):
+def test_a_record_moved_to_another_file_is_a_store_error_naming_file_and_line(tmp_path):
     store = populated_store(tmp_path)
-    expected = build_summary(store)
     baseline = store.record_path("m1", "baseline")
     first, *rest = baseline.read_text("utf-8").splitlines(keepends=True)
     baseline.write_text("".join(rest), encoding="utf-8")
-    with store.record_path("m1", "binary_feedback").open("a", encoding="utf-8") as fh:
+    feedback = store.record_path("m1", "binary_feedback")
+    with feedback.open("a", encoding="utf-8") as fh:
         fh.write(first)
-    assert build_summary(store) == expected
+    with pytest.raises(StoreError, match="misplaced record") as raised:
+        build_summary(store)
+    assert f"{feedback} line 21" in str(raised.value)
+
+
+# --- one arm per records file: resume and report read the same arms -----------------
+
+
+def golden_config_file(tmp_path) -> Path:
+    """The golden config as `run --config` reads it, its store in tmp_path."""
+    raw = json.loads((GOLDEN / "config.json").read_text("utf-8"))
+    raw["dataset"]["path"] = str(MOCK_TASKS)
+    raw["output_dir"] = str(tmp_path / "store")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def store_bytes(store: RunStore) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in store.records_dir.glob("*.jsonl")}
+
+
+def no_chat_requests(*args):
+    raise AssertionError("a cell ran")
+
+
+@pytest.fixture()
+def moved_record(tmp_path, monkeypatch) -> tuple[Path, RunStore, str]:
+    """A golden run whose baseline Java/0 record of scripted-a has taken the
+    place of the Java/0 line in the model's binary_feedback file: the config,
+    the store and where the record now is. Cells can no longer run."""
+    config = golden_config_file(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    store = RunStore(tmp_path / "store")
+    baseline = store.record_path("scripted-a", "baseline")
+    feedback = store.record_path("scripted-a", "binary_feedback")
+    moved, *kept = baseline.read_bytes().splitlines(keepends=True)
+    baseline.write_bytes(b"".join(kept))
+    feedback.write_bytes(moved + b"".join(feedback.read_bytes().splitlines(keepends=True)[1:]))
+    monkeypatch.setattr("singletonlab.runner._run_one", no_chat_requests)
+    return config, store, f"{feedback} line 1"
+
+
+def test_resume_refuses_a_moved_record_before_any_chat_request(moved_record, capsys):
+    config, store, where = moved_record
+    before = store_bytes(store)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert where in capsys.readouterr().err
+    assert store_bytes(store) == before
+
+
+def test_report_refuses_a_moved_record(moved_record, capsys):
+    _, store, where = moved_record
+    capsys.readouterr()
+    assert main(["report", str(store.root)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_a_task_repeated_in_an_arm_is_refused_by_resume_and_report(tmp_path, monkeypatch, capsys):
+    config = golden_config_file(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    store = RunStore(tmp_path / "store")
+    path = store.record_path("scripted-a", "baseline")
+    path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(keepends=True)[0])
+    monkeypatch.setattr("singletonlab.runner._run_one", no_chat_requests)
+    capsys.readouterr()
+    for argv in (["run", "--config", str(config)], ["report", str(store.root)]):
+        assert main(argv) == 2
+        assert f"repeated task 'Java/0' in {path} line 6" in capsys.readouterr().err
+
+
+def test_two_arms_that_share_a_file_are_a_store_error(tmp_path):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    path = store.record_path("org-m", "baseline")
+    path.write_text(
+        line_of(sample_record(model_id="org-m")) + "\n" + line_of(sample_record(model_id="org/m")) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(StoreError, match="misplaced record") as raised:
+        store.load_records("org-m", "baseline")
+    assert f"{path} line 2" in str(raised.value)
+
+
+def test_model_ids_that_extend_one_another_keep_their_own_arms(tmp_path, monkeypatch):
+    """Store names a__kind, a__b__kind and a___kind: each file is read as its
+    own model's arm and paired with that model's baseline."""
+    passing, failing = "class A {}", "// MOCK-FAIL\nclass A {}"
+    singleton = (
+        "class A { private static A instance; private A() {} public static A getInstance() "
+        "{ if (instance == null) { instance = new A(); } return instance; } }"
+    )
+    scripts = {
+        "a": {"default": [passing, singleton]},
+        "a__b": {"default": [failing, singleton]},
+        "a_": {"tasks": {"Java/0": [failing, singleton], "Java/1": [failing, singleton]},
+               "default": [passing, singleton]},
+    }
+    config = parse_config(
+        {
+            "run_id": "prefixes",
+            "dataset": str(MOCK_TASKS),
+            "output_dir": str(tmp_path / "store"),
+            "models": [{"model_id": m, "script": script} for m, script in scripts.items()],
+            "strategies": list(STRATEGY_KINDS),
+            "exec": {"mode": "mock"},
+        }
+    )
+    store = run_experiment(config, log=lambda message: None)
+    summary = build_summary(store)
+    baselines = {model["model_id"]: model["baseline_pass_rate"] for model in summary["models"]}
+    assert baselines == {"a": 100.0, "a__b": 0.0, "a_": 60.0}
+    for model in summary["models"]:
+        assert [cell["kind"] for cell in model["strategies"]] == list(STRATEGY_KINDS)
+        for cell in model["strategies"]:
+            assert cell["n_tasks"] == 5
+            if cell["kind"] != "baseline":
+                assert cell["delta_pp"] == cell["pass_rate"] - baselines[model["model_id"]]
+    monkeypatch.setattr("singletonlab.runner._run_one", no_chat_requests)
+    logged: list[str] = []
+    run_experiment(config, log=logged.append)
+    assert logged == [
+        f"{m}/{kind}: 5 record(s) already present, 0 to run" for m in scripts for kind in STRATEGY_KINDS
+    ]
 
 
 # --- memory: readers hold one arm at a time ------------------------------------------
