@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated strategy kinds",
     )
     p_mock.add_argument("--output", default=None, help="store directory (default: temp)")
-    p_mock.add_argument("--model-id", default="scripted", help="model id for the records")
-    p_mock.add_argument("--iterations", type=int, help="iteration cap (default: the config's)")
     p_mock.set_defaults(func=cmd_mock_run)
     return parser
 
@@ -143,12 +141,10 @@ def cmd_mock_run(args) -> int:
         "run_id": "mock",
         "dataset": args.dataset,
         "output_dir": args.output or "temp",  # a placeholder until the flags pass
-        "models": [{"model_id": args.model_id, "script_path": args.script}],
+        "models": [{"model_id": "scripted", "script_path": args.script}],
         "strategies": [k.strip() for k in args.strategies.split(",") if k.strip()],
         "exec": {"mode": "mock"},
     }
-    if args.iterations is not None:
-        raw["iteration_cap"] = args.iterations
     config = parse_config(raw, base_dir=Path())
     if not args.output:  # the digest leaves output_dir out
         config = dataclasses.replace(config, output_dir=tempfile.mkdtemp(prefix="singletonlab-mock-"))

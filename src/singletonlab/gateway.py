@@ -264,7 +264,7 @@ def _tls_context() -> ssl.SSLContext:
 
 # perfbench/tracer.py times every attempt by swapping `gateway.requests` for
 # a proxy of its `post`, so each attempt looks the sender up here. The name
-# stays for that tracer until ROADMAP item 6's events take its place.
+# stays for that tracer until ROADMAP item 8's events take its place.
 requests = SimpleNamespace(post=_post)
 
 

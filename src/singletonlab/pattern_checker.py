@@ -4,7 +4,7 @@ Three predicates define conformance: every declared constructor is private
 (and at least one exists), a private static field of the class's own type
 holds the instance, and a public static method returning the class's own
 type exposes it. The score for one class is the fulfilled fraction in
-percent; a corpus averages per-class scores.
+percent.
 """
 
 from __future__ import annotations
@@ -76,9 +76,3 @@ def evaluate_predicates(model: ClassModel) -> PredicateReport:
 def singleton_score(report: PredicateReport) -> float:
     """Percentage of fulfilled predicates: 100 only for full conformance."""
     return 100.0 * report.fulfilled() / len(PREDICATE_NAMES)
-
-
-def corpus_score(reports: list[PredicateReport]) -> float:
-    if not reports:
-        raise ValueError("no instances to average")
-    return sum(singleton_score(r) for r in reports) / len(reports)

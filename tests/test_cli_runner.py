@@ -586,11 +586,9 @@ def test_cli_mock_run_rejects_non_script_before_creating_store(tmp_path, capsys)
     "flags, message",
     [
         (["--strategies", "baseline,baseline"], "strategy kinds must be unique"),
-        (["--model-id", ""], "model_id must be a non-empty string"),
         (["--strategies", ""], "strategies must be a non-empty list"),
-        (["--iterations", "0"], "iteration_cap must be >= 1"),
     ],
-    ids=["repeated-strategy", "empty-model-id", "no-strategy", "no-iterations"],
+    ids=["repeated-strategy", "no-strategy"],
 )
 def test_cli_mock_run_rejects_the_flags_run_rejects_in_a_config(tmp_path, capsys, monkeypatch, flags, message):
     temp = tmp_path / "temp"

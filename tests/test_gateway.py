@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -13,6 +15,7 @@ import pytest
 
 import singletonlab
 
+from singletonlab import gateway
 from singletonlab.config import ModelSpec, parse_config
 from singletonlab.gateway import (
     ChatMessage,
@@ -273,10 +276,12 @@ def test_http_reply_of_the_wrong_shape_is_retried_then_a_gateway_error(stub_serv
 class RawServer:
     """Serves one canned reply per connection, in order, and keeps each
     request's head and body. A reply is bytes, sent before the server
-    closes, or None: say nothing until the client hangs up."""
+    closes, or None: say nothing until the client hangs up. Given `tls`, a
+    server-side context, each connection is served over TLS."""
 
-    def __init__(self, replies: list[bytes | None]):
+    def __init__(self, replies: list[bytes | None], tls: ssl.SSLContext | None = None):
         self.replies = replies
+        self.tls = tls
         self.requests: list[tuple[str, bytes]] = []
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.address = "127.0.0.1:%d" % self.listener.getsockname()[1]
@@ -286,6 +291,8 @@ class RawServer:
     def _serve(self) -> None:
         for reply in self.replies:
             connection, _ = self.listener.accept()
+            if self.tls:
+                connection = self.tls.wrap_socket(connection, server_side=True)
             with connection:
                 data = b""
                 while b"\r\n\r\n" not in data:
@@ -318,8 +325,8 @@ class RawServer:
 def raw_server():
     servers: list[RawServer] = []
 
-    def start(*replies: bytes | None) -> RawServer:
-        servers.append(RawServer(list(replies)))
+    def start(*replies: bytes | None, tls: ssl.SSLContext | None = None) -> RawServer:
+        servers.append(RawServer(list(replies), tls))
         return servers[-1]
 
     yield start
@@ -375,6 +382,24 @@ def test_a_reply_cut_off_mid_body_is_retried(raw_server):
     )
     reply = complete(handle(f"http://{server.address}/v1"), HISTORY, retries=1, backoff_s=0.01)
     assert reply.content == "class C {}"
+    assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("promised", [10**15, 10**30], ids=["10-to-the-15", "10-to-the-30"])
+@pytest.mark.parametrize("framing", ["content-length", "chunk-size"])
+def test_a_reply_that_promises_more_body_than_arrives_is_retried_then_a_gateway_error(
+    raw_server, framing, promised
+):
+    # a reader that sized a buffer from the promise would raise MemoryError
+    # or OverflowError, which no retry catches
+    if framing == "content-length":
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % promised
+    else:
+        head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % promised
+    reply = head + b'{"choices": ['
+    server = raw_server(reply, reply)
+    with pytest.raises(GatewayError, match="test-model.*after 2 attempts: IncompleteRead"):
+        complete(handle(f"http://{server.address}/v1"), HISTORY, retries=1, backoff_s=0.01)
     assert len(server.requests) == 2
 
 
@@ -542,6 +567,31 @@ def test_a_proxy_set_or_bypassed_between_requests_routes_the_next_one(raw_server
     assert complete(spec, HISTORY, retries=0).content == "class H {}"
     assert [head.split("\r\n")[0] for head, _ in server.requests] == ["POST /v1 HTTP/1.1"] * 2
     assert proxy.requests[0][0].startswith(f"POST http://{server.address}/v1 HTTP/1.1\r\n")
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="no openssl on PATH")
+def test_a_chunked_reply_over_tls_reads_back_byte_exact(raw_server, proxy_env, monkeypatch, tmp_path):
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    # several TLS records, cut into chunks at an odd size, with raw UTF-8 split across the cuts
+    content = "class T { String s = \"\u00e9\u4e2d\U0001f600\"; }\n" * 2000
+    body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}, ensure_ascii=False).encode()
+    parts = [body[at:at + 7919] for at in range(0, len(body), 7919)]
+    chunks = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in parts)
+    server = raw_server(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\n\r\n", tls=tls)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    gateway._tls_context.cache_clear()
+    try:
+        assert complete(handle(f"https://{server.address}/v1"), HISTORY, retries=0).content == content
+    finally:
+        gateway._tls_context.cache_clear()
+    assert server.requests[0][0].startswith("POST /v1 HTTP/1.1\r\n")
 
 
 def test_importing_the_package_loads_only_the_standard_library():

@@ -10,7 +10,6 @@ from singletonlab.pattern_checker import (
     GLOBAL_ACCESS_POINT_FAILURE,
     INSTANCE_FIELD_FAILURE,
     PRIVATE_CONSTRUCTOR_FAILURE,
-    corpus_score,
     evaluate_predicates,
     make_report,
     no_class_report,
@@ -194,24 +193,6 @@ def test_score_trivial_points():
     assert singleton_score(make_report(True, True, True)) == 100.0
     assert singleton_score(make_report(False, False, False)) == 0.0
     assert singleton_score(make_report(True, False, True)) == pytest.approx(200 / 3)
-
-
-def test_corpus_score_means():
-    full = make_report(True, True, True)
-    none = make_report(False, False, False)
-    two_thirds = make_report(True, False, True)
-    assert corpus_score([full, full, full]) == 100.0
-    assert corpus_score([full, none]) == 50.0
-    # 163 perfect plus one at 66.67: frozen against direct arithmetic mean
-    scores = [full] * 163 + [two_thirds]
-    expected = (163 * 100.0 + 200 / 3) / 164
-    assert corpus_score(scores) == pytest.approx(expected, abs=1e-12)
-    assert corpus_score(scores) == pytest.approx(99.797, abs=5e-4)
-
-
-def test_corpus_score_empty_errors():
-    with pytest.raises(ValueError, match="no instances to average"):
-        corpus_score([])
 
 
 def test_no_class_report_scores_zero():

@@ -513,6 +513,33 @@ def test_outcome_breakdown_counts_categories(tmp_path):
     assert outcome["compile_error_categories"]["missing_external_library"] == 1
 
 
+FULL, NONE, TWO_THIRDS = (True, True, True), (False, False, False), (True, False, True)
+
+
+@pytest.mark.parametrize(
+    "verdicts, expected, rounded",
+    [
+        ([FULL] * 3, 100.0, 100.0),
+        ([FULL, NONE], 50.0, 50.0),
+        # 163 perfect plus one at 66.67: frozen against direct arithmetic mean
+        ([FULL] * 163 + [TWO_THIRDS], (163 * 100.0 + 200 / 3) / 164, 99.797),
+    ],
+    ids=["three-full", "full-and-none", "163-full-and-one-two-thirds"],
+)
+def test_avg_singleton_score_is_the_mean_over_selected_reports(tmp_path, verdicts, expected, rounded):
+    store = RunStore(tmp_path / "store")
+    store.initialize({}, "d")
+    for i, verdict in enumerate(verdicts):
+        record = sample_record(task_id=f"Java/{i}")
+        report = make_report(*verdict)
+        record.iterations[0].predicate_report = report
+        record.iterations[0].conforming = report.is_singleton()
+        store.append(record)
+    [cell] = build_summary(store)["models"][0]["strategies"]
+    assert cell["avg_singleton_score"] == pytest.approx(expected, abs=1e-12)
+    assert cell["avg_singleton_score"] == pytest.approx(rounded, abs=5e-4)
+
+
 def test_identical_arms_have_zero_delta_no_stars(tmp_path):
     store = RunStore(tmp_path / "store")
     store.initialize({}, "d")
